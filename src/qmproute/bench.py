@@ -100,14 +100,16 @@ def parse_matrix(text: str) -> dict:
     return data
 
 
-def objective_config(objective: str, layered: bool, time_limit, swap_duration) -> SolverConfig:
+def objective_config(objective: str, layered: bool, time_limit, swap_duration,
+                     beam_width=None) -> SolverConfig:
+    """Solver config weighing only the depth or only the SWAP count."""
     if objective == "depth":
         w_d, w_s = 1, 0
     elif objective == "swaps":
         w_d, w_s = 0, 1
     else:
         raise BenchError(f"unknown objective {objective!r}")
-    return SolverConfig(w_depth=w_d, w_swaps=w_s, layered=layered,
+    return SolverConfig(w_depth=w_d, w_swaps=w_s, layered=layered, beam_width=beam_width,
                         time_limit=time_limit, swap_duration=swap_duration)
 
 

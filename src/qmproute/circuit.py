@@ -117,6 +117,9 @@ class PrecedenceInfo:
     pred[i] holds the at most two immediately preceding gate ids.
     pos[i] maps each of gate i's qubits to its index within per_qubit[q].
     tail_sums[q][k] is the total duration of gates per_qubit[q][k:].
+    pairs lists, per unordered qubit pair, (p, q, positions, ids): the ids
+    of the pair's gates in circuit order and their positions on qubit p,
+    so one bisect on progress[p] finds the pair's first unscheduled gate.
     """
     circuit: Circuit
     per_qubit: dict[int, list[int]]
@@ -125,23 +128,14 @@ class PrecedenceInfo:
     layer: dict[int, int]
     pos: dict[int, dict[int, int]]
     tail_sums: dict[int, list[int]]
-    pair_gates: dict[frozenset, list[int]]
-
-    def duration(self, i: int) -> int:
-        return self.circuit.gates[i - 1].duration
-
-    def is_scheduled(self, i: int, progress) -> bool:
-        """True if gate i is in the scheduled (downward-closed) set given the
-        per-qubit frontier counts."""
-        q = self.circuit.gates[i - 1].qubits[0]
-        return self.pos[i][q] < progress[q]
+    pairs: tuple[tuple[int, int, list[int], list[int]], ...]
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:
     per_qubit: dict[int, list[int]] = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
     pos: dict[int, dict[int, int]] = {}
     pred: dict[int, tuple[int, ...]] = {}
-    pair_gates: dict[frozenset, list[int]] = {}
+    pairs: dict[frozenset, tuple[int, int, list[int], list[int]]] = {}
     last_on: dict[int, int] = {}
     for g in circuit.gates:
         preds = []
@@ -153,7 +147,9 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
             per_qubit[q].append(g.id)
             last_on[q] = g.id
         pred[g.id] = tuple(preds)
-        pair_gates.setdefault(frozenset(g.qubits), []).append(g.id)
+        p, _, positions, ids = pairs.setdefault(frozenset(g.qubits), (*g.qubits, [], []))
+        positions.append(pos[g.id][p])
+        ids.append(g.id)
 
     # Successors of i always have larger ids, so one reverse pass suffices.
     succ: dict[int, list[int]] = {g.id: [] for g in circuit.gates}
@@ -177,7 +173,7 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
 
     return PrecedenceInfo(circuit=circuit, per_qubit=per_qubit, pred=pred,
                           delta=delta, layer=layer, pos=pos,
-                          tail_sums=tail_sums, pair_gates=pair_gates)
+                          tail_sums=tail_sums, pairs=tuple(pairs.values()))
 
 
 def remaining_time(info: PrecedenceInfo, q: int, i: int) -> int:

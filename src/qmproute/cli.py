@@ -54,16 +54,15 @@ def _load_graph(args):
 def _cmd_solve(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     graph = _load_graph(args)
-    if args.objective == "depth":
-        w_d, w_s = Fraction(1), Fraction(0)
-    elif args.objective == "swaps":
-        w_d, w_s = Fraction(0), Fraction(1)
+    if args.objective == "combined":
+        config = SolverConfig(w_depth=Fraction(str(args.w_depth)),
+                              w_swaps=Fraction(str(args.w_swaps)),
+                              layered=args.layered, beam_width=args.beam_width,
+                              time_limit=args.time_limit,
+                              swap_duration=args.swap_duration)
     else:
-        w_d = Fraction(str(args.w_depth))
-        w_s = Fraction(str(args.w_swaps))
-    config = SolverConfig(w_depth=w_d, w_swaps=w_s, layered=args.layered,
-                          beam_width=args.beam_width, time_limit=args.time_limit,
-                          swap_duration=args.swap_duration)
+        config = bench_mod.objective_config(args.objective, args.layered, args.time_limit,
+                                            args.swap_duration, args.beam_width)
     result = solve(circuit, graph, config)
     if result.schedule is not None and args.out:
         Path(args.out).write_text(schedule_to_json(result.schedule))

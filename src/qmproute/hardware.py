@@ -2,7 +2,7 @@
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
 all-pairs hop distances, and enumeration of minimal (chordless) paths
-between node pairs, cached per unordered pair.  A path is minimal when no
+between node pairs, cached per ordered pair.  A path is minimal when no
 subset of its nodes can be removed and still leave a valid path, i.e. no
 hardware edge joins two non-consecutive path nodes.
 """
@@ -76,18 +76,21 @@ class HardwareGraph:
         Returns None if the enumeration exceeded max_paths_per_pair; callers
         using the result inside a lower bound must then skip the pair
         (truncating the set would raise the bound and break admissibility).
+        Both orientations are cached, so a repeated call returns the same
+        object and allocates nothing.
         """
+        try:
+            return self._path_cache[v, w]
+        except KeyError:
+            pass
         if v == w:
             raise HardwareError("minimal_paths requires distinct endpoints")
-        key = (min(v, w), max(v, w))
-        if key not in self._path_cache:
-            self._path_cache[key] = self._enumerate_chordless(*key)
-        cached = self._path_cache[key]
-        if cached is None:
-            return None
-        if v == key[0]:
-            return cached
-        return [tuple(reversed(p)) for p in cached]
+        lo, hi = min(v, w), max(v, w)
+        paths = self._enumerate_chordless(lo, hi)
+        self._path_cache[lo, hi] = paths
+        self._path_cache[hi, lo] = (None if paths is None
+                                    else [tuple(reversed(p)) for p in paths])
+        return self._path_cache[v, w]
 
     def _enumerate_chordless(self, v: int, w: int):
         results: list[tuple[int, ...]] = []

@@ -12,7 +12,9 @@ node popped is optimal.  A beam width converts the search into a heuristic.
 from __future__ import annotations
 
 import heapq
+import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +37,6 @@ class SolverConfig:
     beam_width: int | None = None       # None = exact search
     time_limit: float | None = None     # seconds
     swap_duration: int = DEFAULT_SWAP_DURATION
-    track_swaps_in_front: bool | None = None  # None: auto (on iff w_swaps > 0)
     use_pareto: bool = True
 
     def __post_init__(self):
@@ -45,19 +46,15 @@ class SolverConfig:
             raise SolverError("weights must be nonnegative with positive sum")
         if self.beam_width is not None and self.beam_width < 1:
             raise SolverError("beam width must be >= 1")
-
-    @property
-    def swaps_in_front(self) -> bool:
-        if self.track_swaps_in_front is None:
-            return self.w_swaps > 0
-        return self.track_swaps_in_front or self.w_swaps > 0
+        if self.swap_duration < 0:
+            raise SolverError("swap duration must be >= 0")
 
 
 class SearchNode:
     __slots__ = ("parent", "gate_index", "edge", "start", "duration",
                  "depth_map", "assignment", "occupant", "progress",
                  "swap_count", "num_scheduled", "layer_remaining",
-                 "bound", "removed", "order")
+                 "bound", "removed")
 
     def __init__(self, parent, gate_index, edge, start, duration, depth_map,
                  assignment, occupant, progress, swap_count, num_scheduled,
@@ -76,7 +73,6 @@ class SearchNode:
         self.layer_remaining = layer_remaining
         self.bound = None
         self.removed = False
-        self.order = 0
 
     @property
     def state_key(self):
@@ -107,69 +103,70 @@ class SolveResult:
 def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
                 swap_duration: int) -> int:
     """Admissible lower bound on the achievable makespan from this node."""
-    gates = info.circuit.gates
-    n = info.circuit.num_virtual_qubits
-    h_q = 0
-    for q in range(1, n + 1):
-        a = node.assignment[q]
-        dq = node.depth_map[a] if a else 0
-        seq = info.per_qubit[q]
-        frontier = node.progress[q]
+    dm, asg, progress, delta = node.depth_map, node.assignment, node.progress, info.delta
+    h = 0
+    for q, seq in info.per_qubit.items():
+        a = asg[q]
+        dq = dm[a] if a else 0
+        frontier = progress[q]
         if frontier < len(seq):
-            dq += info.delta[seq[frontier]]
-        h_q = max(h_q, dq)
+            dq += delta[seq[frontier]]
+        if dq > h:
+            h = dq
 
     d_s = swap_duration
-    h_g = 0
-    for pair, ids in info.pair_gates.items():
-        first = None
-        for i in ids:
-            g = gates[i - 1]
-            if info.pos[i][g.qubits[0]] >= node.progress[g.qubits[0]]:
-                first = i
-                break
-        if first is None:
+    pos, tail_sums = info.pos, info.tail_sums
+    for p, q, positions, ids in info.pairs:
+        k = bisect_left(positions, progress[p])
+        if k == len(positions):
             continue
-        p, q = gates[first - 1].qubits
-        ap, aq = node.assignment[p], node.assignment[q]
+        ap, aq = asg[p], asg[q]
         if not ap or not aq:
             continue
-        dqp = node.depth_map[ap]
-        dqq = node.depth_map[aq]
-        # Circuit work on each wire before this gate (from the frontier gate
-        # up to, excluding, this gate).
-        lam_p = (info.tail_sums[p][node.progress[p]]
-                 - info.tail_sums[p][info.pos[first][p]])
-        lam_q = (info.tail_sums[q][node.progress[q]]
-                 - info.tail_sums[q][info.pos[first][q]])
         paths = graph.minimal_paths(ap, aq)
         if paths is None:
             continue  # enumeration capped; skipping keeps the bound admissible
+        first = ids[k]
+        # Each wire's depth plus its circuit work before this gate (from the
+        # frontier gate up to, excluding, this gate).
+        start_p = dm[ap] + tail_sums[p][progress[p]] - tail_sums[p][pos[first][p]]
+        start_q = dm[aq] + tail_sums[q][progress[q]] - tail_sums[q][pos[first][q]]
         best = None
         for path in paths:
-            n_pi = len(path)
-            for j in range(1, n_pi):
-                terms = [dqp + lam_p + (j - 1) * d_s,
-                         dqq + lam_q + (n_pi - j - 1) * d_s]
-                for k in range(2, j + 1):
-                    terms.append(node.depth_map[path[k - 1]] + (j + 1 - k) * d_s)
-                for k in range(j + 1, n_pi):
-                    terms.append(node.depth_map[path[k - 1]] + (k - j) * d_s)
-                h = max(terms)
-                if best is None or h < best:
-                    best = h
-        if best is not None:
-            h_g = max(h_g, info.delta[first] + best)
-    return max(h_q, h_g)
+            # The gate runs on edge e = (path[e], path[e+1]) once p has swapped
+            # forward to path[e] and q back to path[e+1].  right[e] is q's
+            # earliest arrival: a suffix maximum of node depth + d_s per hop;
+            # `left` is p's, the matching prefix maximum.  The start time
+            # max(left, right[e]) is minimal where `left` overtakes right[e]:
+            # `left` only grows with e (d_s >= 0) and right[e] only shrinks.
+            last = len(path) - 2
+            right = [start_q] * (last + 1)
+            for e in range(last - 1, -1, -1):
+                x, r = dm[path[e + 1]], right[e + 1]
+                right[e] = (r if r > x else x) + d_s
+            left = start_p
+            h_path = left if left > right[0] else right[0]
+            for e in range(1, last + 1):
+                if left >= right[e - 1]:
+                    break
+                x = dm[path[e]]
+                left = (left if left > x else x) + d_s
+                t = left if left > right[e] else right[e]
+                if t < h_path:
+                    h_path = t
+            if best is None or h_path < best:
+                best = h_path
+        if delta[first] + best > h:
+            h = delta[first] + best
+    return h
 
 
 def bound_swaps(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph) -> int:
     """Admissible lower bound on the total SWAP count from this node."""
     worst = 0
-    for g in info.circuit.gates:
-        p, q = g.qubits
-        if info.pos[g.id][p] < node.progress[p]:
-            continue  # already scheduled
+    for p, q, positions, _ in info.pairs:
+        if positions[-1] < node.progress[p]:
+            continue  # every gate of the pair already scheduled
         ap, aq = node.assignment[p], node.assignment[q]
         if ap and aq:
             worst = max(worst, graph.dist[ap][aq] - 1)
@@ -184,25 +181,29 @@ class _Search:
         self.graph = graph
         self.config = config
         self.info = analyze(circuit)
-        self.stats = SolveStats()
+        # Integer weights: both scaled by the LCM of their denominators, so
+        # bounds and objectives are ints and heap keys compare ints.
+        self.scale = math.lcm(config.w_depth.denominator, config.w_swaps.denominator)
+        self.w_depth = int(config.w_depth * self.scale)
+        self.w_swaps = int(config.w_swaps * self.scale)
         num_layers = max(self.info.layer.values(), default=-1) + 1
         self.layer_totals = [0] * num_layers
         for i in range(1, circuit.num_gates + 1):
             self.layer_totals[self.info.layer[i]] += 1
 
-    def bound(self, node: SearchNode) -> Fraction:
-        c = self.config
-        h = Fraction(0)
-        if c.w_depth:
-            h += c.w_depth * bound_depth(node, self.info, self.graph, c.swap_duration)
-        if c.w_swaps:
-            h += c.w_swaps * bound_swaps(node, self.info, self.graph)
+    def bound(self, node: SearchNode) -> int:
+        """Lower bound on the objective, times `scale`."""
+        h = 0
+        if self.w_depth:
+            h += self.w_depth * bound_depth(node, self.info, self.graph,
+                                            self.config.swap_duration)
+        if self.w_swaps:
+            h += self.w_swaps * bound_swaps(node, self.info, self.graph)
         return h
 
-    def objective(self, node: SearchNode) -> Fraction:
-        """Exact objective of a complete node."""
-        return (self.config.w_depth * max(node.depth_map)
-                + self.config.w_swaps * node.swap_count)
+    def objective(self, node: SearchNode) -> int:
+        """Exact objective of a complete node, times `scale`."""
+        return self.w_depth * max(node.depth_map) + self.w_swaps * node.swap_count
 
     def root(self) -> SearchNode:
         n = self.circuit.num_virtual_qubits
@@ -345,15 +346,14 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
 
 
 def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> SolveResult:
-    stats = search.stats = SolveStats()
-    front = _Front(config.swaps_in_front)
+    stats = SolveStats()
+    front = _Front(config.w_swaps > 0)
     root = search.root()
     counter = 0
 
     def entry(node: SearchNode):
         nonlocal counter
         counter += 1
-        node.order = counter
         return (node.bound, -node.num_scheduled, node.swap_count, counter, node)
 
     open_heap = [entry(root)]
@@ -361,7 +361,7 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
     stats.nodes_inserted += 1
     num_gates = search.circuit.num_gates
     incumbent: SearchNode | None = None
-    incumbent_obj: Fraction | None = None
+    incumbent_obj: int | None = None
     timed_out = False
 
     while open_heap:
@@ -378,16 +378,13 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
         children.extend(search.swap_children_edges(node))
         for gate_index, edge in children:
             child = search.make_child(node, gate_index, edge)
-            child.bound = search.bound(child)
             if child.num_scheduled == num_gates:
                 obj = search.objective(child)
                 if incumbent_obj is None or obj < incumbent_obj:
                     incumbent, incumbent_obj = child, obj
-            if config.use_pareto:
-                if front.try_insert(child, stats):
-                    stats.nodes_inserted += 1
-                    heapq.heappush(open_heap, entry(child))
-            else:
+            # Only Pareto survivors are bounded: a pruned child needs no key.
+            if not config.use_pareto or front.try_insert(child, stats):
+                child.bound = search.bound(child)
                 stats.nodes_inserted += 1
                 heapq.heappush(open_heap, entry(child))
         if beam is not None:
@@ -420,7 +417,7 @@ def _result(search: _Search, config: SolverConfig, node: SearchNode,
     schedule = Schedule(ops=tuple(ops), swap_duration=config.swap_duration)
     proven = beam is None and not timed_out and not incumbent_only
     return SolveResult(schedule=schedule,
-                       objective_value=search.objective(node),
+                       objective_value=Fraction(search.objective(node), search.scale),
                        proven_optimal=proven,
                        status="optimal" if proven else "incumbent",
                        stats=stats,

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,20 @@ class TestSolveCommand:
         code = dispatch(["solve", "--circuit", str(circuit_file),
                          "--topology", "linear:4", "--beam-width", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, objective", [
+        (["--objective", "swaps"], lambda m, s: s),
+        (["--objective", "combined", "--w-depth", "0.5", "--w-swaps", "3"],
+         lambda m, s: Fraction(m, 2) + 3 * s),
+    ])
+    def test_objective_weights(self, example_files, tmp_path, flags, objective):
+        _, circuit_file = example_files
+        stats = tmp_path / "stats.json"
+        code = dispatch(["solve", "--circuit", str(circuit_file), "--topology", "linear:4",
+                         "--stats", str(stats), *flags])
+        assert code == 0
+        s = json.loads(stats.read_text())
+        assert Fraction(s["objective_value"]) == objective(s["makespan"], s["swap_count"])
 
     def test_solved_schedule_validates_via_cli(self, example_files, tmp_path):
         _, circuit_file = example_files

@@ -100,10 +100,17 @@ class TestMinimalPaths:
         assert all(len(p) == 3 for p in paths)
 
     def test_reverse_orientation_derived(self):
-        g = build_topology("grid", (2, 3))
-        fwd = g.minimal_paths(1, 6)
-        rev = g.minimal_paths(6, 1)
-        assert sorted(tuple(reversed(p)) for p in fwd) == sorted(rev)
+        for g in (build_topology("grid", (2, 3)), build_topology("y", 6)):
+            for v in range(1, g.num_nodes + 1):
+                for w in range(1, g.num_nodes + 1):
+                    if v == w:
+                        continue
+                    fwd = g.minimal_paths(v, w)
+                    rev = g.minimal_paths(w, v)
+                    assert sorted(tuple(reversed(p)) for p in fwd) == sorted(rev)
+                    # A repeated call is a cache hit on either orientation.
+                    assert g.minimal_paths(v, w) is fwd
+                    assert g.minimal_paths(w, v) is rev
 
     @pytest.mark.parametrize("builder", [
         lambda: build_topology("linear", 5),
@@ -134,8 +141,16 @@ class TestMinimalPaths:
             for w in range(v + 1, 7):
                 assert g.dist[v][w] == min(len(p) - 1 for p in g.minimal_paths(v, w))
 
+    def test_same_endpoints_rejected(self):
+        with pytest.raises(HardwareError, match="distinct"):
+            build_topology("linear", 4).minimal_paths(2, 2)
+
     def test_cap_returns_none(self):
         g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], max_paths_per_pair=1)
+        assert g.minimal_paths(1, 3) is None
+        assert g.minimal_paths(3, 1) is None
+        g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], max_paths_per_pair=1)
+        assert g.minimal_paths(3, 1) is None
         assert g.minimal_paths(1, 3) is None
 
 

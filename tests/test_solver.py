@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmproute.circuit import analyze, parse_circuit
-from qmproute.hardware import build_topology
+from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
+from qmproute.hardware import HardwareGraph, build_topology, parse_topology
 from qmproute.oracle import oracle_fixpoint
 from qmproute.schedule import compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
@@ -19,6 +21,101 @@ def depth_config(**kw):
 
 def swaps_config(**kw):
     return SolverConfig(w_depth=0, w_swaps=1, **kw)
+
+
+def reference_bound_depth(node, info, graph, swap_duration):
+    """bound_depth as first written, the reference for the fast version: it
+    rescans each pair's gates for the first unscheduled one and builds every
+    term of the repositioning maximum, O(|path|^2) per path."""
+    gates = info.circuit.gates
+    pair_gates = {}
+    for g in gates:
+        pair_gates.setdefault(frozenset(g.qubits), []).append(g.id)
+    h_q = 0
+    for q in range(1, info.circuit.num_virtual_qubits + 1):
+        a = node.assignment[q]
+        dq = node.depth_map[a] if a else 0
+        seq = info.per_qubit[q]
+        frontier = node.progress[q]
+        if frontier < len(seq):
+            dq += info.delta[seq[frontier]]
+        h_q = max(h_q, dq)
+
+    d_s = swap_duration
+    h_g = 0
+    for ids in pair_gates.values():
+        first = None
+        for i in ids:
+            g = gates[i - 1]
+            if info.pos[i][g.qubits[0]] >= node.progress[g.qubits[0]]:
+                first = i
+                break
+        if first is None:
+            continue
+        p, q = gates[first - 1].qubits
+        ap, aq = node.assignment[p], node.assignment[q]
+        if not ap or not aq:
+            continue
+        dqp = node.depth_map[ap]
+        dqq = node.depth_map[aq]
+        lam_p = (info.tail_sums[p][node.progress[p]]
+                 - info.tail_sums[p][info.pos[first][p]])
+        lam_q = (info.tail_sums[q][node.progress[q]]
+                 - info.tail_sums[q][info.pos[first][q]])
+        paths = graph.minimal_paths(ap, aq)
+        if paths is None:
+            continue
+        best = None
+        for path in paths:
+            n_pi = len(path)
+            for j in range(1, n_pi):
+                terms = [dqp + lam_p + (j - 1) * d_s,
+                         dqq + lam_q + (n_pi - j - 1) * d_s]
+                for k in range(2, j + 1):
+                    terms.append(node.depth_map[path[k - 1]] + (j + 1 - k) * d_s)
+                for k in range(j + 1, n_pi):
+                    terms.append(node.depth_map[path[k - 1]] + (k - j) * d_s)
+                h = max(terms)
+                if best is None or h < best:
+                    best = h
+        if best is not None:
+            h_g = max(h_g, info.delta[first] + best)
+    return max(h_q, h_g)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 4-6 nodes plus random extra edges; a path
+    cap of 1 on some draws exercises the pairs the bound must skip."""
+    n = draw(st.integers(4, 6))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return HardwareGraph(n, edges, max_paths_per_pair=draw(st.sampled_from([1, 10000])))
+
+
+@st.composite
+def walks(draw):
+    """(search, nodes): a graph, a random circuit on it, and the nodes along
+    one random sequence of children from the root."""
+    graph = draw(st.one_of(st.sampled_from(["linear:5", "grid:2x3", "y:6"]).map(parse_topology),
+                           connected_graphs()))
+    n = draw(st.integers(2, min(5, graph.num_nodes)))
+    qubit_pairs = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
+    gates = draw(st.lists(st.tuples(st.sampled_from(qubit_pairs), st.integers(0, 8)),
+                          min_size=1, max_size=8))
+    circuit = Circuit(n, tuple(GateSpec(i, pq, d) for i, (pq, d) in enumerate(gates, 1)))
+    search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20))))
+    node = search.root()
+    nodes = [node]
+    for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=14)):
+        children = list(search.gate_children_edges(node))
+        children.extend(search.swap_children_edges(node))
+        if not children:
+            break
+        node = search.make_child(node, *children[pick % len(children)])
+        nodes.append(node)
+    return search, nodes
 
 
 class TestSolveBasics:
@@ -41,6 +138,11 @@ class TestSolveBasics:
         r = solve(c, linear4, depth_config())
         assert r.objective_value == 0
         assert r.schedule.ops == ()
+
+    def test_negative_swap_duration_rejected(self):
+        # A negative SWAP duration would let swapping lower the depth.
+        with pytest.raises(SolverError, match="swap duration"):
+            depth_config(swap_duration=-5)
 
     def test_too_many_virtual_qubits(self, linear4):
         c = parse_circuit(json.dumps({"num_qubits": 5,
@@ -189,6 +291,22 @@ class TestBounds:
         h_s = bound_swaps(root, search.info, linear4)
         assert search.bound(root) == h_d + 10 * h_s
 
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_depth_bound_matches_reference(self, walk):
+        search, nodes = walk
+        d_s = search.config.swap_duration
+        info, graph = search.info, search.graph
+        for node in nodes:
+            assert (bound_depth(node, info, graph, d_s)
+                    == reference_bound_depth(node, info, graph, d_s))
+            # bound_swaps: the worst distance over every unscheduled gate.
+            assert bound_swaps(node, info, graph) == node.swap_count + max(
+                (graph.dist[node.assignment[p]][node.assignment[q]] - 1
+                 for g in info.circuit.gates for p, q in [g.qubits]
+                 if info.pos[g.id][p] >= node.progress[p]
+                 and node.assignment[p] and node.assignment[q]), default=0)
+
     def test_admissibility_at_root(self, linear4, y4):
         for graph in (linear4, y4):
             for spec, circuit in tiny_instances(8, seed_base=100):
@@ -199,6 +317,33 @@ class TestBounds:
                     r = solve(circuit, graph, config)
                     assert r.proven_optimal
                     assert root_h <= r.objective_value
+
+
+class TestFractionalWeights:
+    W_DEPTH, W_SWAPS = Fraction(1, 3), Fraction(5, 2)
+
+    def solve_all(self, graph, scale=1, **kw):
+        config = SolverConfig(w_depth=self.W_DEPTH * scale,
+                              w_swaps=self.W_SWAPS * scale, **kw)
+        return [solve(c, graph, config) for _, c in tiny_instances(4, seed_base=800)]
+
+    def test_objective_is_exact(self, linear4):
+        for r in self.solve_all(linear4):
+            assert r.proven_optimal
+            assert isinstance(r.objective_value, Fraction)
+            assert r.objective_value == (self.W_DEPTH * r.makespan
+                                         + self.W_SWAPS * r.swap_count)
+
+    def test_scaled_weights_search_the_same_nodes(self, linear4):
+        for a, b in zip(self.solve_all(linear4), self.solve_all(linear4, scale=7)):
+            assert b.objective_value == 7 * a.objective_value
+            assert b.stats.nodes_expanded == a.stats.nodes_expanded
+            assert b.stats.nodes_inserted == a.stats.nodes_inserted
+            assert b.stats.nodes_pruned == a.stats.nodes_pruned
+
+    def test_pareto_off_same_optimum(self, linear4):
+        for a, b in zip(self.solve_all(linear4), self.solve_all(linear4, use_pareto=False)):
+            assert a.objective_value == b.objective_value
 
 
 class TestModesAndProperties:
