@@ -74,7 +74,7 @@ def parse_circuit(text: str) -> Circuit:
         raw_gates = data["gates"]
     except KeyError as e:
         raise CircuitError(f"missing field {e}") from e
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CircuitError(f"num_qubits must be a positive integer, got {n!r}")
     if not isinstance(raw_gates, list):
         raise CircuitError("gates must be an array")
@@ -90,10 +90,10 @@ def parse_circuit(text: str) -> Circuit:
         except KeyError:
             raise CircuitError(f"gate {i}: missing field 'q'") from None
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(type(x) is int for x in pair)):
             raise CircuitError(f"gate {i}: 'q' must be a pair of integers")
         d = item.get("d", DEFAULT_GATE_DURATION)
-        if not isinstance(d, int):
+        if type(d) is not int:
             raise CircuitError(f"gate {i}: duration must be an integer")
         gates.append(GateSpec(id=i, qubits=(pair[0], pair[1]), duration=d))
     return Circuit(num_virtual_qubits=n, gates=tuple(gates))

@@ -2,7 +2,8 @@
 
 Subcommands: solve, validate, oracle, gen, bench, report.
 Exit codes: 0 success / proven optimal, 2 incumbent only, 3 validation
-violation, 4 usage error, 5 internal error.
+violation, 4 usage error or bad input (an invalid option value, a missing
+or malformed file), 5 internal error (solve returned no schedule).
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def dispatch(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_USAGE
 
 
 def main() -> None:

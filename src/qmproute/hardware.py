@@ -203,11 +203,11 @@ def parse_graph(text: str) -> HardwareGraph:
         edges = data["edges"]
     except KeyError as e:
         raise HardwareError(f"missing field {e}") from e
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if type(n) is not int or not isinstance(edges, list):
         raise HardwareError("num_nodes must be int and edges a list")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
+        if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
             raise HardwareError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return HardwareGraph(n, pairs)

@@ -202,9 +202,12 @@ def parse_schedule(text: str, circuit: Circuit) -> Schedule:
         unknown = set(item) - {"gate", "edge", "t"}
         if unknown:
             raise ScheduleError(f"op {i}: unknown fields {sorted(unknown)}")
-        gate = item["gate"]
-        edge = item["edge"]
-        t = item["t"]
+        for k in ("gate", "edge", "t"):
+            if k not in item:
+                raise ScheduleError(f"op {i}: missing field {k!r}")
+        gate, edge, t = item["gate"], item["edge"], item["t"]
+        if type(t) is not int or t < 0:
+            raise ScheduleError(f"op {i}: 't' must be a nonnegative integer, got {t!r}")
         if gate == SWAP:
             d = swap_duration
         elif 1 <= gate <= circuit.num_gates:

@@ -51,26 +51,19 @@ class SolverConfig:
 
 
 class SearchNode:
-    __slots__ = ("parent", "gate_index", "edge", "start", "duration",
-                 "depth_map", "assignment", "occupant", "progress",
-                 "swap_count", "num_scheduled", "layer_remaining",
-                 "bound", "removed")
+    __slots__ = ("parent", "gate_index", "edge", "depth_map", "assignment",
+                 "progress", "swap_count", "num_scheduled", "bound", "removed")
 
-    def __init__(self, parent, gate_index, edge, start, duration, depth_map,
-                 assignment, occupant, progress, swap_count, num_scheduled,
-                 layer_remaining):
+    def __init__(self, parent, gate_index, edge, depth_map, assignment,
+                 progress, swap_count, num_scheduled):
         self.parent = parent
         self.gate_index = gate_index
         self.edge = edge
-        self.start = start
-        self.duration = duration
         self.depth_map = depth_map          # tuple over nodes 1..|V| (index 0 unused)
         self.assignment = assignment        # tuple over qubits 1..n, 0 = unassigned
-        self.occupant = occupant            # tuple over nodes 1..|V|, 0 = empty
         self.progress = progress            # tuple over qubits 1..n
         self.swap_count = swap_count
         self.num_scheduled = num_scheduled
-        self.layer_remaining = layer_remaining
         self.bound = None
         self.removed = False
 
@@ -186,10 +179,6 @@ class _Search:
         self.scale = math.lcm(config.w_depth.denominator, config.w_swaps.denominator)
         self.w_depth = int(config.w_depth * self.scale)
         self.w_swaps = int(config.w_swaps * self.scale)
-        num_layers = max(self.info.layer.values(), default=-1) + 1
-        self.layer_totals = [0] * num_layers
-        for i in range(1, circuit.num_gates + 1):
-            self.layer_totals[self.info.layer[i]] += 1
 
     def bound(self, node: SearchNode) -> int:
         """Lower bound on the objective, times `scale`."""
@@ -207,14 +196,10 @@ class _Search:
 
     def root(self) -> SearchNode:
         n = self.circuit.num_virtual_qubits
-        node = SearchNode(
-            parent=None, gate_index=None, edge=None, start=0, duration=0,
-            depth_map=(0,) * (self.graph.num_nodes + 1),
-            assignment=(0,) * (n + 1),
-            occupant=(0,) * (self.graph.num_nodes + 1),
-            progress=(0,) * (n + 1),
-            swap_count=0, num_scheduled=0,
-            layer_remaining=tuple(self.layer_totals))
+        node = SearchNode(parent=None, gate_index=None, edge=None,
+                          depth_map=(0,) * (self.graph.num_nodes + 1),
+                          assignment=(0,) * (n + 1), progress=(0,) * (n + 1),
+                          swap_count=0, num_scheduled=0)
         node.bound = self.bound(node)
         return node
 
@@ -222,49 +207,37 @@ class _Search:
         v, w = edge
         start = max(node.depth_map[v], node.depth_map[w])
         dm = list(node.depth_map)
-        if gate_index == SWAP:
-            duration = self.config.swap_duration
-            occ = list(node.occupant)
-            asg = list(node.assignment)
-            occ[v], occ[w] = occ[w], occ[v]
-            if occ[v]:
-                asg[occ[v]] = v
-            if occ[w]:
-                asg[occ[w]] = w
-            dm[v] = dm[w] = start + duration
-            return SearchNode(node, SWAP, edge, start, duration, tuple(dm),
-                              tuple(asg), tuple(occ), node.progress,
-                              node.swap_count + 1, node.num_scheduled,
-                              node.layer_remaining)
-        gate = self.circuit.gates[gate_index - 1]
-        duration = gate.duration
-        p, q = gate.qubits
-        occ = list(node.occupant)
         asg = list(node.assignment)
-        occ[v], occ[w] = p, q
+        if gate_index == SWAP:
+            # The qubits (if any) at v and w trade places.
+            if v in node.assignment:
+                asg[node.assignment.index(v)] = w
+            if w in node.assignment:
+                asg[node.assignment.index(w)] = v
+            dm[v] = dm[w] = start + self.config.swap_duration
+            return SearchNode(node, SWAP, edge, tuple(dm), tuple(asg), node.progress,
+                              node.swap_count + 1, node.num_scheduled)
+        gate = self.circuit.gates[gate_index - 1]
+        p, q = gate.qubits
         asg[p], asg[q] = v, w
         prog = list(node.progress)
         prog[p] += 1
         prog[q] += 1
-        layer_rem = list(node.layer_remaining)
-        layer_rem[self.info.layer[gate_index]] -= 1
-        dm[v] = dm[w] = start + duration
-        return SearchNode(node, gate_index, edge, start, duration, tuple(dm),
-                          tuple(asg), tuple(occ), tuple(prog),
-                          node.swap_count, node.num_scheduled + 1,
-                          tuple(layer_rem))
+        dm[v] = dm[w] = start + gate.duration
+        return SearchNode(node, gate_index, edge, tuple(dm), tuple(asg), tuple(prog),
+                          node.swap_count, node.num_scheduled + 1)
 
     def gate_children_edges(self, node: SearchNode):
-        """Yield (gate_index, edge) placements for minimal unscheduled gates."""
-        frontier_layer = 0
-        if self.config.layered:
-            for l, rem in enumerate(node.layer_remaining):
-                if rem:
-                    frontier_layer = l
-                    break
-        for i in minimal_unscheduled(self.info, node.progress):
-            if self.config.layered and self.info.layer[i] > frontier_layer:
-                continue
+        """Yield (gate_index, edge) placements for minimal unscheduled gates.
+        Layered mode keeps the lowest unfinished layer: the lowest layer among
+        minimal gates, since all predecessors of its gates are scheduled."""
+        gates = minimal_unscheduled(self.info, node.progress)
+        if self.config.layered and gates:
+            layer = self.info.layer
+            low = min(layer[i] for i in gates)
+            gates = [i for i in gates if layer[i] == low]
+        busy = set(node.assignment)     # occupied nodes (plus 0, never a node)
+        for i in gates:
             p, q = self.circuit.gates[i - 1].qubits
             ap, aq = node.assignment[p], node.assignment[q]
             if ap and aq:
@@ -272,21 +245,22 @@ class _Search:
                     yield i, (ap, aq)
             elif ap:
                 for w in self.graph.neighbors(ap):
-                    if not node.occupant[w]:
+                    if w not in busy:
                         yield i, (ap, w)
             elif aq:
                 for v in self.graph.neighbors(aq):
-                    if not node.occupant[v]:
+                    if v not in busy:
                         yield i, (v, aq)
             else:
                 for v, w in self.graph.edges:
-                    if not node.occupant[v] and not node.occupant[w]:
+                    if v not in busy and w not in busy:
                         yield i, (v, w)
                         yield i, (w, v)
 
     def swap_children_edges(self, node: SearchNode):
+        busy = set(node.assignment)
         for v, w in self.graph.edges:
-            if node.occupant[v] or node.occupant[w]:
+            if v in busy or w in busy:
                 yield SWAP, (v, w)
 
 
@@ -335,14 +309,13 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
     while True:
         result = _run(search, config, beam, t0)
         result.stats.restarts = restarts
-        if result.status != "none" or beam is None:
-            result.stats.wall_time = time.monotonic() - t0
-            return result
-        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
-            result.stats.wall_time = time.monotonic() - t0
-            return result
+        if (result.status != "none" or beam is None or config.time_limit is not None
+                and time.monotonic() - t0 > config.time_limit):
+            break
         beam *= 2
         restarts += 1
+    result.stats.wall_time = time.monotonic() - t0
+    return result
 
 
 def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> SolveResult:
@@ -362,17 +335,15 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
     num_gates = search.circuit.num_gates
     incumbent: SearchNode | None = None
     incumbent_obj: int | None = None
-    timed_out = False
 
     while open_heap:
         if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
-            timed_out = True
             break
         _, _, _, _, node = heapq.heappop(open_heap)
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
-            return _result(search, config, node, stats, beam, timed_out=False)
+            return _result(search, config, node, stats, beam is None)
         stats.nodes_expanded += 1
         children = list(search.gate_children_edges(node))
         children.extend(search.swap_children_edges(node))
@@ -390,32 +361,34 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
         if beam is not None:
             alive = [e for e in open_heap if not e[4].removed]
             if len(alive) > beam:
-                alive.sort(key=lambda e: e[:4])
+                # The unique counter decides every tie before the node, and
+                # a sorted list is already a heap.
+                alive.sort()
                 for e in alive[beam:]:
                     e[4].removed = True
                 open_heap = alive[:beam]
-                heapq.heapify(open_heap)
 
     if incumbent is not None:
-        return _result(search, config, incumbent, stats, beam,
-                       timed_out=timed_out, incumbent_only=True)
+        return _result(search, config, incumbent, stats, False)
     return SolveResult(schedule=None, objective_value=None, proven_optimal=False,
                        status="none", stats=stats)
 
 
 def _result(search: _Search, config: SolverConfig, node: SearchNode,
-            stats: SolveStats, beam, timed_out: bool,
-            incumbent_only: bool = False) -> SolveResult:
+            stats: SolveStats, proven: bool) -> SolveResult:
+    """The schedule along `node`'s path; each op starts when both of its
+    nodes are free in the parent and ends at the child's depth there."""
     ops = []
     cur = node
     while cur.parent is not None:
+        v, w = cur.edge
+        start = max(cur.parent.depth_map[v], cur.parent.depth_map[w])
         ops.append(ScheduledOp(kind=cur.gate_index, edge=cur.edge,
-                               start=cur.start, duration=cur.duration))
+                               start=start, duration=cur.depth_map[v] - start))
         cur = cur.parent
     ops.reverse()
     ops.sort(key=lambda op: op.start)
     schedule = Schedule(ops=tuple(ops), swap_duration=config.swap_duration)
-    proven = beam is None and not timed_out and not incumbent_only
     return SolveResult(schedule=schedule,
                        objective_value=Fraction(search.objective(node), search.scale),
                        proven_optimal=proven,

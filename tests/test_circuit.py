@@ -51,6 +51,16 @@ class TestParse:
         with pytest.raises(CircuitError, match="malformed"):
             parse_circuit("{not json")
 
+    @pytest.mark.parametrize("data, match", [
+        ({"num_qubits": 2, "gates": [{"q": [1, 2], "d": True}]}, "duration must be an integer"),
+        ({"num_qubits": 2, "gates": [{"q": [True, 2]}]}, "pair of integers"),
+        ({"num_qubits": True, "gates": []}, "num_qubits"),
+    ], ids=["duration", "qubit", "num_qubits"])
+    def test_boolean_rejected(self, data, match):
+        # JSON true is a Python bool, an int subclass: it must not read as 1.
+        with pytest.raises(CircuitError, match=match):
+            parse_circuit(json.dumps(data))
+
 
 class TestAnalyze:
     def test_example_delta(self, example_circuit):

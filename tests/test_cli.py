@@ -98,6 +98,21 @@ class TestUsageErrors:
         _, circuit_file = example_files
         assert dispatch(["solve", "--circuit", str(circuit_file)]) == 4
 
+    @pytest.mark.parametrize("circuit, flags", [
+        (None, ["--topology", "linear:4", "--swap-duration", "-5"]),
+        (None, ["--topology", "linear:4", "--beam-width", "0"]),
+        (None, ["--topology", "linear:1"]),
+        ("missing.json", ["--topology", "linear:4"]),
+        ("malformed.json", ["--topology", "linear:4"]),
+    ], ids=["negative-swap-duration", "zero-beam-width", "one-node-topology",
+            "missing-file", "malformed-json"])
+    def test_bad_input_is_a_usage_error(self, example_files, capsys, circuit, flags):
+        tmp_path, circuit_file = example_files
+        (tmp_path / "malformed.json").write_text("{not json")
+        path = tmp_path / circuit if circuit else circuit_file
+        assert dispatch(["solve", "--circuit", str(path), *flags]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPipeline:
     def test_gen_solve_oracle_agree(self, tmp_path, capsys):

@@ -163,3 +163,12 @@ class TestGraphFile:
     def test_unknown_field(self):
         with pytest.raises(HardwareError, match="unknown"):
             parse_graph('{"num_nodes": 2, "edges": [[1, 2]], "x": 1}')
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"num_nodes": true, "edges": []}', "num_nodes must be int"),
+        ('{"num_nodes": 2, "edges": [[true, 2]]}', "bad edge entry"),
+        ('{"num_nodes": 2, "edges": [["a", 2]]}', "bad edge entry"),
+    ], ids=["boolean-num-nodes", "boolean-endpoint", "string-endpoint"])
+    def test_non_integer_rejected(self, text, match):
+        with pytest.raises(HardwareError, match=match):
+            parse_graph(text)

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from qmproute.circuit import parse_circuit
-from qmproute.schedule import (SWAP, Schedule, ScheduledOp, compute_metrics,
-                               parse_schedule, schedule_to_json, validate)
+from qmproute.schedule import (SWAP, Schedule, ScheduledOp, ScheduleError,
+                               compute_metrics, parse_schedule, schedule_to_json,
+                               validate)
 
 
 def parse_circuit_json(n, gate_list):
@@ -156,3 +157,13 @@ class TestScheduleFile:
         s = parse_schedule(text, example_circuit)
         assert s.ops[0].duration == 3
         assert s.ops[1].duration == 6
+
+    @pytest.mark.parametrize("t", [None, -2, 0.5, True, "0"])
+    def test_bad_start_time(self, example_circuit, t):
+        op = {"gate": 1, "edge": [1, 2]}
+        if t is not None:
+            op["t"] = t
+        text = json.dumps({"swap_duration": 6, "ops": [op]})
+        match = "missing field 't'" if t is None else "'t' must be a nonnegative integer"
+        with pytest.raises(ScheduleError, match=f"op 0: {match}"):
+            parse_schedule(text, example_circuit)

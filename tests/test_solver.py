@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
 from qmproute.hardware import HardwareGraph, build_topology, parse_topology
 from qmproute.oracle import oracle_fixpoint
-from qmproute.schedule import compute_metrics, validate
+from qmproute.schedule import SWAP, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
                              _Search, bound_depth, bound_swaps, solve)
 
@@ -96,8 +96,8 @@ def connected_graphs(draw):
 
 @st.composite
 def walks(draw):
-    """(search, nodes): a graph, a random circuit on it, and the nodes along
-    one random sequence of children from the root."""
+    """(search, nodes): a graph, a random circuit on it, a search in either
+    mode, and the nodes along one random sequence of children from the root."""
     graph = draw(st.one_of(st.sampled_from(["linear:5", "grid:2x3", "y:6"]).map(parse_topology),
                            connected_graphs()))
     n = draw(st.integers(2, min(5, graph.num_nodes)))
@@ -105,7 +105,8 @@ def walks(draw):
     gates = draw(st.lists(st.tuples(st.sampled_from(qubit_pairs), st.integers(0, 8)),
                           min_size=1, max_size=8))
     circuit = Circuit(n, tuple(GateSpec(i, pq, d) for i, (pq, d) in enumerate(gates, 1)))
-    search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20))))
+    search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20)),
+                                                  layered=draw(st.booleans())))
     node = search.root()
     nodes = [node]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=14)):
@@ -180,6 +181,30 @@ class TestExpand:
         ids = {i for i, _ in search.gate_children_edges(node)}
         assert 3 not in ids
         assert 2 in ids
+
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_derived_state(self, walk):
+        # Occupancy and the layer frontier are derived from a node's
+        # assignment and progress; check them against direct definitions.
+        search, nodes = walk
+        info, graph, config = search.info, search.graph, search.config
+        plain = _Search(search.circuit, graph, depth_config(swap_duration=config.swap_duration))
+        for node in nodes:
+            if config.layered:
+                unscheduled = [i for q, seq in info.per_qubit.items()
+                               for i in seq[node.progress[q]:]]
+                low = min((info.layer[i] for i in unscheduled), default=None)
+                assert list(search.gate_children_edges(node)) == [
+                    (i, e) for i, e in plain.gate_children_edges(node) if info.layer[i] == low]
+            placed = {a for a in node.assignment[1:] if a}
+            assert [e for _, e in search.swap_children_edges(node)] == [
+                (v, w) for v, w in graph.edges if v in placed or w in placed]
+            assert len(placed) == sum(1 for a in node.assignment[1:] if a)
+            if node.gate_index == SWAP:
+                v, w = node.edge
+                moved = {v: w, w: v}
+                assert node.assignment == tuple(moved.get(a, a) for a in node.parent.assignment)
 
 
 class TestTryInsert:
@@ -385,14 +410,18 @@ class TestModesAndProperties:
 
     def test_solver_times_are_greedy(self, linear4):
         # Re-deriving start times as-early-as-possible from the op order
-        # must reproduce the solver's recorded times exactly.
+        # must reproduce the solver's recorded times exactly, and every op
+        # lasts its gate's duration (a SWAP, the configured one).
         for spec, circuit in tiny_instances(5, seed_base=700):
-            r = solve(circuit, linear4, depth_config())
-            free = {}
-            for op in r.schedule.ops:
-                v, w = op.edge
-                assert op.start == max(free.get(v, 0), free.get(w, 0))
-                free[v] = free[w] = op.start + op.duration
+            for config in (depth_config(), depth_config(swap_duration=6, layered=True)):
+                r = solve(circuit, linear4, config)
+                free = {}
+                for op in r.schedule.ops:
+                    v, w = op.edge
+                    assert op.start == max(free.get(v, 0), free.get(w, 0))
+                    assert op.duration == (config.swap_duration if op.kind == SWAP
+                                           else circuit.gates[op.kind - 1].duration)
+                    free[v] = free[w] = op.start + op.duration
 
     def test_oracle_equivalence_spotcheck(self, linear4, y4):
         for graph in (linear4, y4):
