@@ -82,6 +82,9 @@ def gen_random_circuit(spec: InstanceSpec) -> Circuit:
     return Circuit(num_virtual_qubits=spec.num_qubits, gates=tuple(gates))
 
 
+INSTANCE_FIELDS = {"topology", "qubits", "depth_param", "seeds"}
+
+
 def parse_matrix(text: str) -> dict:
     """Matrix file: JSON with `instances` (list of {topology, qubits,
     depth_param, seeds}), `modes`, `objectives`, and optional `time_limit`
@@ -90,6 +93,8 @@ def parse_matrix(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise BenchError(f"malformed matrix file: {e}") from e
+    if not isinstance(data, dict):
+        raise BenchError("matrix file must be a JSON object")
     allowed = {"instances", "modes", "objectives", "time_limit", "swap_duration"}
     unknown = set(data) - allowed
     if unknown:
@@ -97,6 +102,26 @@ def parse_matrix(text: str) -> dict:
     for key in ("instances", "modes", "objectives"):
         if key not in data:
             raise BenchError(f"missing field '{key}'")
+    if not isinstance(data["instances"], list):
+        raise BenchError("'instances' must be a list")
+    for i, entry in enumerate(data["instances"]):
+        if not isinstance(entry, dict):
+            raise BenchError(f"instance {i}: must be a JSON object")
+        unknown, missing = set(entry) - INSTANCE_FIELDS, INSTANCE_FIELDS - set(entry)
+        if unknown:
+            raise BenchError(f"instance {i}: unknown fields {sorted(unknown)}")
+        if missing:
+            raise BenchError(f"instance {i}: missing fields {sorted(missing)}")
+        if not isinstance(entry["topology"], str):
+            raise BenchError(f"instance {i}: 'topology' must be a string")
+        for key in ("qubits", "depth_param"):
+            if type(entry[key]) is not int:
+                raise BenchError(f"instance {i}: {key!r} must be an integer, "
+                                 f"got {entry[key]!r}")
+        seeds = entry["seeds"]
+        if not isinstance(seeds, list) or any(type(x) is not int for x in seeds):
+            raise BenchError(f"instance {i}: 'seeds' must be a list of integers, "
+                             f"got {seeds!r}")
     return data
 
 
@@ -178,17 +203,18 @@ def rows_from_csv(text: str) -> list[ResultRow]:
 
 
 def _pairs(rows: list[ResultRow], metric: str):
-    """Per-instance (non-layered value, layered value) pairs where both runs
-    are proven optimal, sorted by instance id."""
+    """Per-run (instance id, non-layered value, layered value) pairs where
+    both runs are proven optimal, sorted by instance id then objective.  A
+    run is paired only with the layered run of its own objective."""
     attr = {"depth": "depth", "swaps": "swaps", "unweighted": "unweighted_depth"}
     if metric not in attr:
         raise BenchError(f"unknown metric {metric!r}")
-    by_instance: dict[str, dict[str, ResultRow]] = {}
+    by_run: dict[tuple[str, str], dict[str, ResultRow]] = {}
     for row in rows:
-        by_instance.setdefault(row.instance_id, {})[row.mode] = row
+        by_run.setdefault((row.instance_id, row.objective), {})[row.mode] = row
     pairs = []
-    for iid in sorted(by_instance):
-        modes = by_instance[iid]
+    for iid, objective in sorted(by_run):
+        modes = by_run[iid, objective]
         nl, lay = modes.get("non-layered"), modes.get("layered")
         if nl is None or lay is None:
             continue

@@ -197,8 +197,12 @@ def parse_schedule(text: str, circuit: Circuit) -> Schedule:
         raw_ops = data["ops"]
     except KeyError as e:
         raise ScheduleError(f"missing field {e}") from e
+    if not isinstance(raw_ops, list):
+        raise ScheduleError("'ops' must be a list")
     ops = []
     for i, item in enumerate(raw_ops):
+        if not isinstance(item, dict):
+            raise ScheduleError(f"op {i}: must be a JSON object, got {item!r}")
         unknown = set(item) - {"gate", "edge", "t"}
         if unknown:
             raise ScheduleError(f"op {i}: unknown fields {sorted(unknown)}")
@@ -208,6 +212,11 @@ def parse_schedule(text: str, circuit: Circuit) -> Schedule:
         gate, edge, t = item["gate"], item["edge"], item["t"]
         if type(t) is not int or t < 0:
             raise ScheduleError(f"op {i}: 't' must be a nonnegative integer, got {t!r}")
+        if type(gate) is not int:
+            raise ScheduleError(f"op {i}: 'gate' must be an integer, got {gate!r}")
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(type(v) is int for v in edge)):
+            raise ScheduleError(f"op {i}: 'edge' must be a list of two integers, got {edge!r}")
         if gate == SWAP:
             d = swap_duration
         elif 1 <= gate <= circuit.num_gates:

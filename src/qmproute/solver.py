@@ -3,16 +3,21 @@
 Best-first tree search over partial schedules.  Each node schedules one
 more operation (a minimal circuit gate or a SWAP) on a hardware edge, as
 early as possible.  Nodes sharing an (assignment, progress) state are kept
-in a Pareto front of non-dominated per-node depth vectors (and SWAP counts
-when the objective weighs SWAPs); dominated nodes are pruned.  An
-admissible lower bound drives the expansion order, so the first complete
-node popped is optimal.  A beam width converts the search into a heuristic.
+in a Pareto front; a node no better than a stored one on every coordinate
+the objective gives positive weight (the per-node depth vector, the SWAP
+count) is pruned.  This is sound because a state's completions depend only
+on its assignment and progress, so an unweighted coordinate can never make
+a node's best completion worse; when minimizing SWAPs alone each state
+keeps one record, its lowest SWAP count.  An admissible lower bound drives
+the expansion order, so the first complete node popped is optimal.  A beam
+width converts the search into a heuristic.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -265,16 +270,18 @@ class _Search:
 
 
 class _Front:
-    """Pareto store: state key -> non-dominated (depth_map, swap_count) records."""
+    """Pareto store: state key -> non-dominated records, compared on the
+    depth map and the SWAP count, each only if the objective weighs it."""
 
-    def __init__(self, track_swaps: bool):
+    def __init__(self, track_depth: bool, track_swaps: bool):
+        self.track_depth = track_depth
         self.track_swaps = track_swaps
         self.store: dict = {}
 
     def dominates(self, a: SearchNode, b: SearchNode) -> bool:
         if self.track_swaps and a.swap_count > b.swap_count:
             return False
-        return all(x <= y for x, y in zip(a.depth_map, b.depth_map))
+        return not self.track_depth or all(map(operator.le, a.depth_map, b.depth_map))
 
     def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
         records = self.store.setdefault(node.state_key, [])
@@ -320,7 +327,7 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
 
 def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> SolveResult:
     stats = SolveStats()
-    front = _Front(config.w_swaps > 0)
+    front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0)
     root = search.root()
     counter = 0
 

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from qmproute.bench import (BenchError, InstanceSpec, ResultRow, gen_random_circuit,
-                            parity_export, parse_matrix, rmd, rows_from_csv,
-                            rows_to_csv, run_matrix)
+from qmproute.bench import (BenchError, InstanceSpec, ResultRow, _pairs,
+                            gen_random_circuit, parity_export, parse_matrix, rmd,
+                            rows_from_csv, rows_to_csv, run_matrix)
 
 
 def spec(seed=1, qubits=4, depth_param=3, topology="linear:4"):
@@ -49,11 +49,11 @@ class TestGenerator:
             gen_random_circuit(spec(depth_param=0))
 
 
-def make_rows(values):
+def make_rows(values, objective="depth"):
     """values: list of (instance_id, mode, depth, status)."""
     rows = []
     for iid, mode, depth, status in values:
-        rows.append(ResultRow(iid, "linear:4", 4, 3, 0, mode, "depth",
+        rows.append(ResultRow(iid, "linear:4", 4, 3, 0, mode, objective,
                               depth, 0, depth, status, 1))
     return rows
 
@@ -103,6 +103,17 @@ class TestRmd:
         assert stats["N_eq"] + 2 == stats["N_S"]
 
 
+    def test_pairs_stay_within_one_objective(self):
+        depth_runs = make_rows([("i1", "non-layered", 20, "optimal"),
+                                ("i1", "layered", 24, "optimal")])
+        swaps_runs = make_rows([("i1", "non-layered", 40, "optimal"),
+                                ("i1", "layered", 44, "optimal")], objective="swaps")
+        expected = [("i1", 20, 24), ("i1", 40, 44)]
+        assert _pairs(depth_runs + swaps_runs, "depth") == expected
+        assert _pairs(swaps_runs[::-1] + depth_runs[::-1], "depth") == expected
+        assert _pairs(depth_runs, "depth") == [("i1", 20, 24)]
+
+
 class TestParityExport:
     def test_rows_out(self):
         rows = make_rows([("a", "layered", 10, "optimal"),
@@ -146,6 +157,25 @@ class TestMatrix:
     def test_rmd_nonnegative_on_real_runs(self):
         rows = run_matrix(self.matrix(seeds=range(5)))
         assert rmd(rows, "depth")["RMD"] >= 0
+
+    @pytest.mark.parametrize("change", [
+        {"seeds": None}, {"topology": None}, {"qubits": None}, {"depth_param": None},
+        {"bogus": 1},
+        {"qubits": "4"}, {"qubits": True}, {"qubits": 4.0}, {"depth_param": False},
+        {"depth_param": [3]}, {"topology": 4},
+        {"seeds": 1}, {"seeds": [1, "2"]}, {"seeds": [True]}, {"seeds": [1.5]},
+    ], ids=["no-seeds", "no-topology", "no-qubits", "no-depth-param", "unknown-field",
+            "qubits-str", "qubits-bool", "qubits-float", "depth-param-bool",
+            "depth-param-list", "topology-int", "seeds-int", "seeds-str-item",
+            "seeds-bool-item", "seeds-float-item"])
+    def test_parse_matrix_rejects_bad_instance(self, change):
+        entry = {**self.matrix()["instances"][0], **change}
+        entry = {k: v for k, v in entry.items() if v is not None}
+        with pytest.raises(BenchError, match="instance 0: "):
+            parse_matrix(json.dumps({**self.matrix(), "instances": [entry]}))
+
+    def test_parse_matrix_accepts_valid(self):
+        assert parse_matrix(json.dumps(self.matrix())) == self.matrix()
 
     def test_parse_matrix_rejects_unknown(self):
         with pytest.raises(BenchError):

@@ -47,6 +47,15 @@ class TestValidateCommand:
         assert "depth=15" in out and "swaps=2" in out
 
 
+    def test_bad_op_exit_4(self, example_files, capsys):
+        tmp_path, circuit_file = example_files
+        sched = write_schedule(tmp_path, [{"gate": "x", "edge": [1, 2], "t": 0}])
+        code = dispatch(["validate", "--circuit", str(circuit_file),
+                         "--topology", "linear:4", "--schedule", str(sched)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: op 0: 'gate'")
+
+
 class TestSolveCommand:
     def test_trivial_solve_exit_0(self, example_files, tmp_path):
         _, circuit_file = example_files
@@ -112,6 +121,20 @@ class TestUsageErrors:
         path = tmp_path / circuit if circuit else circuit_file
         assert dispatch(["solve", "--circuit", str(path), *flags]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("entry", [
+        {"topology": "linear:4", "qubits": 4, "depth_param": 3},
+        {"topology": "linear:4", "qubits": True, "depth_param": 3, "seeds": [1]},
+        {"topology": "linear:4", "qubits": 4, "depth_param": 3, "seeds": ["1"]},
+    ], ids=["missing-seeds", "bool-qubits", "str-seed"])
+    def test_bad_matrix_entry_is_a_usage_error(self, tmp_path, capsys, entry):
+        matrix_file = tmp_path / "matrix.json"
+        matrix_file.write_text(json.dumps({"instances": [entry], "modes": ["layered"],
+                                           "objectives": ["depth"]}))
+        assert dispatch(["bench", "--matrix", str(matrix_file),
+                         "--out", str(tmp_path / "out.csv")]) == 4
+        assert capsys.readouterr().err.startswith("error: instance 0: ")
 
 
 class TestPipeline:

@@ -167,3 +167,22 @@ class TestScheduleFile:
         match = "missing field 't'" if t is None else "'t' must be a nonnegative integer"
         with pytest.raises(ScheduleError, match=f"op 0: {match}"):
             parse_schedule(text, example_circuit)
+
+    @pytest.mark.parametrize("op, match", [
+        ({"gate": "x", "edge": [1, 2], "t": 0}, "'gate' must be an integer"),
+        ({"gate": True, "edge": [1, 2], "t": 0}, "'gate' must be an integer"),
+        ({"gate": 1, "edge": 5, "t": 0}, "'edge' must be a list of two integers"),
+        ({"gate": 1, "edge": ["a", 2], "t": 0}, "'edge' must be a list of two integers"),
+        ({"gate": 1, "edge": [1, 2, 3], "t": 0}, "'edge' must be a list of two integers"),
+        (7, "must be a JSON object"),
+    ], ids=["gate-str", "gate-bool", "edge-int", "edge-str-endpoint", "edge-three",
+            "op-not-object"])
+    def test_bad_op(self, example_circuit, op, match):
+        text = json.dumps({"swap_duration": 6, "ops": [op]})
+        with pytest.raises(ScheduleError, match=f"op 0: {match}"):
+            parse_schedule(text, example_circuit)
+
+    def test_ops_not_a_list(self, example_circuit):
+        text = json.dumps({"swap_duration": 6, "ops": {"gate": 1}})
+        with pytest.raises(ScheduleError, match="'ops' must be a list"):
+            parse_schedule(text, example_circuit)

@@ -2,12 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
 from qmproute.hardware import HardwareGraph, build_topology, parse_topology
-from qmproute.oracle import oracle_fixpoint
+from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
                              _Search, bound_depth, bound_swaps, solve)
@@ -95,16 +95,24 @@ def connected_graphs(draw):
 
 
 @st.composite
-def walks(draw):
-    """(search, nodes): a graph, a random circuit on it, a search in either
-    mode, and the nodes along one random sequence of children from the root."""
+def instances(draw, max_gates):
+    """(circuit, graph): a random circuit of 2-5 qubits and up to `max_gates`
+    gates on a named topology or a random connected graph."""
     graph = draw(st.one_of(st.sampled_from(["linear:5", "grid:2x3", "y:6"]).map(parse_topology),
                            connected_graphs()))
     n = draw(st.integers(2, min(5, graph.num_nodes)))
     qubit_pairs = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
     gates = draw(st.lists(st.tuples(st.sampled_from(qubit_pairs), st.integers(0, 8)),
-                          min_size=1, max_size=8))
+                          min_size=1, max_size=max_gates))
     circuit = Circuit(n, tuple(GateSpec(i, pq, d) for i, (pq, d) in enumerate(gates, 1)))
+    return circuit, graph
+
+
+@st.composite
+def walks(draw):
+    """(search, nodes): a graph, a random circuit on it, a search in either
+    mode, and the nodes along one random sequence of children from the root."""
+    circuit, graph = draw(instances(max_gates=8))
     search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20)),
                                                   layered=draw(st.booleans())))
     node = search.root()
@@ -216,7 +224,7 @@ class TestTryInsert:
 
     def test_equal_dominates(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_swaps=False)
+        front = _Front(track_depth=True, track_swaps=False)
         stats = SolveStats()
         a = self.make_node(search, (0, 5, 5, 0, 0))
         b = self.make_node(search, (0, 5, 5, 0, 0))
@@ -226,7 +234,7 @@ class TestTryInsert:
 
     def test_strict_improvement_evicts(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_swaps=False)
+        front = _Front(track_depth=True, track_swaps=False)
         stats = SolveStats()
         old = self.make_node(search, (0, 5, 5, 0, 0))
         new = self.make_node(search, (0, 4, 5, 0, 0))
@@ -237,7 +245,7 @@ class TestTryInsert:
 
     def test_incomparable_both_retained(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_swaps=False)
+        front = _Front(track_depth=True, track_swaps=False)
         stats = SolveStats()
         a = self.make_node(search, (0, 4, 6, 0, 0))
         b = self.make_node(search, (0, 5, 5, 0, 0))
@@ -246,8 +254,8 @@ class TestTryInsert:
         assert not a.removed and not b.removed
 
     def test_swap_dimension(self, example_circuit, linear4):
-        search = _Search(example_circuit, linear4, swaps_config())
-        front = _Front(track_swaps=True)
+        search = _Search(example_circuit, linear4, SolverConfig(w_depth=1, w_swaps=1))
+        front = _Front(track_depth=True, track_swaps=True)
         stats = SolveStats()
         a = self.make_node(search, (0, 5, 5, 0, 0), swaps=1)
         b = self.make_node(search, (0, 4, 4, 0, 0), swaps=2)
@@ -255,9 +263,43 @@ class TestTryInsert:
         assert front.try_insert(b, stats)   # better depth, worse swaps
         assert not a.removed
 
+    def test_swaps_only_fewer_swaps_evicts_better_depth(self, example_circuit, linear4):
+        search = _Search(example_circuit, linear4, swaps_config())
+        front = _Front(track_depth=False, track_swaps=True)
+        stats = SolveStats()
+        old = self.make_node(search, (0, 4, 4, 0, 0), swaps=2)
+        new = self.make_node(search, (0, 9, 9, 0, 0), swaps=1)
+        assert front.try_insert(old, stats)
+        assert front.try_insert(new, stats)   # depth is not weighed
+        assert old.removed
+        assert stats.fronts_replaced == 1
+        assert front.store[new.state_key] == [new]
+
+    def test_swaps_only_equal_swaps_prunes_newcomer(self, example_circuit, linear4):
+        search = _Search(example_circuit, linear4, swaps_config())
+        front = _Front(track_depth=False, track_swaps=True)
+        stats = SolveStats()
+        first = self.make_node(search, (0, 9, 9, 0, 0), swaps=1)
+        second = self.make_node(search, (0, 4, 4, 0, 0), swaps=1)
+        assert front.try_insert(first, stats)
+        assert not front.try_insert(second, stats)   # a tie keeps the first
+        assert not first.removed
+        assert stats.nodes_pruned == 1
+
+    def test_swaps_only_one_record_per_state(self, example_circuit, linear4):
+        search = _Search(example_circuit, linear4, swaps_config())
+        front = _Front(track_depth=False, track_swaps=True)
+        stats = SolveStats()
+        import random
+        rng = random.Random(11)
+        for _ in range(50):
+            dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
+            front.try_insert(self.make_node(search, dm, swaps=rng.randint(0, 5)), stats)
+            assert all(len(records) == 1 for records in front.store.values())
+
     def test_store_health(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_swaps=False)
+        front = _Front(track_depth=True, track_swaps=False)
         stats = SolveStats()
         import random
         rng = random.Random(7)
@@ -369,6 +411,31 @@ class TestFractionalWeights:
     def test_pareto_off_same_optimum(self, linear4):
         for a, b in zip(self.solve_all(linear4), self.solve_all(linear4, use_pareto=False)):
             assert a.objective_value == b.objective_value
+
+
+class TestSwapsObjective:
+    @given(instances(max_gates=6), st.booleans(), st.integers(0, 20))
+    @example((Circuit(5, (GateSpec(1, (2, 4), 0), GateSpec(2, (2, 5), 0),
+                          GateSpec(3, (5, 3), 0), GateSpec(4, (5, 1), 0),
+                          GateSpec(5, (1, 2), 0))), parse_topology("linear:5")),
+             False, 0)   # a state is first reached with more SWAPs than its best
+    @settings(max_examples=200, deadline=None)
+    def test_one_record_per_state_keeps_the_optimum(self, instance, layered, d_s):
+        # The swaps-objective store compares SWAP counts only; its optimum
+        # must equal the search without Pareto pruning and, on up to four
+        # qubits, the (non-layered) oracle's, which bounds layered mode.
+        circuit, graph = instance
+        a = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s))
+        b = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s,
+                                               use_pareto=False))
+        assert a.proven_optimal and b.proven_optimal
+        assert a.objective_value == b.objective_value == a.swap_count
+        for r in (a, b):
+            assert validate(r.schedule, circuit, graph).ok
+        if circuit.num_virtual_qubits <= 4:
+            o = exhaustive_solve(circuit, graph, OracleConfig(
+                max_swaps=a.swap_count, objective="swaps", swap_duration=d_s))
+            assert o.value <= a.swap_count if layered else o.value == a.swap_count
 
 
 class TestModesAndProperties:
