@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 import time
 from dataclasses import dataclass, fields
 
+from . import jsonfile
 from .circuit import Circuit, GateSpec
-from .hardware import parse_topology
+from .hardware import HardwareError, parse_topology
 from .schedule import compute_metrics
-from .solver import SolverConfig, solve
+from .solver import DEFAULT_SWAP_DURATION, SolverConfig, solve
 
 ECR_DURATION = 4
 SINGLE_DURATION = 1
@@ -82,66 +82,64 @@ def gen_random_circuit(spec: InstanceSpec) -> Circuit:
     return Circuit(num_virtual_qubits=spec.num_qubits, gates=tuple(gates))
 
 
-INSTANCE_FIELDS = {"topology", "qubits", "depth_param", "seeds"}
+MODES = ("non-layered", "layered")
+OBJECTIVE_WEIGHTS = {"depth": (1, 0), "swaps": (0, 1)}   # (w_depth, w_swaps)
+DEFAULT_TIME_LIMIT = 30.0
 
 
 def parse_matrix(text: str) -> dict:
     """Matrix file: JSON with `instances` (list of {topology, qubits,
     depth_param, seeds}), `modes`, `objectives`, and optional `time_limit`
-    (seconds) and `swap_duration`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise BenchError(f"malformed matrix file: {e}") from e
-    if not isinstance(data, dict):
-        raise BenchError("matrix file must be a JSON object")
-    allowed = {"instances", "modes", "objectives", "time_limit", "swap_duration"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise BenchError(f"unknown fields: {sorted(unknown)}")
-    for key in ("instances", "modes", "objectives"):
-        if key not in data:
-            raise BenchError(f"missing field '{key}'")
+    (seconds) and `swap_duration`.  Everything is checked before a solve."""
+    data = jsonfile.record(jsonfile.load(text, BenchError, "matrix"), BenchError,
+                           "matrix file", ("instances", "modes", "objectives"),
+                           ("time_limit", "swap_duration"))
+    # A tuple, not the dict: `[1] in dict` raises TypeError on the unhashable item.
+    for key, allowed in (("modes", MODES), ("objectives", tuple(OBJECTIVE_WEIGHTS))):
+        if not isinstance(data[key], list) or not all(v in allowed for v in data[key]):
+            raise BenchError(f"{key!r} must be a list drawn from {list(allowed)}, got {data[key]!r}")
+    t = data.get("time_limit", DEFAULT_TIME_LIMIT)
+    if type(t) not in (int, float) or not t > 0:
+        raise BenchError(f"'time_limit' must be a positive number of seconds, got {t!r}")
+    d = data.get("swap_duration", DEFAULT_SWAP_DURATION)
+    if not jsonfile.is_int(d) or d < 0:
+        raise BenchError(f"'swap_duration' must be a nonnegative integer, got {d!r}")
     if not isinstance(data["instances"], list):
         raise BenchError("'instances' must be a list")
     for i, entry in enumerate(data["instances"]):
-        if not isinstance(entry, dict):
-            raise BenchError(f"instance {i}: must be a JSON object")
-        unknown, missing = set(entry) - INSTANCE_FIELDS, INSTANCE_FIELDS - set(entry)
-        if unknown:
-            raise BenchError(f"instance {i}: unknown fields {sorted(unknown)}")
-        if missing:
-            raise BenchError(f"instance {i}: missing fields {sorted(missing)}")
+        where = f"instance {i}"
+        jsonfile.record(entry, BenchError, where, ("topology", "qubits", "depth_param", "seeds"))
         if not isinstance(entry["topology"], str):
-            raise BenchError(f"instance {i}: 'topology' must be a string")
-        for key in ("qubits", "depth_param"):
-            if type(entry[key]) is not int:
-                raise BenchError(f"instance {i}: {key!r} must be an integer, "
+            raise BenchError(f"{where}: 'topology' must be a string")
+        for key, low in (("qubits", 2), ("depth_param", 1)):
+            if not jsonfile.is_int(entry[key]) or entry[key] < low:
+                raise BenchError(f"{where}: {key!r} must be an integer >= {low}, "
                                  f"got {entry[key]!r}")
-        seeds = entry["seeds"]
-        if not isinstance(seeds, list) or any(type(x) is not int for x in seeds):
-            raise BenchError(f"instance {i}: 'seeds' must be a list of integers, "
-                             f"got {seeds!r}")
+        if not jsonfile.is_ints(entry["seeds"]):
+            raise BenchError(f"{where}: 'seeds' must be a list of integers, got {entry['seeds']!r}")
+        try:
+            nodes = parse_topology(entry["topology"]).num_nodes
+        except HardwareError as e:
+            raise BenchError(f"{where}: {e}") from e
+        if entry["qubits"] > nodes:
+            raise BenchError(f"{where}: {entry['qubits']} qubits exceed {nodes} nodes")
     return data
 
 
 def objective_config(objective: str, layered: bool, time_limit, swap_duration,
                      beam_width=None) -> SolverConfig:
     """Solver config weighing only the depth or only the SWAP count."""
-    if objective == "depth":
-        w_d, w_s = 1, 0
-    elif objective == "swaps":
-        w_d, w_s = 0, 1
-    else:
+    if objective not in OBJECTIVE_WEIGHTS:
         raise BenchError(f"unknown objective {objective!r}")
+    w_d, w_s = OBJECTIVE_WEIGHTS[objective]
     return SolverConfig(w_depth=w_d, w_swaps=w_s, layered=layered, beam_width=beam_width,
                         time_limit=time_limit, swap_duration=swap_duration)
 
 
 def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    time_limit = matrix.get("time_limit", 30.0)
-    swap_duration = matrix.get("swap_duration", 15)
+    time_limit = matrix.get("time_limit", DEFAULT_TIME_LIMIT)
+    swap_duration = matrix.get("swap_duration", DEFAULT_SWAP_DURATION)
     specs: list[InstanceSpec] = []
     for entry in matrix["instances"]:
         for seed in entry["seeds"]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import jsonfile
+
 DEFAULT_GATE_DURATION = 4
 
 
@@ -60,40 +62,20 @@ def parse_circuit(text: str) -> Circuit:
     objects `{"q": [p, q], "d": duration}` with 1-based qubit ids; `d` is
     optional and defaults to 4.  Unknown fields are rejected.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CircuitError(f"malformed circuit file: {e}") from e
-    if not isinstance(data, dict):
-        raise CircuitError("circuit file must be a JSON object")
-    unknown = set(data) - {"num_qubits", "gates"}
-    if unknown:
-        raise CircuitError(f"unknown fields: {sorted(unknown)}")
-    try:
-        n = data["num_qubits"]
-        raw_gates = data["gates"]
-    except KeyError as e:
-        raise CircuitError(f"missing field {e}") from e
-    if type(n) is not int or n < 1:
+    data = jsonfile.record(jsonfile.load(text, CircuitError, "circuit"), CircuitError,
+                           "circuit file", ("num_qubits", "gates"))
+    n, raw_gates = data["num_qubits"], data["gates"]
+    if not jsonfile.is_int(n) or n < 1:
         raise CircuitError(f"num_qubits must be a positive integer, got {n!r}")
     if not isinstance(raw_gates, list):
         raise CircuitError("gates must be an array")
     gates = []
     for i, item in enumerate(raw_gates, start=1):
-        if not isinstance(item, dict):
-            raise CircuitError(f"gate {i}: must be an object")
-        unknown = set(item) - {"q", "d"}
-        if unknown:
-            raise CircuitError(f"gate {i}: unknown fields {sorted(unknown)}")
-        try:
-            pair = item["q"]
-        except KeyError:
-            raise CircuitError(f"gate {i}: missing field 'q'") from None
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(type(x) is int for x in pair)):
+        pair = jsonfile.record(item, CircuitError, f"gate {i}", ("q",), ("d",))["q"]
+        if not jsonfile.is_ints(pair, 2):
             raise CircuitError(f"gate {i}: 'q' must be a pair of integers")
         d = item.get("d", DEFAULT_GATE_DURATION)
-        if type(d) is not int:
+        if not jsonfile.is_int(d):
             raise CircuitError(f"gate {i}: duration must be an integer")
         gates.append(GateSpec(id=i, qubits=(pair[0], pair[1]), duration=d))
     return Circuit(num_virtual_qubits=n, gates=tuple(gates))

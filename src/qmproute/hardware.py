@@ -9,9 +9,10 @@ hardware edge joins two non-consecutive path nodes.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
+
+from . import jsonfile
 
 
 class HardwareError(ValueError):
@@ -189,25 +190,14 @@ def parse_topology(spec: str) -> HardwareGraph:
 
 def parse_graph(text: str) -> HardwareGraph:
     """Parse a graph file: JSON with `num_nodes` and `edges` ([v, w] pairs)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise HardwareError(f"malformed graph file: {e}") from e
-    if not isinstance(data, dict):
-        raise HardwareError("graph file must be a JSON object")
-    unknown = set(data) - {"num_nodes", "edges"}
-    if unknown:
-        raise HardwareError(f"unknown fields: {sorted(unknown)}")
-    try:
-        n = data["num_nodes"]
-        edges = data["edges"]
-    except KeyError as e:
-        raise HardwareError(f"missing field {e}") from e
-    if type(n) is not int or not isinstance(edges, list):
+    data = jsonfile.record(jsonfile.load(text, HardwareError, "graph"), HardwareError,
+                           "graph file", ("num_nodes", "edges"))
+    n, edges = data["num_nodes"], data["edges"]
+    if not jsonfile.is_int(n) or not isinstance(edges, list):
         raise HardwareError("num_nodes must be int and edges a list")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
+        if not jsonfile.is_ints(e, 2):
             raise HardwareError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return HardwareGraph(n, pairs)

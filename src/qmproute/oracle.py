@@ -28,6 +28,12 @@ class OracleConfig:
     objective: str = DEPTH
     swap_duration: int = 15
 
+    def __post_init__(self):
+        if self.objective not in (DEPTH, SWAPS):
+            raise ValueError(f"unknown objective {self.objective!r}")
+        if min(self.max_swaps, self.swap_duration) < 0:
+            raise ValueError("max_swaps and swap_duration must be >= 0")
+
 
 @dataclass
 class OracleResult:
@@ -45,8 +51,6 @@ def exhaustive_solve(circuit: Circuit, graph: HardwareGraph,
     num_nodes = graph.num_nodes
     d_s = config.swap_duration
     want_depth = config.objective == DEPTH
-    if config.objective not in (DEPTH, SWAPS):
-        raise ValueError(f"unknown objective {config.objective!r}")
 
     # Per-qubit gate sequences; a scheduled set is a per-qubit prefix.
     per_qubit: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import jsonfile
 from .circuit import Circuit
 from .hardware import HardwareGraph
 
@@ -183,39 +184,22 @@ def parse_schedule(text: str, circuit: Circuit) -> Schedule:
     """Parse a schedule file: JSON with `swap_duration` and `ops`, an array
     of `{"gate": id-or-0, "edge": [v, w], "t": start}`.  Durations are
     recovered from the circuit and swap_duration."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScheduleError(f"malformed schedule file: {e}") from e
-    if not isinstance(data, dict):
-        raise ScheduleError("schedule file must be a JSON object")
-    unknown = set(data) - {"swap_duration", "ops"}
-    if unknown:
-        raise ScheduleError(f"unknown fields: {sorted(unknown)}")
-    try:
-        swap_duration = data["swap_duration"]
-        raw_ops = data["ops"]
-    except KeyError as e:
-        raise ScheduleError(f"missing field {e}") from e
+    data = jsonfile.record(jsonfile.load(text, ScheduleError, "schedule"), ScheduleError,
+                           "schedule file", ("swap_duration", "ops"))
+    swap_duration, raw_ops = data["swap_duration"], data["ops"]
+    if not jsonfile.is_int(swap_duration) or swap_duration < 0:
+        raise ScheduleError(f"'swap_duration' must be a nonnegative integer, got {swap_duration!r}")
     if not isinstance(raw_ops, list):
         raise ScheduleError("'ops' must be a list")
     ops = []
     for i, item in enumerate(raw_ops):
-        if not isinstance(item, dict):
-            raise ScheduleError(f"op {i}: must be a JSON object, got {item!r}")
-        unknown = set(item) - {"gate", "edge", "t"}
-        if unknown:
-            raise ScheduleError(f"op {i}: unknown fields {sorted(unknown)}")
-        for k in ("gate", "edge", "t"):
-            if k not in item:
-                raise ScheduleError(f"op {i}: missing field {k!r}")
+        jsonfile.record(item, ScheduleError, f"op {i}", ("gate", "edge", "t"))
         gate, edge, t = item["gate"], item["edge"], item["t"]
-        if type(t) is not int or t < 0:
+        if not jsonfile.is_int(t) or t < 0:
             raise ScheduleError(f"op {i}: 't' must be a nonnegative integer, got {t!r}")
-        if type(gate) is not int:
+        if not jsonfile.is_int(gate):
             raise ScheduleError(f"op {i}: 'gate' must be an integer, got {gate!r}")
-        if not (isinstance(edge, list) and len(edge) == 2
-                and all(type(v) is int for v in edge)):
+        if not jsonfile.is_ints(edge, 2):
             raise ScheduleError(f"op {i}: 'edge' must be a list of two integers, got {edge!r}")
         if gate == SWAP:
             d = swap_duration

@@ -164,10 +164,13 @@ class TestMatrix:
         {"qubits": "4"}, {"qubits": True}, {"qubits": 4.0}, {"depth_param": False},
         {"depth_param": [3]}, {"topology": 4},
         {"seeds": 1}, {"seeds": [1, "2"]}, {"seeds": [True]}, {"seeds": [1.5]},
+        {"topology": "ring:4"}, {"topology": "linear:1"}, {"qubits": 5}, {"qubits": 1},
+        {"depth_param": 0},
     ], ids=["no-seeds", "no-topology", "no-qubits", "no-depth-param", "unknown-field",
             "qubits-str", "qubits-bool", "qubits-float", "depth-param-bool",
             "depth-param-list", "topology-int", "seeds-int", "seeds-str-item",
-            "seeds-bool-item", "seeds-float-item"])
+            "seeds-bool-item", "seeds-float-item", "topology-unknown-kind",
+            "topology-too-small", "qubits-exceed-nodes", "qubits-one", "depth-param-zero"])
     def test_parse_matrix_rejects_bad_instance(self, change):
         entry = {**self.matrix()["instances"][0], **change}
         entry = {k: v for k, v in entry.items() if v is not None}
@@ -176,6 +179,25 @@ class TestMatrix:
 
     def test_parse_matrix_accepts_valid(self):
         assert parse_matrix(json.dumps(self.matrix())) == self.matrix()
+
+    def test_parse_matrix_accepts_optional_fields(self):
+        matrix = {**self.matrix(time_limit=2.5), "swap_duration": 0}
+        assert parse_matrix(json.dumps(matrix)) == matrix
+
+    @pytest.mark.parametrize("change", [
+        {"modes": ["layred"]}, {"modes": "layered"},
+        {"objectives": ["depht"]}, {"objectives": "depth"},
+        {"time_limit": "x"}, {"time_limit": 0}, {"time_limit": -1.5}, {"time_limit": True},
+        {"swap_duration": "x"}, {"swap_duration": -1}, {"swap_duration": 1.5},
+        {"swap_duration": True},
+    ], ids=["mode-misspelt", "modes-str", "objective-misspelt", "objectives-str",
+            "time-limit-str", "time-limit-zero", "time-limit-negative", "time-limit-bool",
+            "swap-duration-str", "swap-duration-negative", "swap-duration-float",
+            "swap-duration-bool"])
+    def test_parse_matrix_rejects_bad_field(self, change):
+        (key,) = change
+        with pytest.raises(BenchError, match=f"'{key}' must be"):
+            parse_matrix(json.dumps({**self.matrix(), **change}))
 
     def test_parse_matrix_rejects_unknown(self):
         with pytest.raises(BenchError):

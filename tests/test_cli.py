@@ -14,6 +14,15 @@ def example_files(tmp_path, example_circuit):
     return tmp_path, circuit_file
 
 
+# One valid document per input format; each test breaks one of them.
+VALID_FILES = {
+    "circuit": {"num_qubits": 4, "gates": [{"q": [1, 2]}]},
+    "graph": {"num_nodes": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+    "schedule": {"swap_duration": 6, "ops": []},
+    "matrix": {"instances": [], "modes": ["layered"], "objectives": ["depth"]},
+}
+
+
 def write_schedule(tmp_path, ops, swap_duration=6):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps({"swap_duration": swap_duration, "ops": ops}))
@@ -123,11 +132,38 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("fmt", list(VALID_FILES))
+    @pytest.mark.parametrize("case", ["non-json", "not-object", "unknown-field",
+                                      "missing-field"])
+    def test_bad_file_is_a_usage_error(self, tmp_path, capsys, fmt, case):
+        doc = VALID_FILES[fmt]
+        first = next(iter(doc))
+        bad, expected = {
+            "non-json": ("{not json", f"malformed {fmt} file"),
+            "not-object": ("[1, 2]", "must be a JSON object"),
+            "unknown-field": (json.dumps({**doc, "bogus": 1}), "unknown fields"),
+            "missing-field": (json.dumps({k: v for k, v in doc.items() if k != first}),
+                              f"missing field {first!r}"),
+        }[case]
+        paths = {name: tmp_path / f"{name}.json" for name in VALID_FILES}
+        for name, path in paths.items():
+            path.write_text(bad if name == fmt else json.dumps(VALID_FILES[name]))
+        if fmt == "matrix":
+            argv = ["bench", "--matrix", str(paths["matrix"]),
+                    "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = ["validate", "--circuit", str(paths["circuit"]),
+                    "--graph", str(paths["graph"]), "--schedule", str(paths["schedule"])]
+        assert dispatch(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+
     @pytest.mark.parametrize("entry", [
         {"topology": "linear:4", "qubits": 4, "depth_param": 3},
         {"topology": "linear:4", "qubits": True, "depth_param": 3, "seeds": [1]},
         {"topology": "linear:4", "qubits": 4, "depth_param": 3, "seeds": ["1"]},
-    ], ids=["missing-seeds", "bool-qubits", "str-seed"])
+        {"topology": "linear:4", "qubits": 5, "depth_param": 3, "seeds": [1]},
+    ], ids=["missing-seeds", "bool-qubits", "str-seed", "more-qubits-than-nodes"])
     def test_bad_matrix_entry_is_a_usage_error(self, tmp_path, capsys, entry):
         matrix_file = tmp_path / "matrix.json"
         matrix_file.write_text(json.dumps({"instances": [entry], "modes": ["layered"],

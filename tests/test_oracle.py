@@ -49,6 +49,15 @@ class TestExhaustiveSolve:
         assert a.value == b.value
 
 
+class TestOracleConfig:
+    @pytest.mark.parametrize("change", [
+        {"max_swaps": -1}, {"swap_duration": -5}, {"objective": "makespan"},
+    ], ids=["negative-max-swaps", "negative-swap-duration", "unknown-objective"])
+    def test_rejects_nonsense(self, change):
+        with pytest.raises(ValueError):
+            OracleConfig(**{"max_swaps": 2, **change})
+
+
 class TestFixpoint:
     def test_stabilizes(self, example_circuit, linear4):
         r = oracle_fixpoint(example_circuit, linear4, "depth")

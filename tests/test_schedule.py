@@ -182,6 +182,14 @@ class TestScheduleFile:
         with pytest.raises(ScheduleError, match=f"op 0: {match}"):
             parse_schedule(text, example_circuit)
 
+    @pytest.mark.parametrize("swap_duration", [None, "x", -5, 1.5, True])
+    def test_bad_swap_duration(self, example_circuit, swap_duration):
+        text = json.dumps({"swap_duration": swap_duration,
+                           "ops": [{"gate": 0, "edge": [1, 2], "t": 0},
+                                   {"gate": 1, "edge": [1, 2], "t": 6}]})
+        with pytest.raises(ScheduleError, match="'swap_duration' must be a nonnegative integer"):
+            parse_schedule(text, example_circuit)
+
     def test_ops_not_a_list(self, example_circuit):
         text = json.dumps({"swap_duration": 6, "ops": {"gate": 1}})
         with pytest.raises(ScheduleError, match="'ops' must be a list"):
