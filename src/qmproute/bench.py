@@ -54,7 +54,7 @@ class ResultRow:
     depth: int | None
     swaps: int | None
     unweighted_depth: int | None
-    status: str         # optimal | timeout | incumbent
+    status: str         # optimal | incumbent | timeout (no schedule) | error (solve raised)
     wall_time_ms: int
 
 
@@ -161,9 +161,10 @@ def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
                     result = None
                 ms = int((time.monotonic() - t0) * 1000)
                 if result is None or result.schedule is None:
+                    status = "error" if result is None else "timeout"
                     row = ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
                                     spec.depth_param, spec.seed, mode, objective,
-                                    None, None, None, "timeout", ms)
+                                    None, None, None, status, ms)
                 else:
                     m = compute_metrics(result.schedule)
                     status = "optimal" if result.proven_optimal else "incumbent"

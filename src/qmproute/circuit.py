@@ -3,9 +3,9 @@
 A circuit is an ordered list of two-qubit gates over virtual qubits.  Gates
 on the same qubit are totally ordered by their position in the list, which
 induces a partial order over all gates.  The analysis pass precomputes the
-per-qubit gate sequences, immediate predecessors, tail times (minimum time
-from a gate's start to circuit completion on ideal hardware) and layer
-indices used by the layered search mode.
+per-qubit gate sequences, tail times (minimum time from a gate's start to
+circuit completion on ideal hardware) and layer indices used by the layered
+search mode.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class PrecedenceInfo:
     per_qubit[q] is the ordered list of gate ids acting on virtual qubit q.
     delta[i] is the minimum time from gate i's start to circuit completion.
     layer[i] is the recursive layer index (0 for gates with no predecessor).
-    pred[i] holds the at most two immediately preceding gate ids.
     pos[i] maps each of gate i's qubits to its index within per_qubit[q].
     tail_sums[q][k] is the total duration of gates per_qubit[q][k:].
     pairs lists, per unordered qubit pair, (p, q, positions, ids): the ids
@@ -105,7 +104,6 @@ class PrecedenceInfo:
     """
     circuit: Circuit
     per_qubit: dict[int, list[int]]
-    pred: dict[int, tuple[int, ...]]
     delta: dict[int, int]
     layer: dict[int, int]
     pos: dict[int, dict[int, int]]
@@ -153,16 +151,9 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
             sums[k] = sums[k + 1] + circuit.gates[ids[k] - 1].duration
         tail_sums[q] = sums
 
-    return PrecedenceInfo(circuit=circuit, per_qubit=per_qubit, pred=pred,
-                          delta=delta, layer=layer, pos=pos,
-                          tail_sums=tail_sums, pairs=tuple(pairs.values()))
-
-
-def remaining_time(info: PrecedenceInfo, q: int, i: int) -> int:
-    """Total duration of gates on qubit q from gate i (inclusive) onward."""
-    if i not in info.pos or q not in info.pos[i]:
-        raise CircuitError(f"gate {i} does not act on qubit {q}")
-    return info.tail_sums[q][info.pos[i][q]]
+    return PrecedenceInfo(circuit=circuit, per_qubit=per_qubit, delta=delta,
+                          layer=layer, pos=pos, tail_sums=tail_sums,
+                          pairs=tuple(pairs.values()))
 
 
 def minimal_unscheduled(info: PrecedenceInfo, progress) -> list[int]:

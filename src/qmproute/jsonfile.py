@@ -8,9 +8,13 @@ import json
 
 
 def load(text: str, error: type[ValueError], what: str):
-    """Decode `text`, raising `error` if it is not JSON."""
+    """Decode `text`, raising `error` if it is not JSON.  The tokens `NaN`,
+    `Infinity` and `-Infinity` are not JSON, though `json` accepts them."""
+    def reject(token):
+        raise error(f"malformed {what} file: {token} is not a JSON number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise error(f"malformed {what} file: {e}") from e
 

@@ -53,7 +53,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Violation:
-    category: str            # assignment | routing | precedence | overlap
+    category: str            # order | assignment | routing | precedence | overlap
     op_index: int
     message: str
 
@@ -68,11 +68,18 @@ class ValidationResult:
 def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> ValidationResult:
     """Check a schedule against the assignment, routing, precedence and
     overlap constraints; on success also return the derived initial
-    assignment (virtual -> physical)."""
+    assignment (virtual -> physical).  Ops must be sorted by start time;
+    the first op that starts before its predecessor is an `order`
+    violation."""
     ops = schedule.ops
+
+    def fail(category, idx, msg):
+        return ValidationResult(ok=False, violation=Violation(category, idx, msg))
+
     for k in range(1, len(ops)):
         if ops[k].start < ops[k - 1].start:
-            raise ScheduleError("schedule ops must be sorted by start time")
+            return fail("order", k, f"op {k} starts at {ops[k].start}, before op "
+                                    f"{k - 1} at {ops[k - 1].start}")
 
     occupant: dict[int, int] = {}        # physical node -> virtual qubit
     placed: dict[int, int] = {}          # virtual qubit -> physical node
@@ -82,9 +89,6 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
     initial: dict[int, int] = {}
     seen_gates: set[int] = set()
     gate_start: dict[int, ScheduledOp] = {}
-
-    def fail(category, idx, msg):
-        return ValidationResult(ok=False, violation=Violation(category, idx, msg))
 
     for idx, op in enumerate(ops):
         v, w = op.edge

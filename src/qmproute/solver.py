@@ -8,9 +8,12 @@ the objective gives positive weight (the per-node depth vector, the SWAP
 count) is pruned.  This is sound because a state's completions depend only
 on its assignment and progress, so an unweighted coordinate can never make
 a node's best completion worse; when minimizing SWAPs alone each state
-keeps one record, its lowest SWAP count.  An admissible lower bound drives
-the expansion order, so the first complete node popped is optimal.  A beam
-width converts the search into a heuristic.
+keeps one record, its lowest SWAP count.  Two dominance rules drop children
+before they are built (`_Search.children`): no SWAP undoes its parent's
+SWAP, and with no weight on depth a gate that can run where its qubits
+stand is the only child.  An admissible lower bound drives the expansion
+order, so the first complete node popped is optimal.  A beam width converts
+the search into a heuristic.
 """
 
 from __future__ import annotations
@@ -268,6 +271,30 @@ class _Search:
             if v in busy or w in busy:
                 yield SWAP, (v, w)
 
+    def children(self, node: SearchNode) -> list:
+        """The (gate_index, edge) children the search expands: the gate and
+        SWAP children above, less two kinds that some kept child dominates.
+
+        - With no weight on depth, a gate whose qubits are both placed (so
+          on adjacent nodes) is the only child.  A gate moves no qubit, so
+          it can be moved to the front of any completion without changing
+          its SWAP count, and in layered mode it is already in the lowest
+          unfinished layer.  Under a depth weight the rule is unsound:
+          running the ready gate first can delay a longer chain.
+        - No SWAP undoes the node's own SWAP: that child has the
+          grandparent's state, a depth vector no lower and two more SWAPs.
+        """
+        gates = list(self.gate_children_edges(node))
+        if not self.w_depth:
+            asg = node.assignment
+            for i, edge in gates:
+                p, q = self.circuit.gates[i - 1].qubits
+                if asg[p] and asg[q]:
+                    return [(i, edge)]
+        undo = node.edge if node.gate_index == SWAP else None
+        gates.extend(c for c in self.swap_children_edges(node) if c[1] != undo)
+        return gates
+
 
 class _Front:
     """Pareto store: state key -> non-dominated records, compared on the
@@ -352,9 +379,7 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
         if node.num_scheduled == num_gates:
             return _result(search, config, node, stats, beam is None)
         stats.nodes_expanded += 1
-        children = list(search.gate_children_edges(node))
-        children.extend(search.swap_children_edges(node))
-        for gate_index, edge in children:
+        for gate_index, edge in search.children(node):
             child = search.make_child(node, gate_index, edge)
             if child.num_scheduled == num_gates:
                 obj = search.objective(child)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from qmproute import bench
 from qmproute.bench import (BenchError, InstanceSpec, ResultRow, _pairs,
                             gen_random_circuit, parity_export, parse_matrix, rmd,
                             rows_from_csv, rows_to_csv, run_matrix)
+from qmproute.solver import SolveResult
 
 
 def spec(seed=1, qubits=4, depth_param=3, topology="linear:4"):
@@ -142,6 +144,21 @@ class TestMatrix:
     def test_row_count(self):
         rows = run_matrix(self.matrix())
         assert len(rows) == 4   # 2 instances x 2 modes x 1 objective
+
+    def test_crashed_solve_is_an_error(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(bench, "solve", crash)
+        rows = run_matrix(self.matrix())
+        assert [r.status for r in rows] == ["error"] * 4
+        assert all(r.depth is None and r.swaps is None for r in rows)
+
+    def test_no_schedule_is_a_timeout(self, monkeypatch):
+        def give_up(*args, **kwargs):
+            return SolveResult(schedule=None, objective_value=None,
+                               proven_optimal=False, status="none")
+        monkeypatch.setattr(bench, "solve", give_up)
+        assert [r.status for r in run_matrix(self.matrix())] == ["timeout"] * 4
 
     def test_csv_roundtrip(self):
         rows = run_matrix(self.matrix())

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmproute.circuit import (CircuitError, analyze, minimal_unscheduled,
-                              parse_circuit, remaining_time)
+from qmproute.circuit import CircuitError, analyze, minimal_unscheduled, parse_circuit
 
 
 def make_circuit(n, gate_list):
@@ -82,12 +81,24 @@ class TestAnalyze:
         assert info.layer[1] == 0
 
 
+def remaining_time(info, q, i):
+    """Total duration of gates on qubit q from gate i (inclusive) onward."""
+    return info.tail_sums[q][info.pos[i][q]]
+
+
+def immediate_preds(info):
+    """Gate id -> the gates just before it on each of its qubits."""
+    return {i: {info.per_qubit[q][k - 1] for q, k in at.items() if k}
+            for i, at in info.pos.items()}
+
+
 class TestRemainingTime:
     def test_example_values(self, example_circuit):
         info = analyze(example_circuit)
         assert remaining_time(info, 1, 1) == 3   # g1 (d=2) + g3 (d=1)
         assert remaining_time(info, 4, 3) == 1   # only g3
         assert remaining_time(info, 4, 2) == 4   # g2 + g3
+        assert info.tail_sums[1] == [3, 1, 0]
 
     def test_last_gate_singleton(self):
         info = analyze(make_circuit(2, [(1, 2, 7)]))
@@ -95,8 +106,11 @@ class TestRemainingTime:
 
     def test_gate_not_on_qubit(self, example_circuit):
         info = analyze(example_circuit)
-        with pytest.raises(CircuitError):
-            remaining_time(info, 3, 1)
+        assert info.pos[1] == {1: 0, 2: 0}   # g1 acts on qubits 1 and 2 only
+        assert info.pos[3] == {4: 1, 1: 1}
+
+    def test_immediate_preds(self, example_circuit):
+        assert immediate_preds(analyze(example_circuit)) == {1: set(), 2: set(), 3: {1, 2}}
 
 
 class TestMinimalUnscheduled:
@@ -149,7 +163,7 @@ class TestHypothesisProperties:
         c = make_circuit(4, [(p, q, d) for ((p, q), d) in raw])
         info = analyze(c)
         assert all(info.delta[g.id] >= g.duration for g in c.gates)
-        for j, preds in info.pred.items():
+        for j, preds in immediate_preds(info).items():
             for i in preds:
                 assert info.delta[i] >= info.delta[j] + c.gates[i - 1].duration
                 assert info.layer[j] >= info.layer[i] + 1
@@ -159,7 +173,8 @@ class TestHypothesisProperties:
     def test_ideal_makespan_matches_longest_path(self, raw):
         c = make_circuit(4, [(p, q, d) for ((p, q), d) in raw])
         info = analyze(c)
-        roots = [g.id for g in c.gates if not info.pred[g.id]]
+        preds = immediate_preds(info)
+        roots = [g.id for g in c.gates if not preds[g.id]]
         assert max((info.delta[i] for i in roots), default=0) == brute_force_makespan(c)
 
 
@@ -171,7 +186,7 @@ class TestProperties:
             info = analyze(c)
             for g in c.gates:
                 assert info.delta[g.id] >= g.duration
-            for j, preds in info.pred.items():
+            for j, preds in immediate_preds(info).items():
                 for i in preds:
                     assert info.delta[i] >= info.delta[j] + c.gates[i - 1].duration
 
@@ -180,7 +195,8 @@ class TestProperties:
         for _ in range(30):
             c = random_small_circuit(rng, 4, rng.randint(1, 8))
             info = analyze(c)
-            roots = [g.id for g in c.gates if not info.pred[g.id]]
+            preds = immediate_preds(info)
+            roots = [g.id for g in c.gates if not preds[g.id]]
             assert max((info.delta[i] for i in roots), default=0) == brute_force_makespan(c)
 
     def test_layer_monotonicity(self):
@@ -188,7 +204,7 @@ class TestProperties:
         for _ in range(30):
             c = random_small_circuit(rng, 5, rng.randint(1, 8))
             info = analyze(c)
-            for j, preds in info.pred.items():
+            for j, preds in immediate_preds(info).items():
                 for i in preds:
                     assert info.layer[j] >= info.layer[i] + 1
 
@@ -197,14 +213,13 @@ class TestProperties:
         for _ in range(20):
             c = random_small_circuit(rng, 4, rng.randint(1, 6))
             info = analyze(c)
+            preds = immediate_preds(info)
             # Schedule greedily through minimal gates in every DFS order,
             # checking the scheduled set stays downward-closed.
             def explore(progress, scheduled):
                 frontier = minimal_unscheduled(info, progress)
                 for i in frontier:
-                    for j, preds in info.pred.items():
-                        if j == i:
-                            assert all(p in scheduled for p in preds)
+                    assert preds[i] <= scheduled
                 for i in frontier[:2]:
                     p, q = c.gates[i - 1].qubits
                     np_ = dict(progress)

@@ -65,6 +65,18 @@ class TestValidateCommand:
         assert capsys.readouterr().err.startswith("error: op 0: 'gate'")
 
 
+    def test_unsorted_ops_exit_3(self, example_files, capsys):
+        tmp_path, circuit_file = example_files
+        sched = write_schedule(tmp_path, [
+            {"gate": 2, "edge": [3, 4], "t": 2},
+            {"gate": 1, "edge": [1, 2], "t": 0}])
+        code = dispatch(["--format", "structured", "validate", "--circuit", str(circuit_file),
+                         "--topology", "linear:4", "--schedule", str(sched)])
+        assert code == 3
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["category"] == "order" and out["op_index"] == 1
+
+
 class TestSolveCommand:
     def test_trivial_solve_exit_0(self, example_files, tmp_path):
         _, circuit_file = example_files
@@ -157,6 +169,24 @@ class TestUsageErrors:
         assert dispatch(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("fmt, text, token", [
+        ("matrix", '{"instances": [], "modes": ["layered"], "objectives": ["depth"], '
+                   '"time_limit": Infinity}', "Infinity"),
+        ("matrix", '{"instances": [], "modes": ["layered"], "objectives": ["depth"], '
+                   '"time_limit": -Infinity}', "-Infinity"),
+        ("circuit", '{"num_qubits": 2, "gates": [{"q": [1, 2], "d": NaN}]}', "NaN"),
+    ], ids=["matrix-infinity", "matrix-minus-infinity", "circuit-nan"])
+    def test_non_json_number_is_a_usage_error(self, tmp_path, capsys, fmt, text, token):
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(text)
+        if fmt == "matrix":
+            argv = ["bench", "--matrix", str(path), "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = ["solve", "--circuit", str(path), "--topology", "linear:4"]
+        assert dispatch(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {fmt} file: {token} is not a JSON number")
 
     @pytest.mark.parametrize("entry", [
         {"topology": "linear:4", "qubits": 4, "depth_param": 3},

@@ -89,6 +89,15 @@ class TestValidate:
         assert not r.ok
         assert r.violation.category == "overlap"
 
+    def test_unsorted_ops_are_an_order_violation(self, example_circuit, linear4, s3):
+        ops = list(s3.ops)
+        ops[3], ops[4] = ops[4], ops[3]   # g3 at 14 listed before the SWAP at 8
+        r = validate(sched(ops), example_circuit, linear4)
+        assert not r.ok
+        assert r.violation.category == "order"
+        assert r.violation.op_index == 4
+        assert "op 4 starts at 8, before op 3 at 14" in r.violation.message
+
     def test_missing_gate(self, example_circuit, linear4):
         c = example_circuit
         s = sched([gate_op(c, 1, (1, 2), 0)])

@@ -84,22 +84,28 @@ def reference_bound_depth(node, info, graph, swap_duration):
 
 
 @st.composite
-def connected_graphs(draw):
-    """A random spanning tree on 4-6 nodes plus random extra edges; a path
-    cap of 1 on some draws exercises the pairs the bound must skip."""
-    n = draw(st.integers(4, 6))
+def connected_graphs(draw, max_nodes=6):
+    """A random spanning tree on 4 to `max_nodes` nodes plus random extra
+    edges; a path cap of 1 on some draws exercises the pairs the bound must
+    skip."""
+    n = draw(st.integers(4, max_nodes))
     edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=4))
     return HardwareGraph(n, edges, max_paths_per_pair=draw(st.sampled_from([1, 10000])))
 
 
+def topologies(*specs):
+    return st.sampled_from(specs).map(parse_topology)
+
+
 @st.composite
-def instances(draw, max_gates):
+def instances(draw, max_gates,
+              graphs=st.one_of(topologies("linear:5", "grid:2x3", "y:6"), connected_graphs())):
     """(circuit, graph): a random circuit of 2-5 qubits and up to `max_gates`
-    gates on a named topology or a random connected graph."""
-    graph = draw(st.one_of(st.sampled_from(["linear:5", "grid:2x3", "y:6"]).map(parse_topology),
-                           connected_graphs()))
+    gates on a graph drawn from `graphs`, by default a named topology or a
+    random connected graph."""
+    graph = draw(graphs)
     n = draw(st.integers(2, min(5, graph.num_nodes)))
     qubit_pairs = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
     gates = draw(st.lists(st.tuples(st.sampled_from(qubit_pairs), st.integers(0, 8)),
@@ -180,6 +186,60 @@ class TestExpand:
         node = search.make_child(node, 2, (3, 4))
         swaps = list(search.swap_children_edges(node))
         assert len(swaps) == 3   # every edge has an assigned endpoint
+
+    def executable_node(self, config):
+        """A node on linear:4 where gates 3 and 4 can both run in place:
+        gate 1 put qubits 1, 2 on nodes 1, 2 and gate 2 qubits 3, 4 on 3, 4."""
+        c = parse_circuit(json.dumps({"num_qubits": 4, "gates": [
+            {"q": [1, 2]}, {"q": [3, 4]}, {"q": [1, 2]}, {"q": [3, 4]}]}))
+        search = _Search(c, build_topology("linear", 4), config)
+        node = search.make_child(search.root(), 1, (1, 2))
+        return search, search.make_child(node, 2, (3, 4))
+
+    def test_no_swap_undoes_the_parent_swap(self, example_circuit, linear4):
+        for config in (depth_config(), swaps_config(), SolverConfig(w_depth=1, w_swaps=1)):
+            search = _Search(example_circuit, linear4, config)
+            node = search.make_child(search.root(), 1, (1, 2))
+            node = search.make_child(node, SWAP, (2, 3))
+            assert (SWAP, (2, 3)) in search.swap_children_edges(node)
+            assert search.children(node) == [
+                c for c in [*search.gate_children_edges(node),
+                            *search.swap_children_edges(node)] if c != (SWAP, (2, 3))]
+
+    def test_swaps_objective_runs_an_executable_gate_alone(self):
+        search, node = self.executable_node(swaps_config())
+        assert search.children(node) == [(3, (1, 2))]   # the first of gates 3, 4
+
+    @pytest.mark.parametrize("config", [depth_config(), SolverConfig(w_depth=1, w_swaps=1)],
+                             ids=["depth", "combined"])
+    def test_depth_weight_keeps_every_child(self, config):
+        search, node = self.executable_node(config)
+        full = [*search.gate_children_edges(node), *search.swap_children_edges(node)]
+        assert full == [(3, (1, 2)), (4, (3, 4)),
+                        (SWAP, (1, 2)), (SWAP, (2, 3)), (SWAP, (3, 4))]
+        assert search.children(node) == full
+
+    @given(walks())
+    @settings(max_examples=100, deadline=None)
+    def test_children_drop_only_dominated_ones(self, walk):
+        # Every objective drops the SWAP that undoes the node's own SWAP;
+        # with no depth weight, a gate child on two placed qubits (the
+        # first one) is the only child.
+        walker, nodes = walk
+        kw = {"layered": walker.config.layered, "swap_duration": walker.config.swap_duration}
+        for config in (depth_config(**kw), swaps_config(**kw),
+                       SolverConfig(w_depth=1, w_swaps=1, **kw)):
+            search = _Search(walker.circuit, walker.graph, config)
+            for node in nodes:
+                gates = list(search.gate_children_edges(node))
+                undo = (SWAP, node.edge) if node.gate_index == SWAP else None
+                swaps = [c for c in search.swap_children_edges(node) if c != undo]
+                placed = [(i, e) for i, e in gates if all(
+                    node.assignment[q] for q in search.circuit.gates[i - 1].qubits)]
+                if config.w_depth == 0 and placed:
+                    assert search.children(node) == placed[:1]
+                else:
+                    assert search.children(node) == gates + swaps
 
     def test_layered_filter(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config(layered=True))
@@ -436,6 +496,24 @@ class TestSwapsObjective:
             o = exhaustive_solve(circuit, graph, OracleConfig(
                 max_swaps=a.swap_count, objective="swaps", swap_duration=d_s))
             assert o.value <= a.swap_count if layered else o.value == a.swap_count
+
+
+class TestDepthObjective:
+    @given(instances(max_gates=6, graphs=st.one_of(
+               topologies("linear:4", "y:4", "grid:2x2"), connected_graphs(max_nodes=4))),
+           st.sampled_from([0, 6, 15]))
+    @example((Circuit(4, (GateSpec(1, (1, 3), 3), GateSpec(2, (4, 2), 3),
+                          GateSpec(3, (2, 3), 6), GateSpec(4, (4, 2), 5),
+                          GateSpec(5, (3, 2), 5), GateSpec(6, (1, 4), 1),
+                          GateSpec(7, (1, 2), 2))), parse_topology("linear:4")),
+             15)   # optimum 46; running a placed gate first gives 50
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_oracle(self, instance, d_s):
+        circuit, graph = instance
+        r = solve(circuit, graph, depth_config(swap_duration=d_s))
+        assert r.proven_optimal
+        assert validate(r.schedule, circuit, graph).ok
+        assert r.objective_value == oracle_fixpoint(circuit, graph, "depth", d_s).value
 
 
 class TestModesAndProperties:
