@@ -42,6 +42,10 @@ class InstanceSpec:
         return f"{self.topology}-q{self.num_qubits}-d{self.depth_param}-s{self.seed}"
 
 
+# A row's status: the solver's own word, or `error` when the solve raised.
+STATUSES = ("optimal", "incumbent", "timeout", "error")
+
+
 @dataclass
 class ResultRow:
     instance_id: str
@@ -54,7 +58,7 @@ class ResultRow:
     depth: int | None
     swaps: int | None
     unweighted_depth: int | None
-    status: str         # optimal | incumbent | timeout (no schedule) | error (solve raised)
+    status: str         # one of STATUSES
     wall_time_ms: int
 
 
@@ -118,12 +122,20 @@ def parse_matrix(text: str) -> dict:
         if not jsonfile.is_ints(entry["seeds"]):
             raise BenchError(f"{where}: 'seeds' must be a list of integers, got {entry['seeds']!r}")
         try:
-            nodes = parse_topology(entry["topology"]).num_nodes
-        except HardwareError as e:
+            check_instance(entry["topology"], entry["qubits"])
+        except BenchError as e:
             raise BenchError(f"{where}: {e}") from e
-        if entry["qubits"] > nodes:
-            raise BenchError(f"{where}: {entry['qubits']} qubits exceed {nodes} nodes")
     return data
+
+
+def check_instance(topology: str, num_qubits: int) -> None:
+    """Raise BenchError unless `topology` parses and `num_qubits` fit its nodes."""
+    try:
+        nodes = parse_topology(topology).num_nodes
+    except HardwareError as e:
+        raise BenchError(str(e)) from e
+    if num_qubits > nodes:
+        raise BenchError(f"{num_qubits} qubits exceed {nodes} nodes")
 
 
 def objective_config(objective: str, layered: bool, time_limit, swap_duration,
@@ -157,20 +169,17 @@ def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
                 t0 = time.monotonic()
                 try:
                     result = solve(circuit, graph, config)
+                    status, schedule = result.status, result.schedule
                 except Exception:
-                    result = None
+                    status, schedule = "error", None
                 ms = int((time.monotonic() - t0) * 1000)
-                if result is None or result.schedule is None:
-                    status = "error" if result is None else "timeout"
-                    row = ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
-                                    spec.depth_param, spec.seed, mode, objective,
-                                    None, None, None, status, ms)
-                else:
-                    m = compute_metrics(result.schedule)
-                    status = "optimal" if result.proven_optimal else "incumbent"
-                    row = ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
-                                    spec.depth_param, spec.seed, mode, objective,
-                                    m.depth, m.swaps, m.unweighted_depth, status, ms)
+                metrics = (None, None, None)
+                if schedule is not None:
+                    m = compute_metrics(schedule)
+                    metrics = (m.depth, m.swaps, m.unweighted_depth)
+                row = ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
+                                spec.depth_param, spec.seed, mode, objective,
+                                *metrics, status, ms)
                 rows.append(row)
                 if progress:
                     progress(row)
@@ -188,9 +197,20 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[ResultRow]:
+    """Rows of a results CSV; BenchError unless it has exactly the
+    CSV_COLUMNS header, a field for every column and a known status."""
     reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames != CSV_COLUMNS:
+        raise BenchError(f"results CSV must have the columns {','.join(CSV_COLUMNS)}, "
+                         f"got {','.join(reader.fieldnames or [])}")
     rows = []
     for rec in reader:
+        where = f"results CSV line {reader.line_num}"
+        if None in rec or None in rec.values():
+            raise BenchError(f"{where}: want {len(CSV_COLUMNS)} fields")
+        if rec["status"] not in STATUSES:
+            raise BenchError(f"{where}: status must be one of {list(STATUSES)}, "
+                             f"got {rec['status']!r}")
         def num(key):
             return int(rec[key]) if rec[key] != "" else None
         rows.append(ResultRow(rec["instance_id"], rec["topology"], int(rec["qubits"]),

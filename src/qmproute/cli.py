@@ -3,7 +3,7 @@
 Subcommands: solve, validate, oracle, gen, bench, report.
 Exit codes: 0 success / proven optimal, 2 incumbent only, 3 validation
 violation, 4 usage error or bad input (an invalid option value, a missing
-or malformed file), 5 internal error (solve returned no schedule).
+or malformed file), 5 the time limit passed with no schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ EXIT_OK = 0
 EXIT_INCUMBENT = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 4
-EXIT_INTERNAL = 5
+EXIT_TIMEOUT = 5
+SOLVE_EXIT = {"optimal": EXIT_OK, "incumbent": EXIT_INCUMBENT, "timeout": EXIT_TIMEOUT}
 
 
 class _UsageError(Exception):
@@ -53,24 +54,26 @@ def _load_graph(args):
 
 
 def _cmd_solve(args) -> int:
-    circuit = parse_circuit(Path(args.circuit).read_text())
-    graph = _load_graph(args)
     if args.objective == "combined":
-        config = SolverConfig(w_depth=Fraction(str(args.w_depth)),
-                              w_swaps=Fraction(str(args.w_swaps)),
+        w_depth = 1 if args.w_depth is None else args.w_depth
+        w_swaps = 0 if args.w_swaps is None else args.w_swaps
+        config = SolverConfig(w_depth=Fraction(str(w_depth)), w_swaps=Fraction(str(w_swaps)),
                               layered=args.layered, beam_width=args.beam_width,
                               time_limit=args.time_limit,
                               swap_duration=args.swap_duration)
+    elif args.w_depth is not None or args.w_swaps is not None:
+        raise _UsageError("--w-depth and --w-swaps apply only to --objective combined")
     else:
         config = bench_mod.objective_config(args.objective, args.layered, args.time_limit,
                                             args.swap_duration, args.beam_width)
+    circuit = parse_circuit(Path(args.circuit).read_text())
+    graph = _load_graph(args)
     result = solve(circuit, graph, config)
     if result.schedule is not None and args.out:
         Path(args.out).write_text(schedule_to_json(result.schedule))
     stats = {
         "status": result.status,
         "objective_value": str(result.objective_value) if result.objective_value is not None else "",
-        "proven_optimal": result.proven_optimal,
         "makespan": result.makespan,
         "swap_count": result.swap_count,
         "nodes_expanded": result.stats.nodes_expanded,
@@ -82,9 +85,7 @@ def _cmd_solve(args) -> int:
     if args.stats:
         Path(args.stats).write_text(json.dumps(stats, indent=2))
     _emit(args, stats)
-    if result.schedule is None:
-        return EXIT_INTERNAL
-    return EXIT_OK if result.proven_optimal else EXIT_INCUMBENT
+    return SOLVE_EXIT[result.status]
 
 
 def _cmd_validate(args) -> int:
@@ -122,6 +123,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    bench_mod.check_instance(args.topology, args.qubits)
     spec = bench_mod.InstanceSpec(topology=args.topology, num_qubits=args.qubits,
                                   depth_param=args.depth_param, seed=args.seed)
     circuit = bench_mod.gen_random_circuit(spec)
@@ -181,8 +183,10 @@ def build_parser() -> _Parser:
     p.add_argument("--circuit", required=True)
     add_graph_opts(p)
     p.add_argument("--objective", choices=["depth", "swaps", "combined"], default="depth")
-    p.add_argument("--w-depth", dest="w_depth", type=float, default=1.0)
-    p.add_argument("--w-swaps", dest="w_swaps", type=float, default=0.0)
+    p.add_argument("--w-depth", dest="w_depth", type=float, default=None,
+                   help="depth weight under --objective combined (default 1)")
+    p.add_argument("--w-swaps", dest="w_swaps", type=float, default=None,
+                   help="SWAP weight under --objective combined (default 0)")
     p.add_argument("--layered", action="store_true")
     p.add_argument("--beam-width", dest="beam_width", type=int, default=None)
     p.add_argument("--time-limit", dest="time_limit", type=float, default=None)

@@ -56,6 +56,9 @@ class SolverConfig:
             raise SolverError("beam width must be >= 1")
         if self.swap_duration < 0:
             raise SolverError("swap duration must be >= 0")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise SolverError(f"time limit must be a positive number of seconds, "
+                              f"got {self.time_limit!r}")
 
 
 class SearchNode:
@@ -94,8 +97,7 @@ class SolveStats:
 class SolveResult:
     schedule: Schedule | None
     objective_value: Fraction | None
-    proven_optimal: bool
-    status: str                 # optimal | incumbent | none
+    status: str                 # optimal | incumbent | timeout (no schedule)
     stats: SolveStats = field(default_factory=SolveStats)
     makespan: int | None = None
     swap_count: int | None = None
@@ -343,7 +345,7 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
     while True:
         result = _run(search, config, beam, t0)
         result.stats.restarts = restarts
-        if (result.status != "none" or beam is None or config.time_limit is not None
+        if (result.schedule is not None or beam is None or config.time_limit is not None
                 and time.monotonic() - t0 > config.time_limit):
             break
         beam *= 2
@@ -377,7 +379,7 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
-            return _result(search, config, node, stats, beam is None)
+            return _result(search, config, node, stats, "incumbent" if beam else "optimal")
         stats.nodes_expanded += 1
         for gate_index, edge in search.children(node):
             child = search.make_child(node, gate_index, edge)
@@ -401,13 +403,13 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
                 open_heap = alive[:beam]
 
     if incumbent is not None:
-        return _result(search, config, incumbent, stats, False)
-    return SolveResult(schedule=None, objective_value=None, proven_optimal=False,
-                       status="none", stats=stats)
+        return _result(search, config, incumbent, stats, "incumbent")
+    # `solve` restarts a dead beam, so only the time limit leaves no schedule.
+    return SolveResult(schedule=None, objective_value=None, status="timeout", stats=stats)
 
 
 def _result(search: _Search, config: SolverConfig, node: SearchNode,
-            stats: SolveStats, proven: bool) -> SolveResult:
+            stats: SolveStats, status: str) -> SolveResult:
     """The schedule along `node`'s path; each op starts when both of its
     nodes are free in the parent and ends at the child's depth there."""
     ops = []
@@ -423,8 +425,7 @@ def _result(search: _Search, config: SolverConfig, node: SearchNode,
     schedule = Schedule(ops=tuple(ops), swap_duration=config.swap_duration)
     return SolveResult(schedule=schedule,
                        objective_value=Fraction(search.objective(node), search.scale),
-                       proven_optimal=proven,
-                       status="optimal" if proven else "incumbent",
+                       status=status,
                        stats=stats,
                        makespan=max(node.depth_map),
                        swap_count=node.swap_count)

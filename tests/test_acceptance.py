@@ -92,7 +92,7 @@ def test_criterion_2_worked_example_solver():
     r = solve(c, g, depth_config())
     valid = validate(r.schedule, c, g).ok
     oracle_value = oracle_fixpoint(c, g, "depth").value
-    ok = (r.proven_optimal and r.objective_value == 4 == oracle_value
+    ok = (r.status == "optimal" and r.objective_value == 4 == oracle_value
           and r.swap_count == 0 and valid)
     report(2, ok, f"objective={r.objective_value}, swaps={r.swap_count}, "
                   f"oracle={oracle_value}, valid={valid}")
@@ -103,7 +103,7 @@ def test_criterion_3_oracle_equivalence():
     for idx, (spec, circuit, graph) in enumerate(_INSTANCES):
         for objective, cfg in (("depth", depth_config), ("swaps", swaps_config)):
             exact = solve(circuit, graph, cfg())
-            assert exact.proven_optimal
+            assert exact.status == "optimal"
             oracle = oracle_fixpoint(circuit, graph, objective)
             assert exact.objective_value == oracle.value, (spec, objective)
             _EXACT_OPTIMA[(idx, objective)] = exact.objective_value
@@ -123,7 +123,7 @@ def test_criterion_4_admissibility():
                 search = _Search(circuit, graph, config)
                 root_h = search.bound(search.root())
                 r = solve(circuit, graph, config)
-                assert r.proven_optimal
+                assert r.status == "optimal"
                 assert root_h <= r.objective_value, (spec, layered)
                 checked += 1
     report(4, True, f"h(root) <= optimum on {checked} instance/config pairs")

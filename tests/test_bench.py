@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qmproute import bench
-from qmproute.bench import (BenchError, InstanceSpec, ResultRow, _pairs,
+from qmproute.bench import (CSV_COLUMNS, BenchError, InstanceSpec, ResultRow, _pairs,
                             gen_random_circuit, parity_export, parse_matrix, rmd,
                             rows_from_csv, rows_to_csv, run_matrix)
 from qmproute.solver import SolveResult
@@ -131,6 +131,10 @@ class TestParityExport:
         assert parity_export([], "depth").strip() == "non_layered,layered"
 
 
+CSV_HEADER = ",".join(CSV_COLUMNS)
+CSV_ROW = "a,linear:4,4,3,1,layered,depth,10,0,10,optimal,1"
+
+
 class TestMatrix:
     def matrix(self, seeds=(1, 2), time_limit=10):
         return {
@@ -155,8 +159,7 @@ class TestMatrix:
 
     def test_no_schedule_is_a_timeout(self, monkeypatch):
         def give_up(*args, **kwargs):
-            return SolveResult(schedule=None, objective_value=None,
-                               proven_optimal=False, status="none")
+            return SolveResult(schedule=None, objective_value=None, status="timeout")
         monkeypatch.setattr(bench, "solve", give_up)
         assert [r.status for r in run_matrix(self.matrix())] == ["timeout"] * 4
 
@@ -164,6 +167,24 @@ class TestMatrix:
         rows = run_matrix(self.matrix())
         text = rows_to_csv(rows)
         assert rows_from_csv(text) == rows
+
+    @pytest.mark.parametrize("status", ["optimal", "incumbent", "timeout", "error"])
+    def test_csv_reads_every_status(self, status):
+        rows = make_rows([("a", "layered", 10, status)])
+        assert rows_from_csv(rows_to_csv(rows)) == rows
+
+    @pytest.mark.parametrize("text, message", [
+        (CSV_HEADER.rsplit(",", 1)[0] + "\n" + CSV_ROW.rsplit(",", 1)[0],
+         "must have the columns"),
+        ("", "must have the columns"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace("optimal", "none"), "line 2: status must be one of"),
+        (CSV_HEADER + "\n" + CSV_ROW.rsplit(",", 1)[0], "line 2: want 12 fields"),
+        (CSV_HEADER + "\n" + CSV_ROW + ",7", "line 2: want 12 fields"),
+    ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row"])
+    def test_rows_from_csv_rejects(self, text, message):
+        assert rows_from_csv(CSV_HEADER + "\n" + CSV_ROW + "\n")
+        with pytest.raises(BenchError, match=message):
+            rows_from_csv(text + "\n")
 
     def test_determinism_excluding_wall_time(self):
         def strip(rows):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from qmproute import cli
+from qmproute.bench import CSV_COLUMNS
 from qmproute.cli import dispatch
+from qmproute.solver import SolveResult, solve
 
 
 @pytest.fixture
@@ -107,6 +111,39 @@ class TestSolveCommand:
         s = json.loads(stats.read_text())
         assert Fraction(s["objective_value"]) == objective(s["makespan"], s["swap_count"])
 
+    @pytest.mark.parametrize("status, code", [("optimal", 0), ("incumbent", 2), ("timeout", 5)])
+    def test_status_sets_exit_code(self, example_files, monkeypatch, capsys, status, code):
+        _, circuit_file = example_files
+        real_solve = solve
+
+        def fake_solve(circuit, graph, config):
+            if status == "timeout":
+                return SolveResult(schedule=None, objective_value=None, status=status)
+            return dataclasses.replace(real_solve(circuit, graph, config), status=status)
+        monkeypatch.setattr(cli, "solve", fake_solve)
+        assert dispatch(["--format", "structured", "solve", "--circuit", str(circuit_file),
+                         "--topology", "linear:4"]) == code
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["status"] == status and "proven_optimal" not in out
+
+    def test_timeout_is_one_word_for_solve_and_bench(self, tmp_path, capsys):
+        circuit_file = tmp_path / "c.json"
+        assert dispatch(["gen", "--topology", "grid:3x3", "--qubits", "9",
+                         "--depth-param", "30", "--seed", "0", "--out", str(circuit_file)]) == 0
+        assert dispatch(["--format", "structured", "solve", "--circuit", str(circuit_file),
+                         "--topology", "grid:3x3", "--time-limit", "0.1"]) == 5
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["status"] == "timeout" and out["makespan"] is None
+        matrix_file = tmp_path / "matrix.json"
+        matrix_file.write_text(json.dumps({
+            "instances": [{"topology": "grid:3x3", "qubits": 9, "depth_param": 30,
+                           "seeds": [0]}],
+            "modes": ["non-layered"], "objectives": ["depth"], "time_limit": 0.1}))
+        results = tmp_path / "results.csv"
+        assert dispatch(["bench", "--matrix", str(matrix_file), "--out", str(results)]) == 0
+        header, row = results.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["status"] == "timeout"
+
     def test_solved_schedule_validates_via_cli(self, example_files, tmp_path):
         _, circuit_file = example_files
         out = tmp_path / "out.json"
@@ -134,8 +171,12 @@ class TestUsageErrors:
         (None, ["--topology", "linear:1"]),
         ("missing.json", ["--topology", "linear:4"]),
         ("malformed.json", ["--topology", "linear:4"]),
+        (None, ["--topology", "linear:4", "--time-limit", "0"]),
+        (None, ["--topology", "linear:4", "--time-limit", "-1"]),
+        (None, ["--topology", "linear:4", "--time-limit", "nan"]),
     ], ids=["negative-swap-duration", "zero-beam-width", "one-node-topology",
-            "missing-file", "malformed-json"])
+            "missing-file", "malformed-json", "zero-time-limit", "negative-time-limit",
+            "nan-time-limit"])
     def test_bad_input_is_a_usage_error(self, example_files, capsys, circuit, flags):
         tmp_path, circuit_file = example_files
         (tmp_path / "malformed.json").write_text("{not json")
@@ -143,6 +184,39 @@ class TestUsageErrors:
         assert dispatch(["solve", "--circuit", str(path), *flags]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    @pytest.mark.parametrize("objective, flag", [
+        ("depth", "--w-depth"), ("depth", "--w-swaps"), ("swaps", "--w-depth"),
+        ("swaps", "--w-swaps"),
+    ])
+    def test_weights_need_combined(self, example_files, capsys, objective, flag):
+        _, circuit_file = example_files
+        assert dispatch(["solve", "--circuit", str(circuit_file), "--topology", "linear:4",
+                         "--objective", objective, flag, "5"]) == 4
+        assert "only to --objective combined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topology, qubits, message", [
+        ("bogus", "4", "bad topology spec 'bogus'"),
+        ("linear:3", "9", "9 qubits exceed 3 nodes"),
+    ], ids=["unknown-topology", "qubits-exceed-nodes"])
+    def test_gen_checks_topology(self, tmp_path, capsys, topology, qubits, message):
+        out = tmp_path / "c.json"
+        assert dispatch(["gen", "--topology", topology, "--qubits", qubits,
+                         "--depth-param", "3", "--seed", "0", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "results CSV must have the columns"),
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,0,3,none,5\n",
+         "status must be one of"),
+    ], ids=["wrong-columns", "unknown-status"])
+    def test_report_checks_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        assert dispatch(["report", "--in", str(path), "--rmd"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("fmt", list(VALID_FILES))
     @pytest.mark.parametrize("case", ["non-json", "not-object", "unknown-field",

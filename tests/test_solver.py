@@ -136,7 +136,7 @@ def walks(draw):
 class TestSolveBasics:
     def test_example_optimum(self, example_circuit, linear4):
         r = solve(example_circuit, linear4, depth_config())
-        assert r.proven_optimal
+        assert r.status == "optimal"
         assert r.objective_value == 4
         assert r.swap_count == 0
         assert validate(r.schedule, example_circuit, linear4).ok
@@ -158,6 +158,11 @@ class TestSolveBasics:
         # A negative SWAP duration would let swapping lower the depth.
         with pytest.raises(SolverError, match="swap duration"):
             depth_config(swap_duration=-5)
+
+    def test_no_schedule_in_time_is_a_timeout(self, example_circuit, linear4):
+        # The limit has passed before the root is popped.
+        r = solve(example_circuit, linear4, depth_config(time_limit=1e-12))
+        assert (r.status, r.schedule, r.objective_value) == ("timeout", None, None)
 
     def test_too_many_virtual_qubits(self, linear4):
         c = parse_circuit(json.dumps({"num_qubits": 5,
@@ -442,7 +447,7 @@ class TestBounds:
                     search = _Search(circuit, graph, config)
                     root_h = search.bound(search.root())
                     r = solve(circuit, graph, config)
-                    assert r.proven_optimal
+                    assert r.status == "optimal"
                     assert root_h <= r.objective_value
 
 
@@ -456,7 +461,7 @@ class TestFractionalWeights:
 
     def test_objective_is_exact(self, linear4):
         for r in self.solve_all(linear4):
-            assert r.proven_optimal
+            assert r.status == "optimal"
             assert isinstance(r.objective_value, Fraction)
             assert r.objective_value == (self.W_DEPTH * r.makespan
                                          + self.W_SWAPS * r.swap_count)
@@ -488,7 +493,7 @@ class TestSwapsObjective:
         a = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s))
         b = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s,
                                                use_pareto=False))
-        assert a.proven_optimal and b.proven_optimal
+        assert a.status == b.status == "optimal"
         assert a.objective_value == b.objective_value == a.swap_count
         for r in (a, b):
             assert validate(r.schedule, circuit, graph).ok
@@ -511,7 +516,7 @@ class TestDepthObjective:
     def test_matches_the_oracle(self, instance, d_s):
         circuit, graph = instance
         r = solve(circuit, graph, depth_config(swap_duration=d_s))
-        assert r.proven_optimal
+        assert r.status == "optimal"
         assert validate(r.schedule, circuit, graph).ok
         assert r.objective_value == oracle_fixpoint(circuit, graph, "depth", d_s).value
 
@@ -536,7 +541,7 @@ class TestModesAndProperties:
             exact = solve(circuit, linear4, depth_config())
             for width in (1, 8):
                 r = solve(circuit, linear4, depth_config(beam_width=width))
-                assert not r.proven_optimal
+                assert r.status == "incumbent"
                 assert validate(r.schedule, circuit, linear4).ok
                 assert r.objective_value >= exact.objective_value
 
