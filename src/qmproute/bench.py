@@ -198,7 +198,8 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def rows_from_csv(text: str) -> list[ResultRow]:
     """Rows of a results CSV; BenchError unless it has exactly the
-    CSV_COLUMNS header, a field for every column and a known status."""
+    CSV_COLUMNS header, a field for every column, a known status, mode and
+    objective, and an integer wherever ResultRow holds one."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != CSV_COLUMNS:
         raise BenchError(f"results CSV must have the columns {','.join(CSV_COLUMNS)}, "
@@ -208,16 +209,25 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         where = f"results CSV line {reader.line_num}"
         if None in rec or None in rec.values():
             raise BenchError(f"{where}: want {len(CSV_COLUMNS)} fields")
-        if rec["status"] not in STATUSES:
-            raise BenchError(f"{where}: status must be one of {list(STATUSES)}, "
-                             f"got {rec['status']!r}")
-        def num(key):
-            return int(rec[key]) if rec[key] != "" else None
-        rows.append(ResultRow(rec["instance_id"], rec["topology"], int(rec["qubits"]),
-                              int(rec["depth_param"]), int(rec["seed"]), rec["mode"],
-                              rec["objective"], num("depth"), num("swaps"),
-                              num("unweighted_depth"), rec["status"],
-                              int(rec["wall_time_ms"])))
+        for key, allowed in (("status", STATUSES), ("mode", MODES),
+                             ("objective", tuple(OBJECTIVE_WEIGHTS))):
+            if rec[key] not in allowed:
+                raise BenchError(f"{where}: {key} must be one of {list(allowed)}, "
+                                 f"got {rec[key]!r}")
+
+        def num(key, optional=False):
+            if optional and rec[key] == "":
+                return None
+            try:
+                return int(rec[key])
+            except ValueError:
+                raise BenchError(f"{where}: column {key!r} must be an integer, "
+                                 f"got {rec[key]!r}") from None
+        rows.append(ResultRow(rec["instance_id"], rec["topology"], num("qubits"),
+                              num("depth_param"), num("seed"), rec["mode"],
+                              rec["objective"], num("depth", True), num("swaps", True),
+                              num("unweighted_depth", True), rec["status"],
+                              num("wall_time_ms")))
     return rows
 
 

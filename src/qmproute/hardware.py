@@ -1,10 +1,11 @@
 """Hardware connectivity graphs.
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
-all-pairs hop distances, and enumeration of minimal (chordless) paths
-between node pairs, cached per ordered pair.  A path is minimal when no
-subset of its nodes can be removed and still leave a valid path, i.e. no
-hardware edge joins two non-consecutive path nodes.
+all-pairs hop distances, enumeration of minimal (chordless) paths
+between node pairs, cached per ordered pair, and the graph's automorphisms.
+A path is minimal when no subset of its nodes can be removed and still
+leave a valid path, i.e. no hardware edge joins two non-consecutive path
+nodes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from collections import deque
 
 from . import jsonfile
 
+# Most automorphisms `HardwareGraph.automorphisms` returns.  Each one costs
+# the Pareto store a tuple per child, and a star's group is n!.
+AUTOMORPHISM_CAP = 32
+
 
 class HardwareError(ValueError):
     pass
@@ -22,8 +27,8 @@ class HardwareError(ValueError):
 class HardwareGraph:
     """Undirected connected graph over nodes 1..num_nodes.
 
-    Immutable after construction except the minimal-path cache, which is
-    filled lazily and idempotently.
+    Immutable after construction except the minimal-path and automorphism
+    caches, which are filled lazily and idempotently.
     """
 
     def __init__(self, num_nodes: int, edges, max_paths_per_pair: int = 10000):
@@ -48,6 +53,7 @@ class HardwareGraph:
         self._edge_set = frozenset(self.edges)
         self.dist = self._all_pairs_distance()
         self._path_cache: dict[tuple[int, int], list[tuple[int, ...]] | None] = {}
+        self._automorphisms: list[tuple[int, ...]] | None = None
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
@@ -92,6 +98,65 @@ class HardwareGraph:
         self._path_cache[hi, lo] = (None if paths is None
                                     else [tuple(reversed(p)) for p in paths])
         return self._path_cache[v, w]
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """Non-identity node permutations that preserve every hop distance,
+        at most AUTOMORPHISM_CAP of them, in a fixed order.
+
+        Each is a tuple `sigma` over 0..num_nodes with `sigma[v]` the image of
+        node v and `sigma[0] == 0`, so `sigma[a]` maps an assignment entry
+        (0 = unassigned) too.  Found by backtracking over the nodes in BFS
+        order from node 1: a node's candidate images are the unused nodes of
+        its degree, adjacent to its BFS parent's image, whose distances to
+        every node mapped so far agree.  Computed on the first call, cached.
+        """
+        if self._automorphisms is None:
+            self._automorphisms = self._find_automorphisms()
+        return self._automorphisms
+
+    def _find_automorphisms(self) -> list[tuple[int, ...]]:
+        n, dist, adj = self.num_nodes, self.dist, self._adj
+        order = list(dist[1])           # BFS insertion order from node 1
+        parent = {}
+        for v in order:
+            for w in adj[v]:
+                parent.setdefault(w, v)
+        image = [0] * (n + 1)
+        used = [False] * (n + 1)
+        identity = tuple(range(n + 1))
+        found: list[tuple[int, ...]] = []
+
+        def candidates(k):
+            v = order[k]
+            dv, mapped = dist[v], order[:k]
+            pool = range(1, n + 1) if k == 0 else adj[image[parent[v]]]
+            for u in pool:
+                du = dist[u]
+                if (not used[u] and len(adj[u]) == len(adj[v])
+                        and all(du[image[m]] == dv[m] for m in mapped)):
+                    yield u
+
+        # Iterative depth-first search: levels[k] yields order[k]'s images.
+        levels = [candidates(0)]
+        while levels:
+            k = len(levels) - 1
+            v = order[k]
+            if image[v]:
+                used[image[v]] = False
+                image[v] = 0
+            u = next(levels[-1], None)
+            if u is None:
+                levels.pop()
+                continue
+            image[v] = u
+            used[u] = True
+            if k + 1 < n:
+                levels.append(candidates(k + 1))
+            elif tuple(image) != identity:
+                found.append(tuple(image))
+                if len(found) == AUTOMORPHISM_CAP:
+                    break
+        return found
 
     def _enumerate_chordless(self, v: int, w: int):
         results: list[tuple[int, ...]] = []

@@ -2,18 +2,24 @@
 
 Best-first tree search over partial schedules.  Each node schedules one
 more operation (a minimal circuit gate or a SWAP) on a hardware edge, as
-early as possible.  Nodes sharing an (assignment, progress) state are kept
-in a Pareto front; a node no better than a stored one on every coordinate
-the objective gives positive weight (the per-node depth vector, the SWAP
-count) is pruned.  This is sound because a state's completions depend only
-on its assignment and progress, so an unweighted coordinate can never make
-a node's best completion worse; when minimizing SWAPs alone each state
-keeps one record, its lowest SWAP count.  Two dominance rules drop children
-before they are built (`_Search.children`): no SWAP undoes its parent's
-SWAP, and with no weight on depth a gate that can run where its qubits
-stand is the only child.  An admissible lower bound drives the expansion
-order, so the first complete node popped is optimal.  A beam width converts
-the search into a heuristic.
+early as possible.  Nodes whose (assignment, progress) states are equal up
+to an automorphism of the hardware graph are kept in one Pareto front; a
+node no better than a stored one on every coordinate the objective gives
+positive weight (the per-node depth vector, the SWAP count) is pruned.
+This is sound because a state's completions depend only on its assignment
+and progress: an automorphism sigma maps every completion of a state to
+one of its image, with the same SWAP count and the depth vector permuted
+by sigma, so the store compares depth vectors in one frame per class
+(`_Front`).  Any set of automorphisms is sound, since each merge is
+justified by one of them; `HardwareGraph.automorphisms` caps the set,
+which only limits how much is merged.  An unweighted coordinate can never
+make a node's best completion worse; when minimizing SWAPs alone each
+class keeps one record, its lowest SWAP count.  Two dominance rules drop
+children before they are built (`_Search.children`): no SWAP undoes its
+parent's SWAP, and with no weight on depth a gate that can run where its
+qubits stand is the only child.  An admissible lower bound drives the
+expansion order, so the first complete node popped is optimal.  A beam
+width converts the search into a heuristic.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ class SolverConfig:
 
 class SearchNode:
     __slots__ = ("parent", "gate_index", "edge", "depth_map", "assignment",
-                 "progress", "swap_count", "num_scheduled", "bound", "removed")
+                 "progress", "swap_count", "num_scheduled", "bound", "removed",
+                 "frame")
 
     def __init__(self, parent, gate_index, edge, depth_map, assignment,
                  progress, swap_count, num_scheduled):
@@ -77,10 +84,7 @@ class SearchNode:
         self.num_scheduled = num_scheduled
         self.bound = None
         self.removed = False
-
-    @property
-    def state_key(self):
-        return (self.assignment, self.progress)
+        self.frame = None                   # depth map in its Pareto class's frame
 
 
 @dataclass
@@ -299,37 +303,84 @@ class _Search:
 
 
 class _Front:
-    """Pareto store: state key -> non-dominated records, compared on the
-    depth map and the SWAP count, each only if the objective weighs it."""
+    """Pareto store: class key -> non-dominated records, compared on the
+    depth map and the SWAP count, each only if the objective weighs it.
 
-    def __init__(self, track_depth: bool, track_swaps: bool):
+    A state's class key is the lexicographic minimum of (sigma . assignment,
+    progress) over the identity and the given automorphisms; a record's
+    depth map is stored mapped by one sigma that attains it (its `frame`,
+    `frame[sigma[v]] == depth_map[v]`).  When several sigma attain the key
+    (the state is fixed by a nontrivial automorphism), a newcomer is
+    compared in each of their frames.  Given the whole group, a record then
+    dominates a newcomer exactly when some automorphism maps the newcomer's
+    state onto the record's and the record's depth map is no worse than the
+    mapped one, whatever sigma the record was stored under.  With no automorphisms the key is the state and
+    the frame its depth map.
+    """
+
+    def __init__(self, track_depth: bool, track_swaps: bool, automorphisms=()):
         self.track_depth = track_depth
         self.track_swaps = track_swaps
+        # Each sigma with a getter of its inverse, which reads a depth map
+        # into sigma's frame: frame[u] = depth_map[sigma^-1[u]].
+        self.maps = []
+        for sigma in automorphisms:
+            inverse = [0] * len(sigma)
+            for v, u in enumerate(sigma):
+                inverse[u] = v
+            self.maps.append((sigma, operator.itemgetter(*inverse)))
         self.store: dict = {}
 
-    def dominates(self, a: SearchNode, b: SearchNode) -> bool:
-        if self.track_swaps and a.swap_count > b.swap_count:
+    def canonical(self, node: SearchNode):
+        """The node's class key, and its depth map in every frame that
+        attains the key (`(None,)` when depth is not tracked)."""
+        asg = node.assignment
+        best, winners = asg, [None]                 # None: the identity
+        # An itemgetter of one index returns the item, not a 1-tuple; with
+        # no qubits there is one state anyway.
+        if self.maps and len(asg) > 1:
+            images_of = operator.itemgetter(*asg)   # sigma -> sigma . assignment
+            for sigma, frame_of in self.maps:
+                image = images_of(sigma)
+                if image < best:
+                    best, winners = image, [frame_of]
+                elif image == best:
+                    winners.append(frame_of)
+        if not self.track_depth:
+            return (best, node.progress), (None,)
+        dm = node.depth_map
+        return (best, node.progress), [dm if frame_of is None else frame_of(dm)
+                                       for frame_of in winners]
+
+    def dominates(self, swaps_a: int, frame_a, swaps_b: int, frame_b) -> bool:
+        """Whether (swaps_a, frame_a) is no worse than (swaps_b, frame_b) on
+        every tracked coordinate, both frames of one class."""
+        if self.track_swaps and swaps_a > swaps_b:
             return False
-        return not self.track_depth or all(map(operator.le, a.depth_map, b.depth_map))
+        return not self.track_depth or all(map(operator.le, frame_a, frame_b))
 
     def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
-        records = self.store.setdefault(node.state_key, [])
+        key, frames = self.canonical(node)
+        records = self.store.setdefault(key, [])
+        swaps, dominates = node.swap_count, self.dominates
         for r in records:
-            if self.dominates(r, node):
-                stats.nodes_pruned += 1
-                return False
+            for frame in frames:
+                if dominates(r.swap_count, r.frame, swaps, frame):
+                    stats.nodes_pruned += 1
+                    return False
         kept = []
-        evicted = False
         for r in records:
-            if self.dominates(node, r):
-                r.removed = True
-                evicted = True
+            for frame in frames:
+                if dominates(swaps, frame, r.swap_count, r.frame):
+                    r.removed = True
+                    break
             else:
                 kept.append(r)
-        if evicted:
+        if len(kept) < len(records):
             stats.fronts_replaced += 1
+        node.frame = frames[0]
         kept.append(node)
-        self.store[node.state_key] = kept
+        self.store[key] = kept
         return True
 
 
@@ -356,7 +407,8 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
 
 def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> SolveResult:
     stats = SolveStats()
-    front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0)
+    front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0,
+                   automorphisms=search.graph.automorphisms())
     root = search.root()
     counter = 0
 

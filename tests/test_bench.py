@@ -180,7 +180,19 @@ class TestMatrix:
         (CSV_HEADER + "\n" + CSV_ROW.replace("optimal", "none"), "line 2: status must be one of"),
         (CSV_HEADER + "\n" + CSV_ROW.rsplit(",", 1)[0], "line 2: want 12 fields"),
         (CSV_HEADER + "\n" + CSV_ROW + ",7", "line 2: want 12 fields"),
-    ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row"])
+        (CSV_HEADER + "\n" + CSV_ROW.replace("layered", "sideways"),
+         "line 2: mode must be one of"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace("depth", "combined"),
+         "line 2: objective must be one of"),
+        (CSV_HEADER + "\n" + CSV_ROW + "\n" + CSV_ROW.replace(",10,0,", ",ten,0,"),
+         "line 3: column 'depth' must be an integer, got 'ten'"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",4,3,1,", ",4,3,1.5,"),
+         "line 2: column 'seed' must be an integer, got '1.5'"),
+        (CSV_HEADER + "\n" + CSV_ROW.rsplit(",", 1)[0] + ",",
+         "line 2: column 'wall_time_ms' must be an integer, got ''"),
+    ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row",
+            "unknown-mode", "unknown-objective", "non-integer-depth", "float-seed",
+            "empty-wall-time"])
     def test_rows_from_csv_rejects(self, text, message):
         assert rows_from_csv(CSV_HEADER + "\n" + CSV_ROW + "\n")
         with pytest.raises(BenchError, match=message):

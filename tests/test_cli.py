@@ -210,7 +210,14 @@ class TestUsageErrors:
         ("a,b\n1,2\n", "results CSV must have the columns"),
         (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,0,3,none,5\n",
          "status must be one of"),
-    ], ids=["wrong-columns", "unknown-status"])
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,sideways,depth,8,0,3,optimal,5\n",
+         "line 2: mode must be one of"),
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,combined,8,0,3,optimal,5\n",
+         "line 2: objective must be one of"),
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,x,3,optimal,5\n",
+         "line 2: column 'swaps' must be an integer, got 'x'"),
+    ], ids=["wrong-columns", "unknown-status", "unknown-mode", "unknown-objective",
+            "non-integer-field"])
     def test_report_checks_csv(self, tmp_path, capsys, text, message):
         path = tmp_path / "results.csv"
         path.write_text(text)

@@ -1,10 +1,14 @@
 import itertools
+import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
-from qmproute.hardware import (HardwareError, HardwareGraph, build_topology,
-                               parse_graph, parse_topology)
+from qmproute.hardware import (AUTOMORPHISM_CAP, HardwareError, HardwareGraph,
+                               build_topology, parse_graph, parse_topology)
 
 
 def as_nx(graph):
@@ -152,6 +156,65 @@ class TestMinimalPaths:
         g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], max_paths_per_pair=1)
         assert g.minimal_paths(3, 1) is None
         assert g.minimal_paths(1, 3) is None
+
+
+def assert_automorphisms(g):
+    """Every returned permutation is a distinct non-identity automorphism in
+    the documented tuple form."""
+    autos = g.automorphisms()
+    identity = tuple(range(g.num_nodes + 1))
+    assert len(set(autos)) == len(autos) <= AUTOMORPHISM_CAP
+    for sigma in autos:
+        assert sigma != identity and sigma[0] == 0
+        assert sorted(sigma) == list(identity)
+        assert sorted(tuple(sorted((sigma[v], sigma[w]))) for v, w in g.edges) == list(g.edges)
+    return autos
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree on 1 to 7 nodes plus any extra edges, up to the
+    complete graph, whose 7! automorphisms pass the cap."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return HardwareGraph(n, edges)
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("spec, group_size", [
+        ("linear:5", 2), ("grid:2x3", 4), ("grid:2x2", 8), ("grid:3x3", 8),
+        ("y:4", 6), ("y:7", 6), ("y:6", 2),
+    ])
+    def test_group_sizes(self, spec, group_size):
+        # The sizes count the identity, which the list leaves out.
+        assert len(assert_automorphisms(parse_topology(spec))) == group_size - 1
+
+    @given(small_connected_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_networkx(self, g):
+        group = sum(1 for _ in GraphMatcher(as_nx(g), as_nx(g)).isomorphisms_iter())
+        assert len(assert_automorphisms(g)) == min(group - 1, AUTOMORPHISM_CAP)
+
+    def test_star_stops_at_the_cap(self):
+        # The star's group has 9! elements.
+        g = HardwareGraph(10, [(10, v) for v in range(1, 10)])
+        t0 = time.perf_counter()
+        autos = assert_automorphisms(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(autos) == AUTOMORPHISM_CAP
+
+    def test_asymmetric_graph_has_none(self):
+        g = HardwareGraph(7, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 7), (3, 6), (4, 5), (5, 6)])
+        assert g.automorphisms() == []
+
+    def test_computed_on_first_call_and_cached(self):
+        # Building a graph must not pay for the search.
+        g = build_topology("grid", (3, 3))
+        assert g._automorphisms is None
+        assert g.automorphisms() is g.automorphisms()
 
 
 class TestGraphFile:

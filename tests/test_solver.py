@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
 from qmproute.hardware import HardwareGraph, build_topology, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
@@ -115,10 +116,12 @@ def instances(draw, max_gates,
 
 
 @st.composite
-def walks(draw):
-    """(search, nodes): a graph, a random circuit on it, a search in either
-    mode, and the nodes along one random sequence of children from the root."""
-    circuit, graph = draw(instances(max_gates=8))
+def walks(draw, graphs=None):
+    """(search, nodes): a graph (drawn from `graphs` if given), a random
+    circuit on it, a search in either mode, and the nodes along one random
+    sequence of children from the root."""
+    circuit, graph = draw(instances(max_gates=8) if graphs is None
+                          else instances(max_gates=8, graphs=graphs))
     search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20)),
                                                   layered=draw(st.booleans())))
     node = search.root()
@@ -338,7 +341,8 @@ class TestTryInsert:
         assert front.try_insert(new, stats)   # depth is not weighed
         assert old.removed
         assert stats.fronts_replaced == 1
-        assert front.store[new.state_key] == [new]
+        key, _ = front.canonical(new)
+        assert front.store[key] == [new]
 
     def test_swaps_only_equal_swaps_prunes_newcomer(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
@@ -362,6 +366,81 @@ class TestTryInsert:
             front.try_insert(self.make_node(search, dm, swaps=rng.randint(0, 5)), stats)
             assert all(len(records) == 1 for records in front.store.values())
 
+    def test_mirror_image_is_one_record(self, example_circuit, linear4):
+        # Gate 1 on edge (1,2) and on its mirror (4,3) under the reflection
+        # v -> 5 - v: the same depths once mapped, so the mirror is pruned.
+        # Without the automorphism the two states are separate records.
+        search = _Search(example_circuit, linear4, depth_config())
+        root = search.root()
+        for automorphisms, kept in ((linear4.automorphisms(), 1), ((), 2)):
+            front = _Front(track_depth=True, track_swaps=False, automorphisms=automorphisms)
+            stats = SolveStats()
+            a = search.make_child(root, 1, (1, 2))
+            b = search.make_child(root, 1, (4, 3))
+            assert front.try_insert(a, stats)
+            assert front.try_insert(b, stats) == (kept == 2)
+            assert sum(map(len, front.store.values())) == kept
+        assert linear4.automorphisms() == [(0, 4, 3, 2, 1)]
+
+    def test_better_mirror_image_evicts(self, example_circuit, linear4):
+        search = _Search(example_circuit, linear4, depth_config())
+        front = _Front(track_depth=True, track_swaps=False,
+                       automorphisms=linear4.automorphisms())
+        stats = SolveStats()
+        old = self.make_node(search, (0, 5, 5, 0, 0))
+        old.assignment = (0, 1, 2, 0, 0)
+        new = self.make_node(search, (0, 0, 0, 4, 5))
+        new.assignment = (0, 4, 3, 0, 0)
+        assert front.try_insert(old, stats)
+        assert front.try_insert(new, stats)
+        assert old.removed and stats.fronts_replaced == 1
+        key, frames = front.canonical(new)
+        assert front.store[key] == [new] and frames == [(0, 5, 4, 0, 0)]
+
+    def test_state_fixed_by_an_automorphism_compares_every_frame(self):
+        # On grid:2x3 (nodes 1 2 3 / 4 5 6) the left-right flip fixes the
+        # middle column.  With both qubits there, a depth map and its flip
+        # are the same state's; the key is attained in two frames, and the
+        # newcomer is pruned in the second.
+        graph = parse_topology("grid:2x3")
+        circuit = Circuit(2, (GateSpec(1, (1, 2), 3),))
+        search = _Search(circuit, graph, depth_config())
+        front = _Front(track_depth=True, track_swaps=False,
+                       automorphisms=graph.automorphisms())
+        stats = SolveStats()
+        a = self.make_node(search, (0, 7, 3, 0, 0, 3, 0))
+        b = self.make_node(search, (0, 0, 3, 7, 0, 3, 0))
+        a.assignment = b.assignment = (0, 2, 5)
+        assert len(front.canonical(b)[1]) == 2
+        assert front.try_insert(a, stats)
+        assert not front.try_insert(b, stats)
+        assert stats.nodes_pruned == 1
+
+    @given(walks(topologies("grid:2x2", "grid:3x3", "y:4", "y:7", "linear:5")))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_key_and_frames(self, walk):
+        # The key is the least image of the assignment over the whole
+        # group, and the frames are the depth map moved by each sigma that
+        # attains it: node sigma[v] gets v's depth.
+        search, nodes = walk
+        graph = search.graph
+        group = [tuple(range(graph.num_nodes + 1))] + graph.automorphisms()
+        front = _Front(track_depth=True, track_swaps=False,
+                       automorphisms=graph.automorphisms())
+        for node in nodes:
+            images = {sigma: tuple(sigma[a] for a in node.assignment) for sigma in group}
+            best = min(images.values())
+            expected = []
+            for sigma in group:
+                if images[sigma] == best:
+                    frame = [0] * len(sigma)
+                    for v, u in enumerate(sigma):
+                        frame[u] = node.depth_map[v]
+                    expected.append(tuple(frame))
+            key, frames = front.canonical(node)
+            assert key == (best, node.progress)
+            assert sorted(frames) == sorted(expected)
+
     def test_store_health(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         front = _Front(track_depth=True, track_swaps=False)
@@ -375,7 +454,8 @@ class TestTryInsert:
             for a in records:
                 for b in records:
                     if a is not b:
-                        assert not front.dominates(a, b)
+                        assert not front.dominates(a.swap_count, a.frame,
+                                                   b.swap_count, b.frame)
 
 
 class TestBounds:
@@ -519,6 +599,72 @@ class TestDepthObjective:
         assert r.status == "optimal"
         assert validate(r.schedule, circuit, graph).ok
         assert r.objective_value == oracle_fixpoint(circuit, graph, "depth", d_s).value
+
+
+def relabelled_graph(graph, perm):
+    """`graph` with node v renamed perm[v]."""
+    return HardwareGraph(graph.num_nodes, [(perm[v], perm[w]) for v, w in graph.edges])
+
+
+def solve_both_ways(circuit, graph, objective, layered):
+    config = depth_config if objective == "depth" else swaps_config
+    r = solve(circuit, graph, config(layered=layered))
+    assert r.status == "optimal"
+    assert validate(r.schedule, circuit, graph).ok
+    return r
+
+
+class TestSymmetry:
+    """Metamorphic laws of the optimum, which the symmetric Pareto store
+    must keep."""
+
+    @given(instances(max_gates=6), st.sampled_from(["depth", "swaps"]), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_qubits_keeps_the_optimum(self, instance, objective, layered, rng):
+        circuit, graph = instance
+        n = circuit.num_virtual_qubits
+        perm = [0] + rng.sample(range(1, n + 1), n)
+        relabelled = Circuit(n, tuple(GateSpec(g.id, (perm[g.qubits[0]], perm[g.qubits[1]]),
+                                               g.duration) for g in circuit.gates))
+        a = solve_both_ways(circuit, graph, objective, layered)
+        b = solve_both_ways(relabelled, graph, objective, layered)
+        assert a.objective_value == b.objective_value
+
+    @given(instances(max_gates=6), st.sampled_from(["depth", "swaps"]), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_nodes_keeps_the_optimum(self, instance, objective, layered, rng):
+        circuit, graph = instance
+        n = graph.num_nodes
+        perm = [0] + rng.sample(range(1, n + 1), n)
+        a = solve_both_ways(circuit, graph, objective, layered)
+        b = solve_both_ways(circuit, relabelled_graph(graph, perm), objective, layered)
+        assert a.objective_value == b.objective_value
+
+    @given(instances(max_gates=5, graphs=topologies("grid:2x2", "y:4", "grid:2x3")),
+           st.sampled_from(["depth", "swaps"]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_store_matches_no_store(self, instance, objective, layered):
+        circuit, graph = instance
+        config = depth_config if objective == "depth" else swaps_config
+        a = solve_both_ways(circuit, graph, objective, layered)
+        b = solve(circuit, graph, config(layered=layered, use_pareto=False))
+        assert b.status == "optimal" and validate(b.schedule, circuit, graph).ok
+        assert a.objective_value == b.objective_value
+
+    def test_asymmetric_graph_counts_unchanged(self):
+        # A graph with no automorphism but the identity searches exactly
+        # the nodes it searched before the store merged automorphic states
+        # (counts measured then).
+        graph = HardwareGraph(7, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 7), (3, 6),
+                                  (4, 5), (5, 6)])
+        circuit = gen_random_circuit(InstanceSpec("linear:7", 6, 10, 0))
+        for config, counts in ((depth_config(), (864, 5208, 2522, 114)),
+                               (swaps_config(), (188, 1406, 230, 35))):
+            s = solve(circuit, graph, config).stats
+            assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
+                    s.fronts_replaced) == counts
 
 
 class TestModesAndProperties:
