@@ -1,17 +1,1 @@
 """Exact and heuristic scheduling of two-qubit gates onto hardware graphs."""
-
-from .circuit import Circuit, GateSpec, analyze, parse_circuit
-from .hardware import HardwareGraph, build_topology, parse_graph, parse_topology
-from .oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
-from .schedule import Metrics, Schedule, ScheduledOp, compute_metrics, validate
-from .solver import SolveResult, SolverConfig, solve
-
-__all__ = [
-    "Circuit", "GateSpec", "analyze", "parse_circuit",
-    "HardwareGraph", "build_topology", "parse_graph", "parse_topology",
-    "Metrics", "Schedule", "ScheduledOp", "compute_metrics", "validate",
-    "SolveResult", "SolverConfig", "solve",
-    "OracleConfig", "exhaustive_solve", "oracle_fixpoint",
-]
-
-__version__ = "0.1.0"

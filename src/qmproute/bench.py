@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 from . import jsonfile
 from .circuit import Circuit, GateSpec
 from .hardware import HardwareError, parse_topology
-from .schedule import compute_metrics
-from .solver import DEFAULT_SWAP_DURATION, SolverConfig, solve
+from .schedule import DEFAULT_SWAP_DURATION, compute_metrics
+from .solver import SolverConfig, solve
 
 ECR_DURATION = 4
 SINGLE_DURATION = 1
@@ -43,6 +43,7 @@ class InstanceSpec:
 
 
 # A row's status: the solver's own word, or `error` when the solve raised.
+# Rows with a schedule fill in every metric; the others leave them empty.
 STATUSES = ("optimal", "incumbent", "timeout", "error")
 
 
@@ -138,16 +139,6 @@ def check_instance(topology: str, num_qubits: int) -> None:
         raise BenchError(f"{num_qubits} qubits exceed {nodes} nodes")
 
 
-def objective_config(objective: str, layered: bool, time_limit, swap_duration,
-                     beam_width=None) -> SolverConfig:
-    """Solver config weighing only the depth or only the SWAP count."""
-    if objective not in OBJECTIVE_WEIGHTS:
-        raise BenchError(f"unknown objective {objective!r}")
-    w_d, w_s = OBJECTIVE_WEIGHTS[objective]
-    return SolverConfig(w_depth=w_d, w_swaps=w_s, layered=layered, beam_width=beam_width,
-                        time_limit=time_limit, swap_duration=swap_duration)
-
-
 def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
     rows: list[ResultRow] = []
     time_limit = matrix.get("time_limit", DEFAULT_TIME_LIMIT)
@@ -164,8 +155,10 @@ def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
         circuit = gen_random_circuit(spec)
         for objective in matrix["objectives"]:
             for mode in matrix["modes"]:
-                layered = mode == "layered"
-                config = objective_config(objective, layered, time_limit, swap_duration)
+                w_depth, w_swaps = OBJECTIVE_WEIGHTS[objective]
+                config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps,
+                                      layered=mode == "layered", time_limit=time_limit,
+                                      swap_duration=swap_duration)
                 t0 = time.monotonic()
                 try:
                     result = solve(circuit, graph, config)
@@ -199,7 +192,8 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 def rows_from_csv(text: str) -> list[ResultRow]:
     """Rows of a results CSV; BenchError unless it has exactly the
     CSV_COLUMNS header, a field for every column, a known status, mode and
-    objective, and an integer wherever ResultRow holds one."""
+    objective, metrics set exactly when the status has a schedule, and an
+    integer wherever ResultRow holds one."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != CSV_COLUMNS:
         raise BenchError(f"results CSV must have the columns {','.join(CSV_COLUMNS)}, "
@@ -214,6 +208,11 @@ def rows_from_csv(text: str) -> list[ResultRow]:
             if rec[key] not in allowed:
                 raise BenchError(f"{where}: {key} must be one of {list(allowed)}, "
                                  f"got {rec[key]!r}")
+        scheduled = rec["status"] in ("optimal", "incumbent")
+        for key in ("depth", "swaps", "unweighted_depth"):
+            if (rec[key] != "") != scheduled:
+                raise BenchError(f"{where}: column {key!r} must be "
+                                 f"{'set' if scheduled else 'empty'} for status {rec['status']}")
 
         def num(key, optional=False):
             if optional and rec[key] == "":

@@ -18,7 +18,8 @@ from . import bench as bench_mod
 from . import oracle as oracle_mod
 from .circuit import parse_circuit
 from .hardware import parse_graph, parse_topology
-from .schedule import compute_metrics, parse_schedule, schedule_to_json, validate
+from .schedule import (DEFAULT_SWAP_DURATION, compute_metrics, parse_schedule,
+                       schedule_to_json, validate)
 from .solver import SolverConfig, solve
 
 EXIT_OK = 0
@@ -57,15 +58,13 @@ def _cmd_solve(args) -> int:
     if args.objective == "combined":
         w_depth = 1 if args.w_depth is None else args.w_depth
         w_swaps = 0 if args.w_swaps is None else args.w_swaps
-        config = SolverConfig(w_depth=Fraction(str(w_depth)), w_swaps=Fraction(str(w_swaps)),
-                              layered=args.layered, beam_width=args.beam_width,
-                              time_limit=args.time_limit,
-                              swap_duration=args.swap_duration)
     elif args.w_depth is not None or args.w_swaps is not None:
         raise _UsageError("--w-depth and --w-swaps apply only to --objective combined")
     else:
-        config = bench_mod.objective_config(args.objective, args.layered, args.time_limit,
-                                            args.swap_duration, args.beam_width)
+        w_depth, w_swaps = bench_mod.OBJECTIVE_WEIGHTS[args.objective]
+    config = SolverConfig(w_depth=Fraction(str(w_depth)), w_swaps=Fraction(str(w_swaps)),
+                          layered=args.layered, beam_width=args.beam_width,
+                          time_limit=args.time_limit, swap_duration=args.swap_duration)
     circuit = parse_circuit(Path(args.circuit).read_text())
     graph = _load_graph(args)
     result = solve(circuit, graph, config)
@@ -190,7 +189,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layered", action="store_true")
     p.add_argument("--beam-width", dest="beam_width", type=int, default=None)
     p.add_argument("--time-limit", dest="time_limit", type=float, default=None)
-    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=15)
+    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=DEFAULT_SWAP_DURATION)
     p.add_argument("--out", help="schedule output file")
     p.add_argument("--stats", help="stats output file")
     p.set_defaults(func=_cmd_solve)
@@ -206,7 +205,7 @@ def build_parser() -> _Parser:
     add_graph_opts(p)
     p.add_argument("--objective", choices=["depth", "swaps"], default="depth")
     p.add_argument("--max-swaps", dest="max_swaps", type=int, required=True)
-    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=15)
+    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=DEFAULT_SWAP_DURATION)
     p.add_argument("--out", help="witness schedule output file")
     p.set_defaults(func=_cmd_oracle)
 

@@ -159,33 +159,38 @@ class HardwareGraph:
         return found
 
     def _enumerate_chordless(self, v: int, w: int):
+        """Depth-first search with a stack of neighbour iterators, so a long
+        path costs no recursion.  touch[u] counts the path nodes adjacent to
+        u: a neighbour x of the last node extends the path without a chord
+        exactly when touch[x] == 1 and x is off the path.  The path being
+        chordless, the only path node next to the last is the one before it,
+        whose count is 2 unless it is v."""
+        adj = self._adj
         results: list[tuple[int, ...]] = []
         path = [v]
-        on_path = {v}
-
-        def extend(last: int) -> bool:
-            for x in self._adj[last]:
-                if x in on_path:
-                    continue
-                # Chordless: x may touch no earlier path node except `last`.
-                if any(self.has_edge(x, u) for u in path[:-1]):
+        touch = [0] * (self.num_nodes + 1)
+        for y in adj[v]:
+            touch[y] += 1
+        stack = [iter(adj[v])]
+        while stack:
+            for x in stack[-1]:
+                if touch[x] != 1 or x == v:
                     continue
                 if x == w:
                     results.append(tuple(path) + (w,))
                     if len(results) > self.max_paths_per_pair:
-                        return False
+                        return None
                     continue
                 path.append(x)
-                on_path.add(x)
-                ok = extend(x)
-                path.pop()
-                on_path.remove(x)
-                if not ok:
-                    return False
-            return True
-
-        if not extend(v):
-            return None
+                for y in adj[x]:
+                    touch[y] += 1
+                stack.append(iter(adj[x]))
+                break
+            else:
+                stack.pop()
+                x = path.pop()
+                for y in adj[x]:
+                    touch[y] -= 1
         results.sort()
         return results
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 from .hardware import HardwareGraph
-from .schedule import SWAP, Schedule, ScheduledOp
+from .schedule import DEFAULT_SWAP_DURATION, SWAP, Schedule, ScheduledOp
 
 DEPTH = "depth"
 SWAPS = "swaps"
+FIXPOINT_MAX_CAP = 32
 
 
 class CapExhausted(RuntimeError):
@@ -26,7 +27,7 @@ class CapExhausted(RuntimeError):
 class OracleConfig:
     max_swaps: int
     objective: str = DEPTH
-    swap_duration: int = 15
+    swap_duration: int = DEFAULT_SWAP_DURATION
 
     def __post_init__(self):
         if self.objective not in (DEPTH, SWAPS):
@@ -156,24 +157,20 @@ def exhaustive_solve(circuit: Circuit, graph: HardwareGraph,
 
 
 def oracle_fixpoint(circuit: Circuit, graph: HardwareGraph, objective: str,
-                    swap_duration: int = 15, start_cap: int = 0,
-                    max_cap: int = 32) -> OracleResult:
-    """Re-run the oracle with growing SWAP caps until the optimum is stable
-    across two consecutive caps (the documented acceptance procedure)."""
+                    swap_duration: int = DEFAULT_SWAP_DURATION) -> OracleResult:
+    """Re-run the oracle with SWAP caps 0, 1, ... until the optimum is
+    stable across two consecutive caps (the documented acceptance procedure)."""
     prev: OracleResult | None = None
-    cap = start_cap
-    while cap <= max_cap:
+    for cap in range(FIXPOINT_MAX_CAP + 1):
         try:
             res = exhaustive_solve(circuit, graph,
                                    OracleConfig(max_swaps=cap, objective=objective,
                                                 swap_duration=swap_duration))
         except CapExhausted:
-            cap += 1
             continue
         if not res.cap_hit:
             return res
         if prev is not None and prev.value == res.value:
             return res
         prev = res
-        cap += 1
-    raise RuntimeError(f"oracle value did not stabilize within cap {max_cap}")
+    raise RuntimeError(f"oracle value did not stabilize within cap {FIXPOINT_MAX_CAP}")

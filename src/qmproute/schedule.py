@@ -16,6 +16,7 @@ from .circuit import Circuit
 from .hardware import HardwareGraph
 
 SWAP = 0
+DEFAULT_SWAP_DURATION = 15
 
 
 class ScheduleError(ValueError):
@@ -165,11 +166,11 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
     return ValidationResult(ok=True, initial_assignment=initial)
 
 
-def compute_metrics(schedule: Schedule, swap_unit_cost: int = 1) -> Metrics:
+def compute_metrics(schedule: Schedule) -> Metrics:
     """Depth (makespan), SWAP count and unweighted depth.
 
     The unweighted depth re-times the same op sequence greedily with every
-    op duration set to 1 (SWAP counted as `swap_unit_cost` unit ops).
+    op duration, a SWAP's included, set to 1.
     """
     depth = max((op.end for op in schedule.ops), default=0)
     swaps = sum(1 for op in schedule.ops if op.is_swap)
@@ -178,9 +179,8 @@ def compute_metrics(schedule: Schedule, swap_unit_cost: int = 1) -> Metrics:
     for op in schedule.ops:
         v, w = op.edge
         start = max(free.get(v, 0), free.get(w, 0))
-        d = swap_unit_cost if op.is_swap else 1
-        free[v] = free[w] = start + d
-        unweighted = max(unweighted, start + d)
+        free[v] = free[w] = start + 1
+        unweighted = max(unweighted, start + 1)
     return Metrics(depth=depth, swaps=swaps, unweighted_depth=unweighted)
 
 

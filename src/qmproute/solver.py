@@ -34,9 +34,7 @@ from fractions import Fraction
 
 from .circuit import Circuit, PrecedenceInfo, analyze, minimal_unscheduled
 from .hardware import HardwareGraph
-from .schedule import SWAP, Schedule, ScheduledOp
-
-DEFAULT_SWAP_DURATION = 15
+from .schedule import DEFAULT_SWAP_DURATION, SWAP, Schedule, ScheduledOp
 
 
 class SolverError(ValueError):
@@ -69,8 +67,7 @@ class SolverConfig:
 
 class SearchNode:
     __slots__ = ("parent", "gate_index", "edge", "depth_map", "assignment",
-                 "progress", "swap_count", "num_scheduled", "bound", "removed",
-                 "frame")
+                 "progress", "swap_count", "num_scheduled", "removed", "frame")
 
     def __init__(self, parent, gate_index, edge, depth_map, assignment,
                  progress, swap_count, num_scheduled):
@@ -82,7 +79,6 @@ class SearchNode:
         self.progress = progress            # tuple over qubits 1..n
         self.swap_count = swap_count
         self.num_scheduled = num_scheduled
-        self.bound = None
         self.removed = False
         self.frame = None                   # depth map in its Pareto class's frame
 
@@ -94,7 +90,6 @@ class SolveStats:
     nodes_pruned: int = 0
     fronts_replaced: int = 0
     wall_time: float = 0.0
-    restarts: int = 0
 
 
 @dataclass
@@ -210,12 +205,10 @@ class _Search:
 
     def root(self) -> SearchNode:
         n = self.circuit.num_virtual_qubits
-        node = SearchNode(parent=None, gate_index=None, edge=None,
+        return SearchNode(parent=None, gate_index=None, edge=None,
                           depth_map=(0,) * (self.graph.num_nodes + 1),
                           assignment=(0,) * (n + 1), progress=(0,) * (n + 1),
                           swap_count=0, num_scheduled=0)
-        node.bound = self.bound(node)
-        return node
 
     def make_child(self, node: SearchNode, gate_index: int, edge) -> SearchNode:
         v, w = edge
@@ -391,21 +384,17 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
     config = config or SolverConfig()
     t0 = time.monotonic()
     search = _Search(circuit, graph, config)
-    restarts = 0
     beam = config.beam_width
-    while True:
-        result = _run(search, config, beam, t0)
-        result.stats.restarts = restarts
-        if (result.schedule is not None or beam is None or config.time_limit is not None
-                and time.monotonic() - t0 > config.time_limit):
-            break
+    while (result := _run(search, beam, t0)) is None:
         beam *= 2
-        restarts += 1
     result.stats.wall_time = time.monotonic() - t0
     return result
 
 
-def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> SolveResult:
+def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
+    """One search at beam width `beam` (None: exact); None when a beam's
+    open list empties with no complete node."""
+    config = search.config
     stats = SolveStats()
     front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0,
                    automorphisms=search.graph.automorphisms())
@@ -415,7 +404,7 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
     def entry(node: SearchNode):
         nonlocal counter
         counter += 1
-        return (node.bound, -node.num_scheduled, node.swap_count, counter, node)
+        return (search.bound(node), -node.num_scheduled, node.swap_count, counter, node)
 
     open_heap = [entry(root)]
     front.try_insert(root, stats)
@@ -431,7 +420,7 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
-            return _result(search, config, node, stats, "incumbent" if beam else "optimal")
+            return _result(search, node, stats, "incumbent" if beam else "optimal")
         stats.nodes_expanded += 1
         for gate_index, edge in search.children(node):
             child = search.make_child(node, gate_index, edge)
@@ -441,7 +430,6 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
                     incumbent, incumbent_obj = child, obj
             # Only Pareto survivors are bounded: a pruned child needs no key.
             if not config.use_pareto or front.try_insert(child, stats):
-                child.bound = search.bound(child)
                 stats.nodes_inserted += 1
                 heapq.heappush(open_heap, entry(child))
         if beam is not None:
@@ -455,13 +443,13 @@ def _run(search: _Search, config: SolverConfig, beam: int | None, t0: float) -> 
                 open_heap = alive[:beam]
 
     if incumbent is not None:
-        return _result(search, config, incumbent, stats, "incumbent")
-    # `solve` restarts a dead beam, so only the time limit leaves no schedule.
+        return _result(search, incumbent, stats, "incumbent")
+    if beam is not None and not open_heap:
+        return None     # the beam died, not the clock: `solve` widens it
     return SolveResult(schedule=None, objective_value=None, status="timeout", stats=stats)
 
 
-def _result(search: _Search, config: SolverConfig, node: SearchNode,
-            stats: SolveStats, status: str) -> SolveResult:
+def _result(search: _Search, node: SearchNode, stats: SolveStats, status: str) -> SolveResult:
     """The schedule along `node`'s path; each op starts when both of its
     nodes are free in the parent and ends at the child's depth there."""
     ops = []
@@ -474,7 +462,7 @@ def _result(search: _Search, config: SolverConfig, node: SearchNode,
         cur = cur.parent
     ops.reverse()
     ops.sort(key=lambda op: op.start)
-    schedule = Schedule(ops=tuple(ops), swap_duration=config.swap_duration)
+    schedule = Schedule(ops=tuple(ops), swap_duration=search.config.swap_duration)
     return SolveResult(schedule=schedule,
                        objective_value=Fraction(search.objective(node), search.scale),
                        status=status,

@@ -52,11 +52,13 @@ class TestGenerator:
 
 
 def make_rows(values, objective="depth"):
-    """values: list of (instance_id, mode, depth, status)."""
+    """values: list of (instance_id, mode, depth, status); a depth of None
+    leaves every metric empty."""
     rows = []
     for iid, mode, depth, status in values:
+        swaps = None if depth is None else 0
         rows.append(ResultRow(iid, "linear:4", 4, 3, 0, mode, objective,
-                              depth, 0, depth, status, 1))
+                              depth, swaps, depth, status, 1))
     return rows
 
 
@@ -170,7 +172,8 @@ class TestMatrix:
 
     @pytest.mark.parametrize("status", ["optimal", "incumbent", "timeout", "error"])
     def test_csv_reads_every_status(self, status):
-        rows = make_rows([("a", "layered", 10, status)])
+        depth = 10 if status in ("optimal", "incumbent") else None
+        rows = make_rows([("a", "layered", depth, status)])
         assert rows_from_csv(rows_to_csv(rows)) == rows
 
     @pytest.mark.parametrize("text, message", [
@@ -190,9 +193,18 @@ class TestMatrix:
          "line 2: column 'seed' must be an integer, got '1.5'"),
         (CSV_HEADER + "\n" + CSV_ROW.rsplit(",", 1)[0] + ",",
          "line 2: column 'wall_time_ms' must be an integer, got ''"),
+        (CSV_HEADER + "\n" + CSV_ROW + "\n" + CSV_ROW.replace(",10,0,10,", ",,0,10,"),
+         "line 3: column 'depth' must be set for status optimal"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",0,10,optimal,", ",0,,incumbent,"),
+         "line 2: column 'unweighted_depth' must be set for status incumbent"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace("optimal", "timeout"),
+         "line 2: column 'depth' must be empty for status timeout"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",10,0,10,optimal,", ",,0,,error,"),
+         "line 2: column 'swaps' must be empty for status error"),
     ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row",
             "unknown-mode", "unknown-objective", "non-integer-depth", "float-seed",
-            "empty-wall-time"])
+            "empty-wall-time", "optimal-without-depth", "incumbent-without-unweighted",
+            "timeout-with-metrics", "error-with-swaps"])
     def test_rows_from_csv_rejects(self, text, message):
         assert rows_from_csv(CSV_HEADER + "\n" + CSV_ROW + "\n")
         with pytest.raises(BenchError, match=message):

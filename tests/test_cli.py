@@ -216,8 +216,13 @@ class TestUsageErrors:
          "line 2: objective must be one of"),
         (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,x,3,optimal,5\n",
          "line 2: column 'swaps' must be an integer, got 'x'"),
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,non-layered,depth,,0,3,optimal,5"
+                                 "\ni,linear:4,4,3,1,layered,depth,12,0,3,optimal,5\n",
+         "line 2: column 'depth' must be set for status optimal"),
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,0,3,timeout,5\n",
+         "line 2: column 'depth' must be empty for status timeout"),
     ], ids=["wrong-columns", "unknown-status", "unknown-mode", "unknown-objective",
-            "non-integer-field"])
+            "non-integer-field", "optimal-without-metrics", "timeout-with-metrics"])
     def test_report_checks_csv(self, tmp_path, capsys, text, message):
         path = tmp_path / "results.csv"
         path.write_text(text)

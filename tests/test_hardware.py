@@ -92,6 +92,18 @@ class TestDistances:
             HardwareGraph(4, [(1, 2), (3, 4)])
 
 
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree on 1 to 7 nodes plus any extra edges, up to the
+    complete graph, whose 7! automorphisms pass the cap."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return HardwareGraph(n, edges)
+
+
 class TestMinimalPaths:
     def test_unique_path_in_tree(self):
         g = build_topology("linear", 4)
@@ -128,6 +140,19 @@ class TestMinimalPaths:
         for v in range(1, g.num_nodes + 1):
             for w in range(v + 1, g.num_nodes + 1):
                 assert g.minimal_paths(v, w) == naive_chordless_paths(g, v, w)
+
+    @given(small_connected_graphs(), st.sampled_from([1, 3, 10000]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive_enumeration_on_random_graphs(self, g, cap):
+        g.max_paths_per_pair = cap
+        for v in range(1, g.num_nodes + 1):
+            for w in range(v + 1, g.num_nodes + 1):
+                naive = naive_chordless_paths(g, v, w)
+                assert g.minimal_paths(v, w) == (naive if len(naive) <= cap else None)
+
+    def test_long_path_needs_no_recursion(self):
+        g = build_topology("linear", 1100)
+        assert g.minimal_paths(1, 1100) == [tuple(range(1, 1101))]
 
     def test_every_path_chordless_and_at_least_distance(self):
         g = build_topology("grid", (2, 3))
@@ -169,18 +194,6 @@ def assert_automorphisms(g):
         assert sorted(sigma) == list(identity)
         assert sorted(tuple(sorted((sigma[v], sigma[w]))) for v, w in g.edges) == list(g.edges)
     return autos
-
-
-@st.composite
-def small_connected_graphs(draw):
-    """A random spanning tree on 1 to 7 nodes plus any extra edges, up to the
-    complete graph, whose 7! automorphisms pass the cap."""
-    n = draw(st.integers(1, 7))
-    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
-    pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
-    if pairs:
-        edges += draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
-    return HardwareGraph(n, edges)
 
 
 class TestAutomorphisms:

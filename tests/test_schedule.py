@@ -148,10 +148,6 @@ class TestMetrics:
         m = compute_metrics(s)
         assert (m.depth, m.swaps, m.unweighted_depth) == (4, 0, 1)
 
-    def test_swap_unit_cost_flag(self, s3):
-        m = compute_metrics(s3, swap_unit_cost=3)
-        assert m.unweighted_depth == 8   # chain g1, s1, s2, g3 with SWAPs at 3
-
 
 class TestScheduleFile:
     def test_roundtrip(self, example_circuit, s3):

@@ -11,7 +11,7 @@ from qmproute.hardware import HardwareGraph, build_topology, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
-                             _Search, bound_depth, bound_swaps, solve)
+                             _run, _Search, bound_depth, bound_swaps, solve)
 
 from conftest import tiny_instances
 
@@ -690,6 +690,21 @@ class TestModesAndProperties:
                 assert r.status == "incumbent"
                 assert validate(r.schedule, circuit, linear4).ok
                 assert r.objective_value >= exact.objective_value
+
+    def test_dead_beam_restarts_at_twice_the_width(self, linear4):
+        circuit = gen_random_circuit(InstanceSpec("linear:4", 4, 6, 11))
+        # Width 1 empties its open list with no complete node ...
+        assert _run(_Search(circuit, linear4, depth_config()), 1, 0.0) is None
+        # ... so `solve` searches again at width 2, and returns that search.
+        r = solve(circuit, linear4, depth_config(beam_width=1))
+        wide = solve(circuit, linear4, depth_config(beam_width=2))
+        assert r.status == "incumbent"
+        assert validate(r.schedule, circuit, linear4).ok
+        assert r.objective_value == wide.objective_value == 48
+        assert r.schedule == wide.schedule
+        counts = ("nodes_expanded", "nodes_inserted", "nodes_pruned", "fronts_replaced")
+        assert ([getattr(r.stats, k) for k in counts]
+                == [getattr(wide.stats, k) for k in counts])
 
     def test_beam_unbounded_matches_exact(self, example_circuit, linear4):
         exact = solve(example_circuit, linear4, depth_config())
