@@ -15,6 +15,7 @@ import io
 import random
 import time
 from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, TextIO
 
 from . import jsonfile
 from .circuit import Circuit, GateSpec
@@ -139,53 +140,54 @@ def check_instance(topology: str, num_qubits: int) -> None:
         raise BenchError(f"{num_qubits} qubits exceed {nodes} nodes")
 
 
-def run_matrix(matrix: dict, progress=None) -> list[ResultRow]:
-    rows: list[ResultRow] = []
+def run_matrix(matrix: dict) -> Iterator[ResultRow]:
+    """Solve every instance, seed, objective and mode in that order, yielding
+    each row as its solve ends.  The seeds of an instance share one graph."""
     time_limit = matrix.get("time_limit", DEFAULT_TIME_LIMIT)
     swap_duration = matrix.get("swap_duration", DEFAULT_SWAP_DURATION)
-    specs: list[InstanceSpec] = []
     for entry in matrix["instances"]:
+        graph = parse_topology(entry["topology"])
         for seed in entry["seeds"]:
-            specs.append(InstanceSpec(topology=entry["topology"],
-                                      num_qubits=entry["qubits"],
-                                      depth_param=entry["depth_param"],
-                                      seed=seed))
-    for spec in specs:
-        graph = parse_topology(spec.topology)
-        circuit = gen_random_circuit(spec)
-        for objective in matrix["objectives"]:
-            for mode in matrix["modes"]:
-                w_depth, w_swaps = OBJECTIVE_WEIGHTS[objective]
-                config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps,
-                                      layered=mode == "layered", time_limit=time_limit,
-                                      swap_duration=swap_duration)
-                t0 = time.monotonic()
-                try:
-                    result = solve(circuit, graph, config)
-                    status, schedule = result.status, result.schedule
-                except Exception:
-                    status, schedule = "error", None
-                ms = int((time.monotonic() - t0) * 1000)
-                metrics = (None, None, None)
-                if schedule is not None:
-                    m = compute_metrics(schedule)
-                    metrics = (m.depth, m.swaps, m.unweighted_depth)
-                row = ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
-                                spec.depth_param, spec.seed, mode, objective,
-                                *metrics, status, ms)
-                rows.append(row)
-                if progress:
-                    progress(row)
-    return rows
+            spec = InstanceSpec(topology=entry["topology"], num_qubits=entry["qubits"],
+                                depth_param=entry["depth_param"], seed=seed)
+            circuit = gen_random_circuit(spec)
+            for objective in matrix["objectives"]:
+                for mode in matrix["modes"]:
+                    w_depth, w_swaps = OBJECTIVE_WEIGHTS[objective]
+                    config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps,
+                                          layered=mode == "layered", time_limit=time_limit,
+                                          swap_duration=swap_duration)
+                    t0 = time.monotonic()
+                    try:
+                        result = solve(circuit, graph, config)
+                        status, schedule = result.status, result.schedule
+                    except Exception:
+                        status, schedule = "error", None
+                    ms = int((time.monotonic() - t0) * 1000)
+                    metrics = (None, None, None)
+                    if schedule is not None:
+                        m = compute_metrics(schedule)
+                        metrics = (m.depth, m.swaps, m.unweighted_depth)
+                    yield ResultRow(spec.instance_id, spec.topology, spec.num_qubits,
+                                    spec.depth_param, spec.seed, mode, objective,
+                                    *metrics, status, ms)
 
 
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def write_rows(rows: Iterable[ResultRow], out: TextIO) -> Iterator[ResultRow]:
+    """Write the CSV header to `out`, then each row as it arrives, flushed,
+    and yield the row once it is written (csv writes None as an empty field)."""
+    writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([getattr(row, c) if getattr(row, c) is not None else ""
-                         for c in CSV_COLUMNS])
+        writer.writerow([getattr(row, c) for c in CSV_COLUMNS])
+        out.flush()
+        yield row
+
+
+def rows_to_csv(rows: Iterable[ResultRow]) -> str:
+    buf = io.StringIO()
+    for _ in write_rows(rows, buf):
+        pass
     return buf.getvalue()
 
 

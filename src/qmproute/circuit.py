@@ -114,35 +114,26 @@ class PrecedenceInfo:
 def analyze(circuit: Circuit) -> PrecedenceInfo:
     per_qubit: dict[int, list[int]] = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
     pos: dict[int, dict[int, int]] = {}
-    pred: dict[int, tuple[int, ...]] = {}
+    layer: dict[int, int] = {}
     pairs: dict[frozenset, tuple[int, int, list[int], list[int]]] = {}
-    last_on: dict[int, int] = {}
     for g in circuit.gates:
-        preds = []
+        # A gate's direct predecessors are the last gates on its two qubits.
+        layer[g.id] = max((1 + layer[per_qubit[q][-1]] for q in g.qubits if per_qubit[q]),
+                          default=0)
         pos[g.id] = {}
         for q in g.qubits:
-            if q in last_on and last_on[q] not in preds:
-                preds.append(last_on[q])
             pos[g.id][q] = len(per_qubit[q])
             per_qubit[q].append(g.id)
-            last_on[q] = g.id
-        pred[g.id] = tuple(preds)
         p, _, positions, ids = pairs.setdefault(frozenset(g.qubits), (*g.qubits, [], []))
         positions.append(pos[g.id][p])
         ids.append(g.id)
 
-    # Successors of i always have larger ids, so one reverse pass suffices.
-    succ: dict[int, list[int]] = {g.id: [] for g in circuit.gates}
-    for i, ps in pred.items():
-        for p in ps:
-            succ[p].append(i)
+    # A gate's direct successors are the next gates on its two qubits; they
+    # have larger ids, so one reverse pass suffices.
     delta: dict[int, int] = {}
     for g in reversed(circuit.gates):
-        delta[g.id] = g.duration + max((delta[j] for j in succ[g.id]), default=0)
-
-    layer: dict[int, int] = {}
-    for g in circuit.gates:
-        layer[g.id] = max((1 + layer[j] for j in pred[g.id]), default=0)
+        delta[g.id] = g.duration + max((delta[per_qubit[q][k + 1]] for q, k in pos[g.id].items()
+                                        if k + 1 < len(per_qubit[q])), default=0)
 
     tail_sums: dict[int, list[int]] = {}
     for q, ids in per_qubit.items():

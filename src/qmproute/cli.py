@@ -137,19 +137,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     matrix = bench_mod.parse_matrix(Path(args.matrix).read_text())
-    out_path = Path(args.out)
-    done: list = []
-
-    def progress(row):
-        done.append(row)
-        _emit(args, {"event": "row", "instance": row.instance_id,
-                     "mode": row.mode, "objective": row.objective,
-                     "status": row.status})
-        out_path.write_text(bench_mod.rows_to_csv(done))  # incremental flush
-
-    rows = bench_mod.run_matrix(matrix, progress=progress)
-    out_path.write_text(bench_mod.rows_to_csv(rows))
-    _emit(args, {"event": "done", "rows": len(rows)})
+    n = 0
+    with open(args.out, "w", newline="") as out:
+        for row in bench_mod.write_rows(bench_mod.run_matrix(matrix), out):
+            n += 1
+            _emit(args, {"event": "row", "instance": row.instance_id,
+                         "mode": row.mode, "objective": row.objective,
+                         "status": row.status})
+    _emit(args, {"event": "done", "rows": n})
     return EXIT_OK
 
 

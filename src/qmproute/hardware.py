@@ -19,6 +19,9 @@ from . import jsonfile
 # the Pareto store a tuple per child, and a star's group is n!.
 AUTOMORPHISM_CAP = 32
 
+# Most chordless paths `HardwareGraph.minimal_paths` enumerates for one pair.
+MAX_PATHS_PER_PAIR = 10000
+
 
 class HardwareError(ValueError):
     pass
@@ -31,7 +34,7 @@ class HardwareGraph:
     caches, which are filled lazily and idempotently.
     """
 
-    def __init__(self, num_nodes: int, edges, max_paths_per_pair: int = 10000):
+    def __init__(self, num_nodes: int, edges):
         if num_nodes < 1:
             raise HardwareError("graph needs at least one node")
         self.num_nodes = num_nodes
@@ -43,7 +46,6 @@ class HardwareGraph:
                 raise HardwareError(f"edge ({v},{w}) out of range")
             canon.add((min(v, w), max(v, w)))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        self.max_paths_per_pair = max_paths_per_pair
         self._adj: dict[int, list[int]] = {v: [] for v in range(1, num_nodes + 1)}
         for v, w in self.edges:
             self._adj[v].append(w)
@@ -80,7 +82,7 @@ class HardwareGraph:
     def minimal_paths(self, v: int, w: int):
         """All chordless simple paths from v to w as node tuples.
 
-        Returns None if the enumeration exceeded max_paths_per_pair; callers
+        Returns None if the enumeration exceeded MAX_PATHS_PER_PAIR; callers
         using the result inside a lower bound must then skip the pair
         (truncating the set would raise the bound and break admissibility).
         Both orientations are cached, so a repeated call returns the same
@@ -178,7 +180,7 @@ class HardwareGraph:
                     continue
                 if x == w:
                     results.append(tuple(path) + (w,))
-                    if len(results) > self.max_paths_per_pair:
+                    if len(results) > MAX_PATHS_PER_PAIR:
                         return None
                     continue
                 path.append(x)
@@ -195,22 +197,26 @@ class HardwareGraph:
         return results
 
 
-def build_topology(kind: str, params) -> HardwareGraph:
-    """Build one of the standard topologies.
+_TOPOLOGY_RE = re.compile(r"^(linear|grid|y):(\d+)(?:x(\d+))?$")
 
-    linear: params = n, path graph 1-2-...-n.
-    grid: params = (rows, cols), 4-neighbor lattice, row-major node ids.
-    y: params = n >= 4, node 1 is the center; the remaining nodes are
-       distributed round-robin over three arms, each arm a chain off the
-       center (n=4 gives the 3-star).
+
+def parse_topology(spec: str) -> HardwareGraph:
+    """Parse a topology descriptor into one of the standard topologies.
+
+    linear:n, n >= 2: path graph 1-2-...-n.
+    grid:RxC: 4-neighbor lattice, row-major node ids.
+    y:n, n >= 4: node 1 is the center; the remaining nodes are distributed
+       round-robin over three arms, each arm a chain off the center (y:4 is
+       the 3-star).
     """
-    if kind == "linear":
-        n = int(params)
-        if n < 2:
-            raise HardwareError("linear topology needs n >= 2")
-        return HardwareGraph(n, [(i, i + 1) for i in range(1, n)])
+    m = _TOPOLOGY_RE.match(spec)
+    if not m:
+        raise HardwareError(f"bad topology spec {spec!r}")
+    kind, n, b = m.group(1), int(m.group(2)), m.group(3)
     if kind == "grid":
-        rows, cols = params
+        if b is None:
+            raise HardwareError("grid spec must be grid:RxC")
+        rows, cols = n, int(b)
         if rows < 1 or cols < 1:
             raise HardwareError("grid dimensions must be positive")
         def node(r, c):
@@ -223,39 +229,24 @@ def build_topology(kind: str, params) -> HardwareGraph:
                 if r + 1 < rows:
                     edges.append((node(r, c), node(r + 1, c)))
         return HardwareGraph(rows * cols, edges)
-    if kind == "y":
-        n = int(params)
-        if n < 4:
-            raise HardwareError("y topology needs n >= 4")
-        arms: list[list[int]] = [[], [], []]
-        for i, v in enumerate(range(2, n + 1)):
-            arms[i % 3].append(v)
-        edges = []
-        for arm in arms:
-            prev = 1
-            for v in arm:
-                edges.append((prev, v))
-                prev = v
-        return HardwareGraph(n, edges)
-    raise HardwareError(f"unknown topology kind {kind!r}")
-
-
-_TOPOLOGY_RE = re.compile(r"^(linear|grid|y):(\d+)(?:x(\d+))?$")
-
-
-def parse_topology(spec: str) -> HardwareGraph:
-    """Parse a CLI topology descriptor: linear:4 | grid:2x3 | y:6."""
-    m = _TOPOLOGY_RE.match(spec)
-    if not m:
-        raise HardwareError(f"bad topology spec {spec!r}")
-    kind, a, b = m.group(1), int(m.group(2)), m.group(3)
-    if kind == "grid":
-        if b is None:
-            raise HardwareError("grid spec must be grid:RxC")
-        return build_topology("grid", (a, int(b)))
     if b is not None:
         raise HardwareError(f"{kind} spec takes a single size")
-    return build_topology(kind, a)
+    if kind == "linear":
+        if n < 2:
+            raise HardwareError("linear topology needs n >= 2")
+        return HardwareGraph(n, [(i, i + 1) for i in range(1, n)])
+    if n < 4:
+        raise HardwareError("y topology needs n >= 4")
+    arms: list[list[int]] = [[], [], []]
+    for i, v in enumerate(range(2, n + 1)):
+        arms[i % 3].append(v)
+    edges = []
+    for arm in arms:
+        prev = 1
+        for v in arm:
+            edges.append((prev, v))
+            prev = v
+    return HardwareGraph(n, edges)
 
 
 def parse_graph(text: str) -> HardwareGraph:

@@ -97,13 +97,11 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
             return fail("assignment", idx,
                         f"edge ({v},{w}) does not exist in the hardware graph")
         if op.is_swap:
-            ov, ow = occupant.get(v), occupant.get(w)
+            ov, ow = occupant.pop(v, None), occupant.pop(w, None)
             if ov is not None:
-                placed[ov] = w
+                occupant[w], placed[ov] = ov, w
             if ow is not None:
-                placed[ow] = v
-            occupant[v], occupant[w] = ow, ov
-            occupant = {k2: q for k2, q in occupant.items() if q is not None}
+                occupant[v], placed[ow] = ow, v
             origin[v], origin[w] = origin[w], origin[v]
         else:
             if not 1 <= op.kind <= circuit.num_gates:

@@ -4,7 +4,7 @@ import pytest
 
 from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import parse_circuit
-from qmproute.hardware import build_topology
+from qmproute.hardware import parse_topology
 
 
 @pytest.fixture
@@ -19,12 +19,12 @@ def example_circuit():
 
 @pytest.fixture
 def linear4():
-    return build_topology("linear", 4)
+    return parse_topology("linear:4")
 
 
 @pytest.fixture
 def y4():
-    return build_topology("y", 4)
+    return parse_topology("y:4")
 
 
 def tiny_instances(count, seed_base=0, qubits=(3, 4), depth_params=(3, 4, 5, 6)):

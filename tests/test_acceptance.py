@@ -11,7 +11,7 @@ import pytest
 
 from qmproute.bench import InstanceSpec, gen_random_circuit, rmd, rows_to_csv, run_matrix
 from qmproute.circuit import parse_circuit
-from qmproute.hardware import build_topology
+from qmproute.hardware import parse_topology
 from qmproute.oracle import oracle_fixpoint
 from qmproute.schedule import (SWAP, Schedule, ScheduledOp, compute_metrics,
                                validate)
@@ -46,8 +46,8 @@ def swaps_config(**kw):
 def criterion3_instances():
     """50 tiny instances (<= 4 virtual qubits, <= 6 gates), alternating
     between the linear-4 and y-4 hardware graphs."""
-    graphs = {"linear:4": build_topology("linear", 4),
-              "y:4": build_topology("y", 4)}
+    graphs = {"linear:4": parse_topology("linear:4"),
+              "y:4": parse_topology("y:4")}
     out = []
     for i in range(50):
         topo = "linear:4" if i % 2 == 0 else "y:4"
@@ -64,7 +64,7 @@ _EXACT_OPTIMA = {}   # (index, objective) -> exact optimum, filled by criterion 
 
 def test_criterion_1_worked_example_validator():
     c = example_circuit()
-    g = build_topology("linear", 4)
+    g = parse_topology("linear:4")
     d = {1: 2, 2: 3, 3: 1}
 
     def gate(i, edge, t):
@@ -88,7 +88,7 @@ def test_criterion_1_worked_example_validator():
 
 def test_criterion_2_worked_example_solver():
     c = example_circuit()
-    g = build_topology("linear", 4)
+    g = parse_topology("linear:4")
     r = solve(c, g, depth_config())
     valid = validate(r.schedule, c, g).ok
     oracle_value = oracle_fixpoint(c, g, "depth").value
@@ -153,7 +153,7 @@ def test_criterion_6_layered_superset_and_rmd():
         "objectives": ["swaps"],
         "time_limit": 60,
     }
-    rows = run_matrix(matrix)
+    rows = list(run_matrix(matrix))
     by_instance = {}
     for row in rows:
         by_instance.setdefault(row.instance_id, {})[row.mode] = row
@@ -176,7 +176,7 @@ def test_criterion_6_layered_superset_and_rmd():
 
 
 def test_criterion_7_layering_gap_exists():
-    graph = build_topology("linear", 4)
+    graph = parse_topology("linear:4")
     found = None
     for seed in range(100):
         spec = InstanceSpec("linear:4", 4, 8, seed=seed)

@@ -148,14 +148,14 @@ class TestMatrix:
         }
 
     def test_row_count(self):
-        rows = run_matrix(self.matrix())
+        rows = list(run_matrix(self.matrix()))
         assert len(rows) == 4   # 2 instances x 2 modes x 1 objective
 
     def test_crashed_solve_is_an_error(self, monkeypatch):
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
         monkeypatch.setattr(bench, "solve", crash)
-        rows = run_matrix(self.matrix())
+        rows = list(run_matrix(self.matrix()))
         assert [r.status for r in rows] == ["error"] * 4
         assert all(r.depth is None and r.swaps is None for r in rows)
 
@@ -166,7 +166,7 @@ class TestMatrix:
         assert [r.status for r in run_matrix(self.matrix())] == ["timeout"] * 4
 
     def test_csv_roundtrip(self):
-        rows = run_matrix(self.matrix())
+        rows = list(run_matrix(self.matrix()))
         text = rows_to_csv(rows)
         assert rows_from_csv(text) == rows
 

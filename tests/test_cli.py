@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmproute import cli
-from qmproute.bench import CSV_COLUMNS
+from qmproute import bench, cli
+from qmproute.bench import CSV_COLUMNS, rows_from_csv, rows_to_csv, run_matrix
 from qmproute.cli import dispatch
 from qmproute.solver import SolveResult, solve
 
@@ -322,3 +322,33 @@ class TestPipeline:
                          "--rmd", "--parity", str(parity)]) == 0
         assert "RMD" in capsys.readouterr().out
         assert parity.read_text().startswith("non_layered,layered")
+
+    def test_interrupted_bench_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # Each row is on disk once its solve ends: a run stopped during the
+        # second solve leaves the header and the first row, as the writer
+        # would write them.
+        matrix = {"instances": [{"topology": "linear:4", "qubits": 4,
+                                 "depth_param": 3, "seeds": [1]}],
+                  "modes": ["non-layered", "layered"], "objectives": ["depth"]}
+        matrix_file = tmp_path / "matrix.json"
+        matrix_file.write_text(json.dumps(matrix))
+        expected = rows_to_csv(list(run_matrix(matrix))[:1])
+        real_solve, calls = bench.solve, []
+
+        def solve_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "solve", solve_once)
+        results = tmp_path / "results.csv"
+        with pytest.raises(KeyboardInterrupt):
+            dispatch(["bench", "--matrix", str(matrix_file), "--out", str(results)])
+        text = results.read_text()
+        assert len(rows_from_csv(text)) == 1
+
+        def without_wall_time(csv_text):
+            return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+        assert without_wall_time(text) == without_wall_time(expected)
+        assert without_wall_time(text)[0] == ",".join(CSV_COLUMNS[:-1])

@@ -1,5 +1,6 @@
 import itertools
 import time
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from qmproute import hardware
 from qmproute.hardware import (AUTOMORPHISM_CAP, HardwareError, HardwareGraph,
-                               build_topology, parse_graph, parse_topology)
+                               parse_graph, parse_topology)
 
 
 def as_nx(graph):
@@ -33,30 +35,30 @@ def naive_chordless_paths(graph, v, w):
 
 class TestTopologies:
     def test_linear(self):
-        g = build_topology("linear", 4)
+        g = parse_topology("linear:4")
         assert g.edges == ((1, 2), (2, 3), (3, 4))
 
     def test_y4_is_star(self):
-        g = build_topology("y", 4)
+        g = parse_topology("y:4")
         degrees = sorted(len(g.neighbors(v)) for v in range(1, 5))
         assert degrees == [1, 1, 1, 3]
         assert len(g.neighbors(1)) == 3   # node 1 is the center
 
     def test_y6_arms(self):
-        g = build_topology("y", 6)
+        g = parse_topology("y:6")
         assert len(g.edges) == 5
         assert len(g.neighbors(1)) == 3
 
     def test_grid_2x3(self):
-        g = build_topology("grid", (2, 3))
+        g = parse_topology("grid:2x3")
         assert len(g.edges) == 7
         assert max(len(g.neighbors(v)) for v in range(1, 7)) == 3
 
     def test_invalid_sizes(self):
         with pytest.raises(HardwareError):
-            build_topology("linear", 1)
+            parse_topology("linear:1")
         with pytest.raises(HardwareError):
-            build_topology("y", 3)
+            parse_topology("y:3")
 
     def test_parse_topology(self):
         assert parse_topology("linear:4").num_nodes == 4
@@ -70,19 +72,19 @@ class TestTopologies:
 
 class TestDistances:
     def test_linear_endpoints(self):
-        g = build_topology("linear", 4)
+        g = parse_topology("linear:4")
         assert g.dist[1][4] == 3
 
     def test_y4_leaf_to_leaf(self):
-        g = build_topology("y", 4)
+        g = parse_topology("y:4")
         assert g.dist[2][3] == 2
 
     def test_identity(self):
-        g = build_topology("grid", (2, 3))
+        g = parse_topology("grid:2x3")
         assert all(g.dist[v][v] == 0 for v in range(1, 7))
 
     def test_symmetry_and_triangle(self):
-        g = build_topology("grid", (2, 3))
+        g = parse_topology("grid:2x3")
         for v, w, u in itertools.product(range(1, 7), repeat=3):
             assert g.dist[v][w] == g.dist[w][v]
             assert g.dist[v][w] <= g.dist[v][u] + g.dist[u][w]
@@ -106,17 +108,17 @@ def small_connected_graphs(draw):
 
 class TestMinimalPaths:
     def test_unique_path_in_tree(self):
-        g = build_topology("linear", 4)
+        g = parse_topology("linear:4")
         assert g.minimal_paths(1, 4) == [(1, 2, 3, 4)]
 
     def test_2x2_grid_diagonal(self):
-        g = build_topology("grid", (2, 2))
+        g = parse_topology("grid:2x2")
         paths = g.minimal_paths(1, 4)
         assert len(paths) == 2
         assert all(len(p) == 3 for p in paths)
 
     def test_reverse_orientation_derived(self):
-        for g in (build_topology("grid", (2, 3)), build_topology("y", 6)):
+        for g in (parse_topology("grid:2x3"), parse_topology("y:6")):
             for v in range(1, g.num_nodes + 1):
                 for w in range(1, g.num_nodes + 1):
                     if v == w:
@@ -129,10 +131,10 @@ class TestMinimalPaths:
                     assert g.minimal_paths(w, v) is rev
 
     @pytest.mark.parametrize("builder", [
-        lambda: build_topology("linear", 5),
-        lambda: build_topology("grid", (2, 3)),
-        lambda: build_topology("grid", (2, 4)),
-        lambda: build_topology("y", 6),
+        lambda: parse_topology("linear:5"),
+        lambda: parse_topology("grid:2x3"),
+        lambda: parse_topology("grid:2x4"),
+        lambda: parse_topology("y:6"),
         lambda: HardwareGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]),
     ])
     def test_matches_naive_enumeration(self, builder):
@@ -144,18 +146,18 @@ class TestMinimalPaths:
     @given(small_connected_graphs(), st.sampled_from([1, 3, 10000]))
     @settings(max_examples=100, deadline=None)
     def test_matches_naive_enumeration_on_random_graphs(self, g, cap):
-        g.max_paths_per_pair = cap
-        for v in range(1, g.num_nodes + 1):
-            for w in range(v + 1, g.num_nodes + 1):
-                naive = naive_chordless_paths(g, v, w)
-                assert g.minimal_paths(v, w) == (naive if len(naive) <= cap else None)
+        with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
+            for v in range(1, g.num_nodes + 1):
+                for w in range(v + 1, g.num_nodes + 1):
+                    naive = naive_chordless_paths(g, v, w)
+                    assert g.minimal_paths(v, w) == (naive if len(naive) <= cap else None)
 
     def test_long_path_needs_no_recursion(self):
-        g = build_topology("linear", 1100)
+        g = parse_topology("linear:1100")
         assert g.minimal_paths(1, 1100) == [tuple(range(1, 1101))]
 
     def test_every_path_chordless_and_at_least_distance(self):
-        g = build_topology("grid", (2, 3))
+        g = parse_topology("grid:2x3")
         for v in range(1, 7):
             for w in range(v + 1, 7):
                 for p in g.minimal_paths(v, w):
@@ -165,20 +167,21 @@ class TestMinimalPaths:
                     assert len(set(p)) == len(p)
 
     def test_dist_equals_min_path_length(self):
-        g = build_topology("grid", (2, 3))
+        g = parse_topology("grid:2x3")
         for v in range(1, 7):
             for w in range(v + 1, 7):
                 assert g.dist[v][w] == min(len(p) - 1 for p in g.minimal_paths(v, w))
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(HardwareError, match="distinct"):
-            build_topology("linear", 4).minimal_paths(2, 2)
+            parse_topology("linear:4").minimal_paths(2, 2)
 
-    def test_cap_returns_none(self):
-        g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], max_paths_per_pair=1)
+    def test_cap_returns_none(self, monkeypatch):
+        monkeypatch.setattr(hardware, "MAX_PATHS_PER_PAIR", 1)
+        g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
         assert g.minimal_paths(1, 3) is None
         assert g.minimal_paths(3, 1) is None
-        g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], max_paths_per_pair=1)
+        g = HardwareGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
         assert g.minimal_paths(3, 1) is None
         assert g.minimal_paths(1, 3) is None
 
@@ -225,7 +228,7 @@ class TestAutomorphisms:
 
     def test_computed_on_first_call_and_cached(self):
         # Building a graph must not pay for the search.
-        g = build_topology("grid", (3, 3))
+        g = parse_topology("grid:3x3")
         assert g._automorphisms is None
         assert g.automorphisms() is g.automorphisms()
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qmproute.circuit import parse_circuit
-from qmproute.hardware import HardwareGraph, build_topology
+from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import (CapExhausted, OracleConfig, exhaustive_solve,
                              oracle_fixpoint)
 from qmproute.schedule import validate
@@ -40,7 +40,7 @@ class TestExhaustiveSolve:
             exhaustive_solve(c, linear4, OracleConfig(max_swaps=0))
 
     def test_automorphism_invariance(self, example_circuit):
-        forward = build_topology("linear", 4)
+        forward = parse_topology("linear:4")
         reversed_line = HardwareGraph(4, [(4, 3), (3, 2), (2, 1)])
         a = exhaustive_solve(example_circuit, forward,
                              OracleConfig(max_swaps=2, objective="depth"))

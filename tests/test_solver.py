@@ -1,13 +1,15 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmproute import hardware
 from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
-from qmproute.hardware import HardwareGraph, build_topology, parse_topology
+from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
@@ -87,13 +89,16 @@ def reference_bound_depth(node, info, graph, swap_duration):
 @st.composite
 def connected_graphs(draw, max_nodes=6):
     """A random spanning tree on 4 to `max_nodes` nodes plus random extra
-    edges; a path cap of 1 on some draws exercises the pairs the bound must
-    skip."""
+    edges."""
     n = draw(st.integers(4, max_nodes))
     edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=4))
-    return HardwareGraph(n, edges, max_paths_per_pair=draw(st.sampled_from([1, 10000])))
+    return HardwareGraph(n, edges)
+
+
+# A path cap of 1 on some draws exercises the pairs the depth bound must skip.
+PATH_CAPS = st.sampled_from([1, hardware.MAX_PATHS_PER_PAIR])
 
 
 def topologies(*specs):
@@ -200,7 +205,7 @@ class TestExpand:
         gate 1 put qubits 1, 2 on nodes 1, 2 and gate 2 qubits 3, 4 on 3, 4."""
         c = parse_circuit(json.dumps({"num_qubits": 4, "gates": [
             {"q": [1, 2]}, {"q": [3, 4]}, {"q": [1, 2]}, {"q": [3, 4]}]}))
-        search = _Search(c, build_topology("linear", 4), config)
+        search = _Search(c, parse_topology("linear:4"), config)
         node = search.make_child(search.root(), 1, (1, 2))
         return search, search.make_child(node, 2, (3, 4))
 
@@ -503,21 +508,22 @@ class TestBounds:
         h_s = bound_swaps(root, search.info, linear4)
         assert search.bound(root) == h_d + 10 * h_s
 
-    @given(walks())
+    @given(walks(), PATH_CAPS)
     @settings(max_examples=150, deadline=None)
-    def test_depth_bound_matches_reference(self, walk):
+    def test_depth_bound_matches_reference(self, walk, cap):
         search, nodes = walk
         d_s = search.config.swap_duration
         info, graph = search.info, search.graph
-        for node in nodes:
-            assert (bound_depth(node, info, graph, d_s)
-                    == reference_bound_depth(node, info, graph, d_s))
-            # bound_swaps: the worst distance over every unscheduled gate.
-            assert bound_swaps(node, info, graph) == node.swap_count + max(
-                (graph.dist[node.assignment[p]][node.assignment[q]] - 1
-                 for g in info.circuit.gates for p, q in [g.qubits]
-                 if info.pos[g.id][p] >= node.progress[p]
-                 and node.assignment[p] and node.assignment[q]), default=0)
+        with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
+            for node in nodes:
+                assert (bound_depth(node, info, graph, d_s)
+                        == reference_bound_depth(node, info, graph, d_s))
+                # bound_swaps: the worst distance over every unscheduled gate.
+                assert bound_swaps(node, info, graph) == node.swap_count + max(
+                    (graph.dist[node.assignment[p]][node.assignment[q]] - 1
+                     for g in info.circuit.gates for p, q in [g.qubits]
+                     if info.pos[g.id][p] >= node.progress[p]
+                     and node.assignment[p] and node.assignment[q]), default=0)
 
     def test_admissibility_at_root(self, linear4, y4):
         for graph in (linear4, y4):
@@ -586,16 +592,17 @@ class TestSwapsObjective:
 class TestDepthObjective:
     @given(instances(max_gates=6, graphs=st.one_of(
                topologies("linear:4", "y:4", "grid:2x2"), connected_graphs(max_nodes=4))),
-           st.sampled_from([0, 6, 15]))
+           st.sampled_from([0, 6, 15]), PATH_CAPS)
     @example((Circuit(4, (GateSpec(1, (1, 3), 3), GateSpec(2, (4, 2), 3),
                           GateSpec(3, (2, 3), 6), GateSpec(4, (4, 2), 5),
                           GateSpec(5, (3, 2), 5), GateSpec(6, (1, 4), 1),
                           GateSpec(7, (1, 2), 2))), parse_topology("linear:4")),
-             15)   # optimum 46; running a placed gate first gives 50
+             15, hardware.MAX_PATHS_PER_PAIR)   # optimum 46; running a placed gate first gives 50
     @settings(max_examples=50, deadline=None)
-    def test_matches_the_oracle(self, instance, d_s):
+    def test_matches_the_oracle(self, instance, d_s, cap):
         circuit, graph = instance
-        r = solve(circuit, graph, depth_config(swap_duration=d_s))
+        with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
+            r = solve(circuit, graph, depth_config(swap_duration=d_s))
         assert r.status == "optimal"
         assert validate(r.schedule, circuit, graph).ok
         assert r.objective_value == oracle_fixpoint(circuit, graph, "depth", d_s).value
@@ -606,12 +613,16 @@ def relabelled_graph(graph, perm):
     return HardwareGraph(graph.num_nodes, [(perm[v], perm[w]) for v, w in graph.edges])
 
 
-def solve_both_ways(circuit, graph, objective, layered):
+def solve_both_ways(circuit, graph, objective, layered, **kw):
     config = depth_config if objective == "depth" else swaps_config
-    r = solve(circuit, graph, config(layered=layered))
+    r = solve(circuit, graph, config(layered=layered, **kw))
     assert r.status == "optimal"
     assert validate(r.schedule, circuit, graph).ok
     return r
+
+
+# At most 4 qubits on 4 nodes: small enough for many solves per test.
+TINY_TOPOLOGIES = topologies("linear:4", "y:4", "grid:2x2")
 
 
 class TestSymmetry:
@@ -652,6 +663,30 @@ class TestSymmetry:
         b = solve(circuit, graph, config(layered=layered, use_pareto=False))
         assert b.status == "optimal" and validate(b.schedule, circuit, graph).ok
         assert a.objective_value == b.objective_value
+
+    @given(instances(max_gates=5, graphs=TINY_TOPOLOGIES), st.sampled_from(["depth", "swaps"]),
+           st.booleans(), st.sampled_from([0, 6, 15]), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_durations_scales_only_the_depth(self, instance, objective, layered, d_s, k):
+        circuit, graph = instance
+        scaled = Circuit(circuit.num_virtual_qubits,
+                         tuple(GateSpec(g.id, g.qubits, k * g.duration) for g in circuit.gates))
+        a = solve_both_ways(circuit, graph, objective, layered, swap_duration=d_s)
+        b = solve_both_ways(scaled, graph, objective, layered, swap_duration=k * d_s)
+        assert b.objective_value == (k if objective == "depth" else 1) * a.objective_value
+
+    @given(instances(max_gates=5, graphs=TINY_TOPOLOGIES), st.sampled_from(["depth", "swaps"]),
+           st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_appending_a_gate_never_lowers_the_optimum(self, instance, objective, layered, data):
+        circuit, graph = instance
+        n = circuit.num_virtual_qubits
+        p, q = data.draw(st.permutations(range(1, n + 1)))[:2]
+        longer = Circuit(n, circuit.gates + (GateSpec(circuit.num_gates + 1, (p, q),
+                                                      data.draw(st.integers(0, 8))),))
+        a = solve_both_ways(circuit, graph, objective, layered)
+        b = solve_both_ways(longer, graph, objective, layered)
+        assert b.objective_value >= a.objective_value
 
     def test_asymmetric_graph_counts_unchanged(self):
         # A graph with no automorphism but the identity searches exactly
