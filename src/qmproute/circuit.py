@@ -4,8 +4,8 @@ A circuit is an ordered list of two-qubit gates over virtual qubits.  Gates
 on the same qubit are totally ordered by their position in the list, which
 induces a partial order over all gates.  The analysis pass precomputes the
 per-qubit gate sequences, tail times (minimum time from a gate's start to
-circuit completion on ideal hardware) and layer indices used by the layered
-search mode.
+circuit completion on ideal hardware), layer indices used by the layered
+search mode, and the tables the search reads by per-qubit progress.
 """
 
 from __future__ import annotations
@@ -97,25 +97,37 @@ class PrecedenceInfo:
     delta[i] is the minimum time from gate i's start to circuit completion.
     layer[i] is the recursive layer index (0 for gates with no predecessor).
     pos[i] maps each of gate i's qubits to its index within per_qubit[q].
+
+    The remaining tables are lists indexed by qubit (row 0 unused), then by
+    the qubit's progress k, its number of scheduled gates, up to and
+    including len(per_qubit[q]):
     tail_sums[q][k] is the total duration of gates per_qubit[q][k:].
-    pairs lists, per unordered qubit pair, (p, q, positions, ids): the ids
-    of the pair's gates in circuit order and their positions on qubit p,
-    so one bisect on progress[p] finds the pair's first unscheduled gate.
+    head[q][k] is delta of gate per_qubit[q][k], 0 once q is done.
+    ready[q][k] is (gate id, partner qubit, the gate's position on the
+    partner) for that gate, None once q is done; the gate is minimal
+    exactly when the partner's progress equals that position.
+    live[p][k] has an entry for each qubit pair whose first gate has p as
+    its first qubit and which has a gate at position k or later on p:
+    (q, delta[first], position of first on p, position of first on q),
+    where `first` is the pair's first such gate and q the pair's other
+    qubit.  An entry holds no k, so the rows share one tuple per gate.
     """
     circuit: Circuit
     per_qubit: dict[int, list[int]]
     delta: dict[int, int]
     layer: dict[int, int]
     pos: dict[int, dict[int, int]]
-    tail_sums: dict[int, list[int]]
-    pairs: tuple[tuple[int, int, list[int], list[int]], ...]
+    tail_sums: list[list[int]]
+    head: list[list[int]]
+    ready: list[list[tuple[int, int, int] | None]]
+    live: list[list[list[tuple[int, int, int, int]]]]
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:
     per_qubit: dict[int, list[int]] = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
     pos: dict[int, dict[int, int]] = {}
     layer: dict[int, int] = {}
-    pairs: dict[frozenset, tuple[int, int, list[int], list[int]]] = {}
+    pairs: dict[frozenset, tuple[int, int, list[int]]] = {}
     for g in circuit.gates:
         # A gate's direct predecessors are the last gates on its two qubits.
         layer[g.id] = max((1 + layer[per_qubit[q][-1]] for q in g.qubits if per_qubit[q]),
@@ -124,9 +136,7 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
         for q in g.qubits:
             pos[g.id][q] = len(per_qubit[q])
             per_qubit[q].append(g.id)
-        p, _, positions, ids = pairs.setdefault(frozenset(g.qubits), (*g.qubits, [], []))
-        positions.append(pos[g.id][p])
-        ids.append(g.id)
+        pairs.setdefault(frozenset(g.qubits), (*g.qubits, []))[2].append(g.id)
 
     # A gate's direct successors are the next gates on its two qubits; they
     # have larger ids, so one reverse pass suffices.
@@ -135,28 +145,49 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
         delta[g.id] = g.duration + max((delta[per_qubit[q][k + 1]] for q, k in pos[g.id].items()
                                         if k + 1 < len(per_qubit[q])), default=0)
 
-    tail_sums: dict[int, list[int]] = {}
+    tail_sums: list[list[int]] = [[0]]
+    head: list[list[int]] = [[0]]
+    ready: list[list[tuple[int, int, int] | None]] = [[None]]
+    live: list[list[list[tuple[int, int, int, int]]]] = [[[]]]
     for q, ids in per_qubit.items():
         sums = [0] * (len(ids) + 1)
         for k in range(len(ids) - 1, -1, -1):
             sums[k] = sums[k + 1] + circuit.gates[ids[k] - 1].duration
-        tail_sums[q] = sums
+        tail_sums.append(sums)
+        head.append([delta[i] for i in ids] + [0])
+        ready.append([(i, r, pos[i][r]) for i in ids for r in pos[i] if r != q] + [None])
+        live.append([[] for _ in range(len(ids) + 1)])
+    for p, q, ids in pairs.values():
+        # Gate `first` is the pair's next from just after the one before it
+        # on p up to its own position there.
+        start = 0
+        for first in ids:
+            at_p = pos[first][p]
+            entry = (q, delta[first], at_p, pos[first][q])
+            for k in range(start, at_p + 1):
+                live[p][k].append(entry)
+            start = at_p + 1
 
     return PrecedenceInfo(circuit=circuit, per_qubit=per_qubit, delta=delta,
                           layer=layer, pos=pos, tail_sums=tail_sums,
-                          pairs=tuple(pairs.values()))
+                          head=head, ready=ready, live=live)
 
 
 def minimal_unscheduled(info: PrecedenceInfo, progress) -> list[int]:
-    """Gate ids that are the first unscheduled gate on both of their qubits.
+    """Gate ids, ascending, that are the first unscheduled gate on both of
+    their qubits.
 
     `progress` maps each virtual qubit to the number of its gates already
-    scheduled (a downward-closed set is exactly a per-qubit prefix).
+    scheduled (a downward-closed set is exactly a per-qubit prefix).  Each
+    qubit's next gate is looked up in `ready`, and kept, from its lower
+    qubit, when it is the partner's next gate too.
     """
-    result = []
-    for g in info.circuit.gates:
-        p, q = g.qubits
-        if (info.pos[g.id][p] == progress[p]
-                and info.pos[g.id][q] == progress[q]):
-            result.append(g.id)
+    ready, result = info.ready, []
+    for q in range(1, len(ready)):
+        gate = ready[q][progress[q]]
+        if gate is not None:
+            i, r, k = gate
+            if q < r and progress[r] == k:
+                result.append(i)
+    result.sort()
     return result

@@ -11,7 +11,6 @@ nodes.
 from __future__ import annotations
 
 import re
-from collections import deque
 
 from . import jsonfile
 
@@ -63,20 +62,26 @@ class HardwareGraph:
     def has_edge(self, v: int, w: int) -> bool:
         return (min(v, w), max(v, w)) in self._edge_set
 
-    def _all_pairs_distance(self) -> dict[int, dict[int, int]]:
-        dist: dict[int, dict[int, int]] = {}
-        for s in range(1, self.num_nodes + 1):
-            d = {s: 0}
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for w in self._adj[v]:
-                    if w not in d:
-                        d[w] = d[v] + 1
+    def _all_pairs_distance(self) -> list[list[int]]:
+        """Hop distances by BFS from every node: `dist[v][w]` for nodes v, w
+        (row and column 0 unused).  One list per row, each entry one of the
+        shared ints in `hops`, keeps a long line's table at a pointer an entry."""
+        n, adj = self.num_nodes, self._adj
+        hops = list(range(n + 1))
+        dist: list[list[int]] = [[]]
+        for s in range(1, n + 1):
+            d = [-1] * (n + 1)
+            d[s] = 0
+            queue = [s]
+            for v in queue:             # the queue grows while it is read
+                dw = hops[d[v] + 1]
+                for w in adj[v]:
+                    if d[w] < 0:
+                        d[w] = dw
                         queue.append(w)
-            if len(d) != self.num_nodes:
+            if len(queue) != n:
                 raise HardwareError("hardware graph must be connected")
-            dist[s] = d
+            dist.append(d)
         return dist
 
     def minimal_paths(self, v: int, w: int):
@@ -118,11 +123,12 @@ class HardwareGraph:
 
     def _find_automorphisms(self) -> list[tuple[int, ...]]:
         n, dist, adj = self.num_nodes, self.dist, self._adj
-        order = list(dist[1])           # BFS insertion order from node 1
-        parent = {}
+        order, parent = [1], {1: 0}     # BFS order from node 1, BFS tree parents
         for v in order:
             for w in adj[v]:
-                parent.setdefault(w, v)
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
         image = [0] * (n + 1)
         used = [False] * (n + 1)
         identity = tuple(range(n + 1))

@@ -28,7 +28,6 @@ import heapq
 import math
 import operator
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,10 +55,15 @@ class SolverConfig:
         self.w_swaps = Fraction(self.w_swaps)
         if self.w_depth < 0 or self.w_swaps < 0 or self.w_depth + self.w_swaps == 0:
             raise SolverError("weights must be nonnegative with positive sum")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise SolverError("beam width must be >= 1")
-        if self.swap_duration < 0:
-            raise SolverError("swap duration must be >= 0")
+        # `type(x) is int`: a bool is an int subclass, but not a width.
+        if self.beam_width is not None and (type(self.beam_width) is not int
+                                            or self.beam_width < 1):
+            raise SolverError(f"beam width must be an integer >= 1, got {self.beam_width!r}")
+        if type(self.swap_duration) is not int or self.swap_duration < 0:
+            raise SolverError(f"swap duration must be an integer >= 0, "
+                              f"got {self.swap_duration!r}")
+        if type(self.layered) is not bool:
+            raise SolverError(f"layered must be a bool, got {self.layered!r}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise SolverError(f"time limit must be a positive number of seconds, "
                               f"got {self.time_limit!r}")
@@ -74,7 +78,7 @@ class SearchNode:
         self.parent = parent
         self.gate_index = gate_index
         self.edge = edge
-        self.depth_map = depth_map          # tuple over nodes 1..|V| (index 0 unused)
+        self.depth_map = depth_map          # tuple over nodes 1..|V|; index 0 stays 0
         self.assignment = assignment        # tuple over qubits 1..n, 0 = unassigned
         self.progress = progress            # tuple over qubits 1..n
         self.swap_count = swap_count
@@ -104,74 +108,92 @@ class SolveResult:
 
 def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
                 swap_duration: int) -> int:
-    """Admissible lower bound on the achievable makespan from this node."""
-    dm, asg, progress, delta = node.depth_map, node.assignment, node.progress, info.delta
-    h = 0
-    for q, seq in info.per_qubit.items():
-        a = asg[q]
-        dq = dm[a] if a else 0
-        frontier = progress[q]
-        if frontier < len(seq):
-            dq += delta[seq[frontier]]
-        if dq > h:
-            h = dq
+    """Admissible lower bound on the achievable makespan from this node.
 
-    d_s = swap_duration
-    pos, tail_sums = info.pos, info.tail_sums
-    for p, q, positions, ids in info.pairs:
-        k = bisect_left(positions, progress[p])
-        if k == len(positions):
+    The largest of two kinds of term.  A qubit's: its node's depth plus
+    delta of its next gate.  A placed pair's: delta of its next shared gate
+    `first` plus the earliest time that gate can start, once each qubit has
+    done its work before `first` and the two have met on an edge of some
+    minimal path between their nodes.
+
+    A pair on adjacent nodes is skipped: its term is delta[first] +
+    max(start_p, start_q), which is at most the larger of the two qubits'
+    terms, since delta along p's chain is at least p's work before `first`
+    plus delta[first].  A pair's paths are scanned only until its term can
+    no longer exceed the running maximum.
+    """
+    dm, asg, progress = node.depth_map, node.assignment, node.progress
+    h = 0
+    for a, k, row in zip(asg, progress, info.head):
+        t = dm[a] + row[k]              # dm[0] == 0: an unplaced qubit's node
+        if t > h:
+            h = t
+
+    d_s, dist, tail_sums = swap_duration, graph.dist, info.tail_sums
+    for ap, k, row, tail_p in zip(asg, progress, info.live, tail_sums):
+        if not ap:
             continue
-        ap, aq = asg[p], asg[q]
-        if not ap or not aq:
-            continue
-        paths = graph.minimal_paths(ap, aq)
-        if paths is None:
-            continue  # enumeration capped; skipping keeps the bound admissible
-        first = ids[k]
-        # Each wire's depth plus its circuit work before this gate (from the
-        # frontier gate up to, excluding, this gate).
-        start_p = dm[ap] + tail_sums[p][progress[p]] - tail_sums[p][pos[first][p]]
-        start_q = dm[aq] + tail_sums[q][progress[q]] - tail_sums[q][pos[first][q]]
-        best = None
-        for path in paths:
-            # The gate runs on edge e = (path[e], path[e+1]) once p has swapped
-            # forward to path[e] and q back to path[e+1].  right[e] is q's
-            # earliest arrival: a suffix maximum of node depth + d_s per hop;
-            # `left` is p's, the matching prefix maximum.  The start time
-            # max(left, right[e]) is minimal where `left` overtakes right[e]:
-            # `left` only grows with e (d_s >= 0) and right[e] only shrinks.
-            last = len(path) - 2
-            right = [start_q] * (last + 1)
-            for e in range(last - 1, -1, -1):
-                x, r = dm[path[e + 1]], right[e + 1]
-                right[e] = (r if r > x else x) + d_s
-            left = start_p
-            h_path = left if left > right[0] else right[0]
-            for e in range(1, last + 1):
-                if left >= right[e - 1]:
+        # p's depth plus all its remaining work: p's finish with no wait.
+        near, finish_p = dist[ap], dm[ap] + tail_p[k]
+        for q, delta_first, at_p, at_q in row[k]:
+            aq = asg[q]
+            if not aq or near[aq] == 1:
+                continue
+            paths = graph.minimal_paths(ap, aq)
+            if paths is None:
+                continue  # enumeration capped; skipping keeps the bound admissible
+            # Each wire's depth plus its circuit work before `first`.
+            start_p = finish_p - tail_p[at_p]
+            tail_q = tail_sums[q]
+            start_q = dm[aq] + tail_q[progress[q]] - tail_q[at_q]
+            bar = h - delta_first       # the term raises h only above this
+            best = None
+            for path in paths:
+                # The gate runs on edge e = (path[e], path[e+1]) once p has
+                # swapped forward to path[e] and q back to path[e+1].  p's
+                # earliest arrival L(e) is a prefix maximum of node depth +
+                # d_s per hop, q's R(e) the matching suffix maximum, so L
+                # only grows with e (d_s >= 0) and R only shrinks.  Two
+                # pointers close in on one edge m, each step moving the side
+                # that arrives earlier.  The left one leaves edge e only when
+                # L(e) < R(j) <= R(e+1), so L(e+1) <= R(e); the right one
+                # leaves e only when R(e) <= L(i) <= L(e-1), so R(e-1) <= L(e).
+                # Every edge left of m thus starts no earlier than R(m-1) >=
+                # max(L(m), R(m)), every edge right of m no earlier than
+                # L(m+1) >= max(L(m), R(m)): the least start is at m.
+                i, j = 0, len(path) - 2
+                left, right = start_p, start_q
+                while i < j:
+                    if left < right:
+                        i += 1
+                        x = dm[path[i]]
+                        left = (left if left > x else x) + d_s
+                    else:
+                        x = dm[path[j]]
+                        j -= 1
+                        right = (right if right > x else x) + d_s
+                h_path = left if left > right else right
+                if h_path <= bar:
                     break
-                x = dm[path[e]]
-                left = (left if left > x else x) + d_s
-                t = left if left > right[e] else right[e]
-                if t < h_path:
-                    h_path = t
-            if best is None or h_path < best:
-                best = h_path
-        if delta[first] + best > h:
-            h = delta[first] + best
+                if best is None or h_path < best:
+                    best = h_path
+            else:
+                h = delta_first + best
     return h
 
 
 def bound_swaps(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph) -> int:
-    """Admissible lower bound on the total SWAP count from this node."""
-    worst = 0
-    for p, q, positions, _ in info.pairs:
-        if positions[-1] < node.progress[p]:
-            continue  # every gate of the pair already scheduled
-        ap, aq = node.assignment[p], node.assignment[q]
-        if ap and aq:
-            worst = max(worst, graph.dist[ap][aq] - 1)
+    """Admissible lower bound on the total SWAP count from this node: the
+    SWAPs made so far plus, over placed pairs with a gate still to run,
+    the largest distance less one."""
+    asg, dist, worst = node.assignment, graph.dist, 0
+    for ap, k, row in zip(asg, node.progress, info.live):
+        if ap:
+            near = dist[ap]
+            for entry in row[k]:
+                aq = asg[entry[0]]
+                if aq and near[aq] - 1 > worst:
+                    worst = near[aq] - 1
     return node.swap_count + worst
 
 
@@ -212,30 +234,34 @@ class _Search:
 
     def make_child(self, node: SearchNode, gate_index: int, edge) -> SearchNode:
         v, w = edge
-        start = max(node.depth_map[v], node.depth_map[w])
         dm = list(node.depth_map)
-        asg = list(node.assignment)
+        start = dm[v] if dm[v] > dm[w] else dm[w]
+        asg = node.assignment
         if gate_index == SWAP:
             # The qubits (if any) at v and w trade places.
-            if v in node.assignment:
-                asg[node.assignment.index(v)] = w
-            if w in node.assignment:
-                asg[node.assignment.index(w)] = v
+            moved = list(asg)
+            if v in asg:
+                moved[asg.index(v)] = w
+            if w in asg:
+                moved[asg.index(w)] = v
             dm[v] = dm[w] = start + self.config.swap_duration
-            return SearchNode(node, SWAP, edge, tuple(dm), tuple(asg), node.progress,
+            return SearchNode(node, SWAP, edge, tuple(dm), tuple(moved), node.progress,
                               node.swap_count + 1, node.num_scheduled)
         gate = self.circuit.gates[gate_index - 1]
         p, q = gate.qubits
-        asg[p], asg[q] = v, w
+        if asg[p] != v or asg[q] != w:
+            moved = list(asg)
+            moved[p], moved[q] = v, w
+            asg = tuple(moved)
         prog = list(node.progress)
         prog[p] += 1
         prog[q] += 1
         dm[v] = dm[w] = start + gate.duration
-        return SearchNode(node, gate_index, edge, tuple(dm), tuple(asg), tuple(prog),
+        return SearchNode(node, gate_index, edge, tuple(dm), asg, tuple(prog),
                           node.swap_count, node.num_scheduled + 1)
 
-    def gate_children_edges(self, node: SearchNode):
-        """Yield (gate_index, edge) placements for minimal unscheduled gates.
+    def gate_children_edges(self, node: SearchNode) -> list:
+        """(gate_index, edge) placements for minimal unscheduled gates.
         Layered mode keeps the lowest unfinished layer: the lowest layer among
         minimal gates, since all predecessors of its gates are scheduled."""
         gates = minimal_unscheduled(self.info, node.progress)
@@ -243,32 +269,28 @@ class _Search:
             layer = self.info.layer
             low = min(layer[i] for i in gates)
             gates = [i for i in gates if layer[i] == low]
-        busy = set(node.assignment)     # occupied nodes (plus 0, never a node)
+        asg, graph, circuit_gates = node.assignment, self.graph, self.circuit.gates
+        busy = set(asg)     # occupied nodes (plus 0, never a node)
+        children = []
         for i in gates:
-            p, q = self.circuit.gates[i - 1].qubits
-            ap, aq = node.assignment[p], node.assignment[q]
+            p, q = circuit_gates[i - 1].qubits
+            ap, aq = asg[p], asg[q]
             if ap and aq:
-                if self.graph.has_edge(ap, aq):
-                    yield i, (ap, aq)
+                if graph.has_edge(ap, aq):
+                    children.append((i, (ap, aq)))
             elif ap:
-                for w in self.graph.neighbors(ap):
-                    if w not in busy:
-                        yield i, (ap, w)
+                children += [(i, (ap, w)) for w in graph.neighbors(ap) if w not in busy]
             elif aq:
-                for v in self.graph.neighbors(aq):
-                    if v not in busy:
-                        yield i, (v, aq)
+                children += [(i, (v, aq)) for v in graph.neighbors(aq) if v not in busy]
             else:
-                for v, w in self.graph.edges:
+                for v, w in graph.edges:
                     if v not in busy and w not in busy:
-                        yield i, (v, w)
-                        yield i, (w, v)
+                        children += ((i, (v, w)), (i, (w, v)))
+        return children
 
-    def swap_children_edges(self, node: SearchNode):
+    def swap_children_edges(self, node: SearchNode) -> list:
         busy = set(node.assignment)
-        for v, w in self.graph.edges:
-            if v in busy or w in busy:
-                yield SWAP, (v, w)
+        return [(SWAP, (v, w)) for v, w in self.graph.edges if v in busy or w in busy]
 
     def children(self, node: SearchNode) -> list:
         """The (gate_index, edge) children the search expands: the gate and
@@ -283,16 +305,15 @@ class _Search:
         - No SWAP undoes the node's own SWAP: that child has the
           grandparent's state, a depth vector no lower and two more SWAPs.
         """
-        gates = list(self.gate_children_edges(node))
+        gates = self.gate_children_edges(node)
         if not self.w_depth:
-            asg = node.assignment
-            for i, edge in gates:
-                p, q = self.circuit.gates[i - 1].qubits
+            asg, circuit_gates = node.assignment, self.circuit.gates
+            for child in gates:
+                p, q = circuit_gates[child[0] - 1].qubits
                 if asg[p] and asg[q]:
-                    return [(i, edge)]
-        undo = node.edge if node.gate_index == SWAP else None
-        gates.extend(c for c in self.swap_children_edges(node) if c[1] != undo)
-        return gates
+                    return [child]
+        undo = (SWAP, node.edge) if node.gate_index == SWAP else None
+        return gates + [move for move in self.swap_children_edges(node) if move != undo]
 
 
 class _Front:
@@ -307,8 +328,8 @@ class _Front:
     compared in each of their frames.  Given the whole group, a record then
     dominates a newcomer exactly when some automorphism maps the newcomer's
     state onto the record's and the record's depth map is no worse than the
-    mapped one, whatever sigma the record was stored under.  With no automorphisms the key is the state and
-    the frame its depth map.
+    mapped one, whatever sigma the record was stored under.  With no
+    automorphisms the key is the state and the frame its depth map.
     """
 
     def __init__(self, track_depth: bool, track_swaps: bool, automorphisms=()):
@@ -324,9 +345,11 @@ class _Front:
             self.maps.append((sigma, operator.itemgetter(*inverse)))
         self.store: dict = {}
 
-    def canonical(self, node: SearchNode):
-        """The node's class key, and its depth map in every frame that
-        attains the key (`(None,)` when depth is not tracked)."""
+    def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
+        """Store `node` under its class key unless a record of the class
+        dominates it (no worse on every tracked coordinate), and evict the
+        records it dominates.  The node keeps its depth map in the frame of
+        the first sigma attaining the key (the identity first)."""
         asg = node.assignment
         best, winners = asg, [None]                 # None: the identity
         # An itemgetter of one index returns the item, not a 1-tuple; with
@@ -339,34 +362,38 @@ class _Front:
                     best, winners = image, [frame_of]
                 elif image == best:
                     winners.append(frame_of)
+        key = (best, node.progress)
+        records = self.store.get(key, ())
+        swaps = node.swap_count
         if not self.track_depth:
-            return (best, node.progress), (None,)
-        dm = node.depth_map
-        return (best, node.progress), [dm if frame_of is None else frame_of(dm)
-                                       for frame_of in winners]
-
-    def dominates(self, swaps_a: int, frame_a, swaps_b: int, frame_b) -> bool:
-        """Whether (swaps_a, frame_a) is no worse than (swaps_b, frame_b) on
-        every tracked coordinate, both frames of one class."""
-        if self.track_swaps and swaps_a > swaps_b:
-            return False
-        return not self.track_depth or all(map(operator.le, frame_a, frame_b))
-
-    def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
-        key, frames = self.canonical(node)
-        records = self.store.setdefault(key, [])
-        swaps, dominates = node.swap_count, self.dominates
-        for r in records:
-            for frame in frames:
-                if dominates(r.swap_count, r.frame, swaps, frame):
+            # SWAP counts alone (track_swaps): one record, the class's lowest.
+            if records:
+                if records[0].swap_count <= swaps:
                     stats.nodes_pruned += 1
                     return False
+                records[0].removed = True
+                stats.fronts_replaced += 1
+            self.store[key] = [node]
+            return True
+
+        dm = node.depth_map
+        frames = [dm if frame_of is None else frame_of(dm) for frame_of in winners]
+        track_swaps, le = self.track_swaps, operator.le
+        for r in records:                   # a record no worse prunes the node
+            if not track_swaps or r.swap_count <= swaps:
+                for frame in frames:
+                    if all(map(le, r.frame, frame)):
+                        stats.nodes_pruned += 1
+                        return False
         kept = []
-        for r in records:
-            for frame in frames:
-                if dominates(swaps, frame, r.swap_count, r.frame):
-                    r.removed = True
-                    break
+        for r in records:                   # records no better are evicted
+            if not track_swaps or swaps <= r.swap_count:
+                for frame in frames:
+                    if all(map(le, frame, r.frame)):
+                        r.removed = True
+                        break
+                else:
+                    kept.append(r)
             else:
                 kept.append(r)
         if len(kept) < len(records):
@@ -393,20 +420,19 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
 
 def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     """One search at beam width `beam` (None: exact); None when a beam's
-    open list empties with no complete node."""
+    open list empties with no complete node.  Heap entries are (bound,
+    -num_scheduled, swap_count, counter, node): the unique counter decides
+    every tie before the node."""
     config = search.config
     stats = SolveStats()
     front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0,
                    automorphisms=search.graph.automorphisms())
+    try_insert = front.try_insert if config.use_pareto else None
+    children, make_child, bound = search.children, search.make_child, search.bound
+    time_limit = config.time_limit
     root = search.root()
-    counter = 0
-
-    def entry(node: SearchNode):
-        nonlocal counter
-        counter += 1
-        return (search.bound(node), -node.num_scheduled, node.swap_count, counter, node)
-
-    open_heap = [entry(root)]
+    counter = 1
+    open_heap = [(bound(root), 0, 0, counter, root)]
     front.try_insert(root, stats)
     stats.nodes_inserted += 1
     num_gates = search.circuit.num_gates
@@ -414,29 +440,30 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     incumbent_obj: int | None = None
 
     while open_heap:
-        if config.time_limit is not None and time.monotonic() - t0 > config.time_limit:
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
             break
-        _, _, _, _, node = heapq.heappop(open_heap)
+        node = heapq.heappop(open_heap)[4]
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
             return _result(search, node, stats, "incumbent" if beam else "optimal")
         stats.nodes_expanded += 1
-        for gate_index, edge in search.children(node):
-            child = search.make_child(node, gate_index, edge)
+        for gate_index, edge in children(node):
+            child = make_child(node, gate_index, edge)
             if child.num_scheduled == num_gates:
                 obj = search.objective(child)
                 if incumbent_obj is None or obj < incumbent_obj:
                     incumbent, incumbent_obj = child, obj
             # Only Pareto survivors are bounded: a pruned child needs no key.
-            if not config.use_pareto or front.try_insert(child, stats):
+            if try_insert is None or try_insert(child, stats):
                 stats.nodes_inserted += 1
-                heapq.heappush(open_heap, entry(child))
+                counter += 1
+                heapq.heappush(open_heap, (bound(child), -child.num_scheduled,
+                                           child.swap_count, counter, child))
         if beam is not None:
             alive = [e for e in open_heap if not e[4].removed]
             if len(alive) > beam:
-                # The unique counter decides every tie before the node, and
-                # a sorted list is already a heap.
+                # A sorted list is already a heap.
                 alive.sort()
                 for e in alive[beam:]:
                     e[4].removed = True

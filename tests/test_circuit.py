@@ -178,6 +178,37 @@ class TestHypothesisProperties:
         assert max((info.delta[i] for i in roots), default=0) == brute_force_makespan(c)
 
 
+class TestSearchTables:
+    @given(gate_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_tables_match_their_definitions(self, raw):
+        c = make_circuit(4, [(p, q, d) for ((p, q), d) in raw])
+        info = analyze(c)
+        first_qubit = {}                # unordered pair -> its first gate's first qubit
+        for g in c.gates:
+            first_qubit.setdefault(frozenset(g.qubits), g.qubits[0])
+        for q, ids in info.per_qubit.items():
+            assert len(info.head[q]) == len(info.ready[q]) == len(info.live[q]) == len(ids) + 1
+            assert info.head[q][-1] == 0 and info.ready[q][-1] is None
+            assert info.live[q][-1] == []
+            for k, i in enumerate(ids):
+                (r,) = set(c.gates[i - 1].qubits) - {q}
+                assert info.head[q][k] == info.delta[i]
+                assert info.ready[q][k] == (i, r, info.pos[i][r])
+            for k in range(len(ids) + 1):
+                expected = []
+                for pair, p in first_qubit.items():
+                    if p != q:
+                        continue
+                    (r,) = pair - {q}
+                    later = [i for i in ids[k:] if r in c.gates[i - 1].qubits]
+                    if later:
+                        first = later[0]
+                        expected.append((r, info.delta[first], info.pos[first][q],
+                                         info.pos[first][r]))
+                assert sorted(info.live[q][k]) == sorted(expected)
+
+
 class TestProperties:
     def test_delta_bounds_and_successor_consistency(self):
         rng = random.Random(1)

@@ -89,6 +89,11 @@ class TestDistances:
             assert g.dist[v][w] == g.dist[w][v]
             assert g.dist[v][w] <= g.dist[v][u] + g.dist[u][w]
 
+    def test_rows_are_lists(self):
+        g = parse_topology("y:6")
+        assert len(g.dist) == 7 and all(type(row) is list for row in g.dist)
+        assert g.dist[4] == [-1, 1, 2, 2, 0, 3, 3]
+
     def test_disconnected_rejected(self):
         with pytest.raises(HardwareError, match="connected"):
             HardwareGraph(4, [(1, 2), (3, 4)])
@@ -225,6 +230,20 @@ class TestAutomorphisms:
     def test_asymmetric_graph_has_none(self):
         g = HardwareGraph(7, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 7), (3, 6), (4, 5), (5, 6)])
         assert g.automorphisms() == []
+
+    @pytest.mark.parametrize("spec, autos", [
+        ("linear:5", [(0, 5, 4, 3, 2, 1)]),
+        ("grid:2x3", [(0, 3, 2, 1, 6, 5, 4), (0, 4, 5, 6, 1, 2, 3), (0, 6, 5, 4, 3, 2, 1)]),
+        ("grid:3x3", [(0, 1, 4, 7, 2, 5, 8, 3, 6, 9), (0, 3, 2, 1, 6, 5, 4, 9, 8, 7),
+                      (0, 3, 6, 9, 2, 5, 8, 1, 4, 7), (0, 7, 4, 1, 8, 5, 2, 9, 6, 3),
+                      (0, 7, 8, 9, 4, 5, 6, 1, 2, 3), (0, 9, 6, 3, 8, 5, 2, 7, 4, 1),
+                      (0, 9, 8, 7, 6, 5, 4, 3, 2, 1)]),
+        ("y:6", [(0, 1, 3, 2, 4, 6, 5)]),
+    ])
+    def test_lists_are_pinned(self, spec, autos):
+        # Recorded when the BFS order came from a dict of dicts' insertion
+        # order, so a change to how `dist` is stored cannot reorder them.
+        assert parse_topology(spec).automorphisms() == autos
 
     def test_computed_on_first_call_and_cached(self):
         # Building a graph must not pay for the search.

@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qmproute import hardware
 from qmproute.bench import InstanceSpec, gen_random_circuit
-from qmproute.circuit import Circuit, GateSpec, analyze, parse_circuit
+from qmproute.circuit import Circuit, GateSpec, minimal_unscheduled, parse_circuit
 from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, compute_metrics, validate
@@ -84,6 +85,30 @@ def reference_bound_depth(node, info, graph, swap_duration):
         if best is not None:
             h_g = max(h_g, info.delta[first] + best)
     return max(h_q, h_g)
+
+
+def reference_minimal_unscheduled(info, progress):
+    """minimal_unscheduled by its definition, O(gates): the gates that are
+    the next unscheduled gate on both of their qubits, in circuit order."""
+    return [g.id for g in info.circuit.gates
+            if all(info.pos[g.id][q] == progress[q] for q in g.qubits)]
+
+
+def reference_bound_swaps(node, info, graph):
+    """bound_swaps as a scan over qubit pairs: the SWAPs so far plus the
+    largest distance less one over placed pairs with a gate still to run."""
+    pair_gates = {}
+    for g in info.circuit.gates:
+        pair_gates.setdefault(frozenset(g.qubits), []).append(g)
+    worst = 0
+    for gates in pair_gates.values():
+        p, q = gates[0].qubits
+        if info.pos[gates[-1].id][p] < node.progress[p]:
+            continue    # every gate of the pair already scheduled
+        ap, aq = node.assignment[p], node.assignment[q]
+        if ap and aq:
+            worst = max(worst, graph.dist[ap][aq] - 1)
+    return node.swap_count + worst
 
 
 @st.composite
@@ -166,6 +191,20 @@ class TestSolveBasics:
         # A negative SWAP duration would let swapping lower the depth.
         with pytest.raises(SolverError, match="swap duration"):
             depth_config(swap_duration=-5)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"swap_duration": 1.5}, "swap duration"),
+        ({"swap_duration": True}, "swap duration"),
+        ({"beam_width": 2.5}, "beam width"),
+        ({"beam_width": True}, "beam width"),
+        ({"layered": 1}, "layered"),
+        ({"layered": "yes"}, "layered"),
+    ], ids=["float-swap-duration", "bool-swap-duration", "float-beam-width",
+            "bool-beam-width", "int-layered", "str-layered"])
+    def test_bad_types_rejected(self, kw, match):
+        # Not a raw TypeError from a comparison, and a bool is not read as 1.
+        with pytest.raises(SolverError, match=match):
+            depth_config(**kw)
 
     def test_no_schedule_in_time_is_a_timeout(self, example_circuit, linear4):
         # The limit has passed before the root is popped.
@@ -346,8 +385,7 @@ class TestTryInsert:
         assert front.try_insert(new, stats)   # depth is not weighed
         assert old.removed
         assert stats.fronts_replaced == 1
-        key, _ = front.canonical(new)
-        assert front.store[key] == [new]
+        assert list(front.store.values()) == [[new]]
 
     def test_swaps_only_equal_swaps_prunes_newcomer(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
@@ -399,8 +437,7 @@ class TestTryInsert:
         assert front.try_insert(old, stats)
         assert front.try_insert(new, stats)
         assert old.removed and stats.fronts_replaced == 1
-        key, frames = front.canonical(new)
-        assert front.store[key] == [new] and frames == [(0, 5, 4, 0, 0)]
+        assert list(front.store.values()) == [[new]] and new.frame == (0, 5, 4, 0, 0)
 
     def test_state_fixed_by_an_automorphism_compares_every_frame(self):
         # On grid:2x3 (nodes 1 2 3 / 4 5 6) the left-right flip fixes the
@@ -416,8 +453,8 @@ class TestTryInsert:
         a = self.make_node(search, (0, 7, 3, 0, 0, 3, 0))
         b = self.make_node(search, (0, 0, 3, 7, 0, 3, 0))
         a.assignment = b.assignment = (0, 2, 5)
-        assert len(front.canonical(b)[1]) == 2
         assert front.try_insert(a, stats)
+        assert not all(map(operator.le, a.frame, b.depth_map))   # not in b's own frame
         assert not front.try_insert(b, stats)
         assert stats.nodes_pruned == 1
 
@@ -426,25 +463,39 @@ class TestTryInsert:
     def test_canonical_key_and_frames(self, walk):
         # The key is the least image of the assignment over the whole
         # group, and the frames are the depth map moved by each sigma that
-        # attains it: node sigma[v] gets v's depth.
+        # attains it: node sigma[v] gets v's depth.  The node is stored in
+        # the first of them, and compared in each: a record in one of them
+        # prunes it, a record in any other frame of its depth map does not
+        # (two permutations of one depth map are ordered only when equal).
         search, nodes = walk
         graph = search.graph
         group = [tuple(range(graph.num_nodes + 1))] + graph.automorphisms()
-        front = _Front(track_depth=True, track_swaps=False,
-                       automorphisms=graph.automorphisms())
+
+        def new_front():
+            return _Front(track_depth=True, track_swaps=False,
+                          automorphisms=graph.automorphisms())
+
         for node in nodes:
             images = {sigma: tuple(sigma[a] for a in node.assignment) for sigma in group}
             best = min(images.values())
-            expected = []
+            frames, expected = [], []
             for sigma in group:
+                frame = [0] * len(sigma)
+                for v, u in enumerate(sigma):
+                    frame[u] = node.depth_map[v]
+                frames.append(tuple(frame))
                 if images[sigma] == best:
-                    frame = [0] * len(sigma)
-                    for v, u in enumerate(sigma):
-                        frame[u] = node.depth_map[v]
                     expected.append(tuple(frame))
-            key, frames = front.canonical(node)
-            assert key == (best, node.progress)
-            assert sorted(frames) == sorted(expected)
+            front = new_front()
+            assert front.try_insert(node, SolveStats())
+            assert list(front.store) == [(best, node.progress)]
+            assert node.frame == expected[0]
+            for frame in frames:
+                record = search.root()
+                record.frame = frame
+                front = new_front()
+                front.store[best, node.progress] = [record]
+                assert front.try_insert(node, SolveStats()) == (frame not in expected)
 
     def test_store_health(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
@@ -459,8 +510,7 @@ class TestTryInsert:
             for a in records:
                 for b in records:
                     if a is not b:
-                        assert not front.dominates(a.swap_count, a.frame,
-                                                   b.swap_count, b.frame)
+                        assert not all(map(operator.le, a.frame, b.frame))
 
 
 class TestBounds:
@@ -524,6 +574,17 @@ class TestBounds:
                      for g in info.circuit.gates for p, q in [g.qubits]
                      if info.pos[g.id][p] >= node.progress[p]
                      and node.assignment[p] and node.assignment[q]), default=0)
+
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_tables_match_reference(self, walk):
+        # The per-circuit tables answer what the O(gates) and pair scans do.
+        search, nodes = walk
+        info, graph = search.info, search.graph
+        for node in nodes:
+            assert (minimal_unscheduled(info, node.progress)
+                    == reference_minimal_unscheduled(info, node.progress))
+            assert bound_swaps(node, info, graph) == reference_bound_swaps(node, info, graph)
 
     def test_admissibility_at_root(self, linear4, y4):
         for graph in (linear4, y4):
@@ -700,6 +761,36 @@ class TestSymmetry:
             s = solve(circuit, graph, config).stats
             assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
                     s.fronts_replaced) == counts
+
+
+class TestSearchPinned:
+    """The search itself, not only its answers: a change that only makes
+    the search faster must expand, insert, prune and replace exactly these
+    nodes (counts recorded before the table-driven bounds and the flat
+    expansion loop)."""
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", [
+        ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
+        ("linear:5", 5, "depth", True, 53, (39, 140, 33, 10)),
+        ("linear:5", 5, "swaps", False, 1, (35, 76, 14, 2)),
+        ("linear:5", 5, "swaps", True, 1, (27, 67, 13, 2)),
+        ("grid:2x3", 6, "depth", False, 45, (158, 889, 402, 9)),
+        ("grid:2x3", 6, "depth", True, 45, (118, 660, 262, 21)),
+        ("grid:2x3", 6, "swaps", False, 1, (36, 204, 88, 1)),
+        ("grid:2x3", 6, "swaps", True, 1, (18, 66, 72, 0)),
+        ("y:6", 6, "depth", False, 64, (626, 2009, 1527, 49)),
+        ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
+        ("y:6", 6, "swaps", False, 2, (134, 455, 247, 7)),
+        ("y:6", 6, "swaps", True, 2, (55, 183, 78, 4)),
+    ])
+    def test_counts(self, topology, qubits, objective, layered, value, counts):
+        circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
+        config = depth_config if objective == "depth" else swaps_config
+        r = solve(circuit, parse_topology(topology), config(layered=layered))
+        s = r.stats
+        assert (r.status, r.objective_value) == ("optimal", value)
+        assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
+                s.fronts_replaced) == counts
 
 
 class TestModesAndProperties:
