@@ -24,6 +24,7 @@ width converts the search into a heuristic.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import operator
@@ -51,8 +52,17 @@ class SolverConfig:
     use_pareto: bool = True
 
     def __post_init__(self):
-        self.w_depth = Fraction(self.w_depth)
-        self.w_swaps = Fraction(self.w_swaps)
+        for name in ("w_depth", "w_swaps"):
+            # A float is refused: 0.1 is 3602879701896397 / 2**55, and that
+            # denominator would scale every heap key.
+            weight = getattr(self, name)
+            try:
+                if isinstance(weight, (bool, float)):
+                    raise TypeError
+                setattr(self, name, Fraction(weight))
+            except (TypeError, ValueError):
+                raise SolverError(f"{name} must be an int, a Fraction or a decimal string, "
+                                  f"got {weight!r}") from None
         if self.w_depth < 0 or self.w_swaps < 0 or self.w_depth + self.w_swaps == 0:
             raise SolverError("weights must be nonnegative with positive sum")
         # `type(x) is int`: a bool is an int subclass, but not a width.
@@ -64,7 +74,12 @@ class SolverConfig:
                               f"got {self.swap_duration!r}")
         if type(self.layered) is not bool:
             raise SolverError(f"layered must be a bool, got {self.layered!r}")
-        if self.time_limit is not None and not self.time_limit > 0:
+        if type(self.use_pareto) is not bool:
+            raise SolverError(f"use_pareto must be a bool, got {self.use_pareto!r}")
+        if self.time_limit is not None and (
+                isinstance(self.time_limit, bool)
+                or not isinstance(self.time_limit, (int, float))
+                or not self.time_limit > 0):
             raise SolverError(f"time limit must be a positive number of seconds, "
                               f"got {self.time_limit!r}")
 
@@ -78,7 +93,8 @@ class SearchNode:
         self.parent = parent
         self.gate_index = gate_index
         self.edge = edge
-        self.depth_map = depth_map          # tuple over nodes 1..|V|; index 0 stays 0
+        # Tuple over nodes 1..|V| (index 0 stays 0); None when depth has no weight.
+        self.depth_map = depth_map
         self.assignment = assignment        # tuple over qubits 1..n, 0 = unassigned
         self.progress = progress            # tuple over qubits 1..n
         self.swap_count = swap_count
@@ -223,20 +239,23 @@ class _Search:
 
     def objective(self, node: SearchNode) -> int:
         """Exact objective of a complete node, times `scale`."""
-        return self.w_depth * max(node.depth_map) + self.w_swaps * node.swap_count
+        h = self.w_swaps * node.swap_count
+        if self.w_depth:
+            h += self.w_depth * max(node.depth_map)
+        return h
 
     def root(self) -> SearchNode:
+        """The empty schedule.  Nodes carry a depth map only when depth has
+        a weight: nothing else reads it, and `_result` replays the times."""
         n = self.circuit.num_virtual_qubits
         return SearchNode(parent=None, gate_index=None, edge=None,
-                          depth_map=(0,) * (self.graph.num_nodes + 1),
+                          depth_map=(0,) * (self.graph.num_nodes + 1) if self.w_depth else None,
                           assignment=(0,) * (n + 1), progress=(0,) * (n + 1),
                           swap_count=0, num_scheduled=0)
 
     def make_child(self, node: SearchNode, gate_index: int, edge) -> SearchNode:
         v, w = edge
-        dm = list(node.depth_map)
-        start = dm[v] if dm[v] > dm[w] else dm[w]
-        asg = node.assignment
+        asg, prog, swaps = node.assignment, node.progress, node.swap_count
         if gate_index == SWAP:
             # The qubits (if any) at v and w trade places.
             moved = list(asg)
@@ -244,21 +263,26 @@ class _Search:
                 moved[asg.index(v)] = w
             if w in asg:
                 moved[asg.index(w)] = v
-            dm[v] = dm[w] = start + self.config.swap_duration
-            return SearchNode(node, SWAP, edge, tuple(dm), tuple(moved), node.progress,
-                              node.swap_count + 1, node.num_scheduled)
-        gate = self.circuit.gates[gate_index - 1]
-        p, q = gate.qubits
-        if asg[p] != v or asg[q] != w:
-            moved = list(asg)
-            moved[p], moved[q] = v, w
-            asg = tuple(moved)
-        prog = list(node.progress)
-        prog[p] += 1
-        prog[q] += 1
-        dm[v] = dm[w] = start + gate.duration
-        return SearchNode(node, gate_index, edge, tuple(dm), asg, tuple(prog),
-                          node.swap_count, node.num_scheduled + 1)
+            asg, swaps, scheduled = tuple(moved), swaps + 1, node.num_scheduled
+            duration = self.config.swap_duration
+        else:
+            gate = self.circuit.gates[gate_index - 1]
+            p, q = gate.qubits
+            if asg[p] != v or asg[q] != w:
+                moved = list(asg)
+                moved[p], moved[q] = v, w
+                asg = tuple(moved)
+            prog = list(prog)
+            prog[p] += 1
+            prog[q] += 1
+            prog, scheduled = tuple(prog), node.num_scheduled + 1
+            duration = gate.duration
+        dm = node.depth_map
+        if dm is not None:
+            dm = list(dm)
+            dm[v] = dm[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + duration
+            dm = tuple(dm)
+        return SearchNode(node, gate_index, edge, dm, asg, prog, swaps, scheduled)
 
     def gate_children_edges(self, node: SearchNode) -> list:
         """(gate_index, edge) placements for minimal unscheduled gates.
@@ -407,13 +431,25 @@ class _Front:
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:
     """Solve the mapping problem; exact unless a beam width or time limit cuts
     the search.  In beam mode a dead-ended search is deterministically
-    restarted with twice the beam width until a solution is found."""
+    restarted with twice the beam width until a solution is found.
+
+    The cyclic garbage collector is off while the search runs, and back on
+    afterwards if it was on before.  The search makes no reference cycles
+    (a node points only to its parent), so reference counting frees every
+    pruned node; the collector would only rescan the live tree as it grows.
+    Other threads' cyclic garbage waits until the solve returns."""
     config = config or SolverConfig()
     t0 = time.monotonic()
     search = _Search(circuit, graph, config)
     beam = config.beam_width
-    while (result := _run(search, beam, t0)) is None:
-        beam *= 2
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while (result := _run(search, beam, t0)) is None:
+            beam *= 2
+    finally:
+        if collecting:
+            gc.enable()
     result.stats.wall_time = time.monotonic() - t0
     return result
 
@@ -477,22 +513,29 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
 
 
 def _result(search: _Search, node: SearchNode, stats: SolveStats, status: str) -> SolveResult:
-    """The schedule along `node`'s path; each op starts when both of its
-    nodes are free in the parent and ends at the child's depth there."""
-    ops = []
+    """The schedule along `node`'s path.  Its ops are replayed in path order,
+    each as early as possible from all-zero depths, which gives exactly the
+    depth maps the search keeps under a depth weight."""
+    path = []
     cur = node
     while cur.parent is not None:
-        v, w = cur.edge
-        start = max(cur.parent.depth_map[v], cur.parent.depth_map[w])
-        ops.append(ScheduledOp(kind=cur.gate_index, edge=cur.edge,
-                               start=start, duration=cur.depth_map[v] - start))
+        path.append(cur)
         cur = cur.parent
-    ops.reverse()
+    gates, swap_duration = search.circuit.gates, search.config.swap_duration
+    depth = [0] * (search.graph.num_nodes + 1)
+    ops = []
+    for cur in reversed(path):
+        v, w = cur.edge
+        start = max(depth[v], depth[w])
+        duration = swap_duration if cur.gate_index == SWAP else gates[cur.gate_index - 1].duration
+        depth[v] = depth[w] = start + duration
+        ops.append(ScheduledOp(kind=cur.gate_index, edge=cur.edge, start=start,
+                               duration=duration))
     ops.sort(key=lambda op: op.start)
-    schedule = Schedule(ops=tuple(ops), swap_duration=search.config.swap_duration)
+    schedule = Schedule(ops=tuple(ops), swap_duration=swap_duration)
     return SolveResult(schedule=schedule,
                        objective_value=Fraction(search.objective(node), search.scale),
                        status=status,
                        stats=stats,
-                       makespan=max(node.depth_map),
+                       makespan=max(depth),
                        swap_count=node.swap_count)

@@ -1,3 +1,4 @@
+import gc
 import json
 import operator
 from fractions import Fraction
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmproute import hardware
+from qmproute import hardware, solver
 from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import Circuit, GateSpec, minimal_unscheduled, parse_circuit
 from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
-from qmproute.schedule import SWAP, compute_metrics, validate
+from qmproute.schedule import SWAP, ScheduledOp, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
-                             _run, _Search, bound_depth, bound_swaps, solve)
+                             _result, _run, _Search, bound_depth, bound_swaps, solve)
 
 from conftest import tiny_instances
 
@@ -25,6 +26,13 @@ def depth_config(**kw):
 
 def swaps_config(**kw):
     return SolverConfig(w_depth=0, w_swaps=1, **kw)
+
+
+def combined_config(**kw):
+    return SolverConfig(w_depth=1, w_swaps=10, **kw)
+
+
+CONFIGS = {"depth": depth_config, "swaps": swaps_config, "combined": combined_config}
 
 
 def reference_bound_depth(node, info, graph, swap_duration):
@@ -199,12 +207,23 @@ class TestSolveBasics:
         ({"beam_width": True}, "beam width"),
         ({"layered": 1}, "layered"),
         ({"layered": "yes"}, "layered"),
+        ({"time_limit": True}, "time limit"),
+        ({"time_limit": "5"}, "time limit"),
+        ({"use_pareto": 0}, "use_pareto"),
+        ({"w_depth": True}, "w_depth must be an int, a Fraction or a decimal string"),
+        ({"w_swaps": 0.1}, "w_swaps must be an int, a Fraction or a decimal string"),
     ], ids=["float-swap-duration", "bool-swap-duration", "float-beam-width",
-            "bool-beam-width", "int-layered", "str-layered"])
+            "bool-beam-width", "int-layered", "str-layered", "bool-time-limit",
+            "str-time-limit", "int-use-pareto", "bool-w-depth", "float-w-swaps"])
     def test_bad_types_rejected(self, kw, match):
-        # Not a raw TypeError from a comparison, and a bool is not read as 1.
+        # Not a raw TypeError from a comparison, a bool is not read as 1,
+        # and a float weight is not taken at its binary value.
         with pytest.raises(SolverError, match=match):
-            depth_config(**kw)
+            SolverConfig(**kw)
+
+    def test_exact_weights_accepted(self):
+        config = SolverConfig(w_depth="0.1", w_swaps=Fraction(1, 3), time_limit=5)
+        assert (config.w_depth, config.w_swaps) == (Fraction(1, 10), Fraction(1, 3))
 
     def test_no_schedule_in_time_is_a_timeout(self, example_circuit, linear4):
         # The limit has passed before the root is popped.
@@ -675,8 +694,7 @@ def relabelled_graph(graph, perm):
 
 
 def solve_both_ways(circuit, graph, objective, layered, **kw):
-    config = depth_config if objective == "depth" else swaps_config
-    r = solve(circuit, graph, config(layered=layered, **kw))
+    r = solve(circuit, graph, CONFIGS[objective](layered=layered, **kw))
     assert r.status == "optimal"
     assert validate(r.schedule, circuit, graph).ok
     return r
@@ -767,7 +785,8 @@ class TestSearchPinned:
     """The search itself, not only its answers: a change that only makes
     the search faster must expand, insert, prune and replace exactly these
     nodes (counts recorded before the table-driven bounds and the flat
-    expansion loop)."""
+    expansion loop; the combined rows before nodes dropped the depth map
+    under the swaps objective)."""
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", [
         ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
@@ -782,15 +801,130 @@ class TestSearchPinned:
         ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
         ("y:6", 6, "swaps", False, 2, (134, 455, 247, 7)),
         ("y:6", 6, "swaps", True, 2, (55, 183, 78, 4)),
+        ("linear:5", 5, "combined", False, 63, (62, 204, 79, 5)),
+        ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
     ])
     def test_counts(self, topology, qubits, objective, layered, value, counts):
         circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
-        config = depth_config if objective == "depth" else swaps_config
-        r = solve(circuit, parse_topology(topology), config(layered=layered))
+        r = solve(circuit, parse_topology(topology), CONFIGS[objective](layered=layered))
         s = r.stats
         assert (r.status, r.objective_value) == ("optimal", value)
         assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
                 s.fronts_replaced) == counts
+
+
+def reference_ops(node):
+    """The ops along `node`'s path, timed from the depth maps the search
+    keeps: each starts when both its nodes are free in the parent and ends
+    at the child's depth there, in path order, then stably sorted by start."""
+    ops = []
+    while node.parent is not None:
+        v, w = node.edge
+        start = max(node.parent.depth_map[v], node.parent.depth_map[w])
+        assert node.depth_map[v] == node.depth_map[w]
+        ops.append(ScheduledOp(node.gate_index, node.edge, start, node.depth_map[v] - start))
+        node = node.parent
+    ops.reverse()
+    ops.sort(key=lambda op: op.start)
+    return ops
+
+
+class TestReplayedTimes:
+    """`_result` replays a path's ops from all-zero depths instead of
+    reading depth maps, which only a depth weight keeps."""
+
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_matches_the_depth_maps(self, walk):
+        search, nodes = walk
+        for node in nodes:
+            r = _result(search, node, SolveStats(), "incumbent")
+            assert list(r.schedule.ops) == reference_ops(node)
+            assert r.makespan == max(node.depth_map)
+        # The same path under the other objectives: the same states and
+        # schedule, with a depth map only under a depth weight.
+        kw = {"layered": search.config.layered, "swap_duration": search.config.swap_duration}
+        expected = _result(search, nodes[-1], SolveStats(), "incumbent")
+        for config in (swaps_config(**kw), combined_config(**kw)):
+            other = _Search(search.circuit, search.graph, config)
+            node = other.root()
+            assert node.depth_map == (None if config.w_depth == 0 else nodes[0].depth_map)
+            for walked in nodes[1:]:
+                node = other.make_child(node, walked.gate_index, walked.edge)
+                assert ((node.assignment, node.progress, node.swap_count, node.num_scheduled)
+                        == (walked.assignment, walked.progress, walked.swap_count,
+                            walked.num_scheduled))
+                assert node.depth_map == (None if config.w_depth == 0 else walked.depth_map)
+            r = _result(other, node, SolveStats(), "incumbent")
+            assert (r.schedule, r.makespan, r.swap_count) == (
+                expected.schedule, expected.makespan, expected.swap_count)
+
+    @given(instances(max_gates=6), st.sampled_from(["swaps", "combined"]), st.booleans(),
+           st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_replayed_schedule_is_valid(self, instance, objective, layered, d_s):
+        circuit, graph = instance
+        r = solve(circuit, graph, CONFIGS[objective](layered=layered, swap_duration=d_s))
+        assert r.status == "optimal"
+        assert validate(r.schedule, circuit, graph).ok
+        m = compute_metrics(r.schedule)
+        assert (m.depth, m.swaps) == (r.makespan, r.swap_count)
+        if objective == "swaps":
+            assert r.objective_value == r.swap_count
+        else:
+            assert r.objective_value == r.makespan + 10 * r.swap_count
+
+
+class TestCollector:
+    """`solve` turns the cyclic garbage collector off around the search,
+    which is safe only because the search makes no reference cycles."""
+
+    @pytest.mark.parametrize("beam", [None, 2], ids=["exact", "beam2"])
+    @pytest.mark.parametrize("layered", [False, True], ids=["plain", "layered"])
+    @pytest.mark.parametrize("objective", ["depth", "swaps", "combined"])
+    @pytest.mark.parametrize("topology, qubits", [("linear:5", 5), ("grid:2x3", 6),
+                                                  ("y:6", 6)])
+    def test_solve_makes_no_cycles(self, topology, qubits, objective, layered, beam):
+        circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
+        graph = parse_topology(topology)
+        config = CONFIGS[objective](layered=layered, beam_width=beam)
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = solve(circuit, graph, config)
+            assert result.schedule is not None
+            del result
+            assert gc.collect() == 0
+        finally:
+            if collecting:
+                gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_solve_restores_the_collector(self, example_circuit, linear4, enabled):
+        collecting = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            solve(example_circuit, linear4, depth_config())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if collecting else gc.disable)()
+
+    def test_collector_restored_when_the_search_raises(self, example_circuit, linear4,
+                                                       monkeypatch):
+        def failing_run(search, beam, t0):
+            assert not gc.isenabled()
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(solver, "_run", failing_run)
+        collecting = gc.isenabled()
+        gc.enable()
+        try:
+            with pytest.raises(RuntimeError, match="search failed"):
+                solve(example_circuit, linear4, depth_config())
+            assert gc.isenabled()
+        finally:
+            (gc.enable if collecting else gc.disable)()
 
 
 class TestModesAndProperties:
