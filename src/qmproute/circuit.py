@@ -3,9 +3,9 @@
 A circuit is an ordered list of two-qubit gates over virtual qubits.  Gates
 on the same qubit are totally ordered by their position in the list, which
 induces a partial order over all gates.  The analysis pass precomputes the
-per-qubit gate sequences, tail times (minimum time from a gate's start to
-circuit completion on ideal hardware), layer indices used by the layered
-search mode, and the tables the search reads by per-qubit progress.
+layer indices used by the layered search mode and the tables the search
+reads by per-qubit progress, among them each next gate's tail time (minimum
+time from its start to circuit completion on ideal hardware).
 """
 
 from __future__ import annotations
@@ -91,18 +91,18 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 @dataclass(frozen=True)
 class PrecedenceInfo:
-    """Static analysis of a circuit's precedence structure.
+    """The tables the search reads, from a static analysis of a circuit's
+    precedence structure.  In the analysis, delta[i] is the minimum time
+    from gate i's start to circuit completion.
 
-    per_qubit[q] is the ordered list of gate ids acting on virtual qubit q.
-    delta[i] is the minimum time from gate i's start to circuit completion.
-    layer[i] is the recursive layer index (0 for gates with no predecessor).
-    pos[i] maps each of gate i's qubits to its index within per_qubit[q].
+    layer[i] is gate i's recursive layer index (0 for gates with no
+    predecessor; entry 0 unused).
 
-    The remaining tables are lists indexed by qubit (row 0 unused), then by
+    The other tables are lists indexed by qubit (row 0 unused), then by
     the qubit's progress k, its number of scheduled gates, up to and
-    including len(per_qubit[q]):
-    tail_sums[q][k] is the total duration of gates per_qubit[q][k:].
-    head[q][k] is delta of gate per_qubit[q][k], 0 once q is done.
+    including its gate count:
+    tail_sums[q][k] is the total duration of q's gates from its k-th on.
+    head[q][k] is delta of q's k-th gate, 0 once q is done.
     ready[q][k] is (gate id, partner qubit, the gate's position on the
     partner) for that gate, None once q is done; the gate is minimal
     exactly when the partner's progress equals that position.
@@ -112,11 +112,7 @@ class PrecedenceInfo:
     where `first` is the pair's first such gate and q the pair's other
     qubit.  An entry holds no k, so the rows share one tuple per gate.
     """
-    circuit: Circuit
-    per_qubit: dict[int, list[int]]
-    delta: dict[int, int]
-    layer: dict[int, int]
-    pos: dict[int, dict[int, int]]
+    layer: list[int]
     tail_sums: list[list[int]]
     head: list[list[int]]
     ready: list[list[tuple[int, int, int] | None]]
@@ -124,9 +120,11 @@ class PrecedenceInfo:
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:
+    # per_qubit[q]: the ids of q's gates in order; pos[i][q]: gate i's
+    # index in per_qubit[q].
     per_qubit: dict[int, list[int]] = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
     pos: dict[int, dict[int, int]] = {}
-    layer: dict[int, int] = {}
+    layer = [0] * (circuit.num_gates + 1)
     pairs: dict[frozenset, tuple[int, int, list[int]]] = {}
     for g in circuit.gates:
         # A gate's direct predecessors are the last gates on its two qubits.
@@ -168,9 +166,7 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
                 live[p][k].append(entry)
             start = at_p + 1
 
-    return PrecedenceInfo(circuit=circuit, per_qubit=per_qubit, delta=delta,
-                          layer=layer, pos=pos, tail_sums=tail_sums,
-                          head=head, ready=ready, live=live)
+    return PrecedenceInfo(layer=layer, tail_sums=tail_sums, head=head, ready=ready, live=live)
 
 
 def minimal_unscheduled(info: PrecedenceInfo, progress) -> list[int]:

@@ -75,12 +75,9 @@ def _cmd_solve(args) -> int:
         "objective_value": str(result.objective_value) if result.objective_value is not None else "",
         "makespan": result.makespan,
         "swap_count": result.swap_count,
-        "nodes_expanded": result.stats.nodes_expanded,
-        "nodes_inserted": result.stats.nodes_inserted,
-        "nodes_pruned": result.stats.nodes_pruned,
-        "fronts_replaced": result.stats.fronts_replaced,
-        "wall_time": round(result.stats.wall_time, 3),
+        **vars(result.stats),
     }
+    stats["wall_time"] = round(stats["wall_time"], 3)
     if args.stats:
         Path(args.stats).write_text(json.dumps(stats, indent=2))
     _emit(args, stats)

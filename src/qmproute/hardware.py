@@ -51,7 +51,6 @@ class HardwareGraph:
             self._adj[w].append(v)
         for v in self._adj:
             self._adj[v].sort()
-        self._edge_set = frozenset(self.edges)
         self.dist = self._all_pairs_distance()
         self._path_cache: dict[tuple[int, int], list[tuple[int, ...]] | None] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
@@ -60,7 +59,8 @@ class HardwareGraph:
         return self._adj[v]
 
     def has_edge(self, v: int, w: int) -> bool:
-        return (min(v, w), max(v, w)) in self._edge_set
+        n = self.num_nodes      # range first: a schedule's -1 must not read dist[-1]
+        return 1 <= v <= n and 1 <= w <= n and self.dist[v][w] == 1
 
     def _all_pairs_distance(self) -> list[list[int]]:
         """Hop distances by BFS from every node: `dist[v][w]` for nodes v, w

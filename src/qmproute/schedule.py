@@ -54,7 +54,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Violation:
-    category: str            # order | assignment | routing | precedence | overlap
+    category: str    # order | assignment | routing | duration | precedence | overlap
     op_index: int
     message: str
 
@@ -67,11 +67,12 @@ class ValidationResult:
 
 
 def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> ValidationResult:
-    """Check a schedule against the assignment, routing, precedence and
-    overlap constraints; on success also return the derived initial
-    assignment (virtual -> physical).  Ops must be sorted by start time;
-    the first op that starts before its predecessor is an `order`
-    violation."""
+    """Check a schedule against the assignment, routing, duration,
+    precedence and overlap constraints; on success also return the derived
+    initial assignment (virtual -> physical).  A gate op must last its
+    gate's duration and a SWAP the schedule's `swap_duration`.  Ops must
+    be sorted by start time; the first op that starts before its
+    predecessor is an `order` violation."""
     ops = schedule.ops
 
     def fail(category, idx, msg):
@@ -88,7 +89,6 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
     # binding a qubit late still yields its true initial position.
     origin: dict[int, int] = {v: v for v in range(1, graph.num_nodes + 1)}
     initial: dict[int, int] = {}
-    seen_gates: set[int] = set()
     gate_start: dict[int, ScheduledOp] = {}
 
     for idx, op in enumerate(ops):
@@ -97,6 +97,9 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
             return fail("assignment", idx,
                         f"edge ({v},{w}) does not exist in the hardware graph")
         if op.is_swap:
+            if op.duration != schedule.swap_duration:
+                return fail("duration", idx, f"SWAP lasts {op.duration}, not the "
+                                             f"swap duration {schedule.swap_duration}")
             ov, ow = occupant.pop(v, None), occupant.pop(w, None)
             if ov is not None:
                 occupant[w], placed[ov] = ov, w
@@ -106,11 +109,14 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
         else:
             if not 1 <= op.kind <= circuit.num_gates:
                 return fail("routing", idx, f"unknown gate id {op.kind}")
-            if op.kind in seen_gates:
+            if op.kind in gate_start:
                 return fail("routing", idx, f"gate {op.kind} scheduled twice")
-            seen_gates.add(op.kind)
+            gate = circuit.gates[op.kind - 1]
+            if op.duration != gate.duration:
+                return fail("duration", idx, f"gate {op.kind} lasts {op.duration}, not "
+                                             f"its duration {gate.duration}")
             gate_start[op.kind] = op
-            p, q = circuit.gates[op.kind - 1].qubits
+            p, q = gate.qubits
             bound = None
             for a, b in (((p, v), (q, w)), ((p, w), (q, v))):
                 ok = True
@@ -133,7 +139,7 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
                     placed[virt] = node
                     initial[virt] = origin[node]
 
-    missing = set(range(1, circuit.num_gates + 1)) - seen_gates
+    missing = set(range(1, circuit.num_gates + 1)) - gate_start.keys()
     if missing:
         return fail("routing", len(ops),
                     f"circuit gates never scheduled: {sorted(missing)}")

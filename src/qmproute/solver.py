@@ -86,7 +86,7 @@ class SolverConfig:
 
 class SearchNode:
     __slots__ = ("parent", "gate_index", "edge", "depth_map", "assignment",
-                 "progress", "swap_count", "num_scheduled", "removed", "frame")
+                 "progress", "swap_count", "num_scheduled", "removed")
 
     def __init__(self, parent, gate_index, edge, depth_map, assignment,
                  progress, swap_count, num_scheduled):
@@ -100,7 +100,6 @@ class SearchNode:
         self.swap_count = swap_count
         self.num_scheduled = num_scheduled
         self.removed = False
-        self.frame = None                   # depth map in its Pareto class's frame
 
 
 @dataclass
@@ -345,15 +344,16 @@ class _Front:
     depth map and the SWAP count, each only if the objective weighs it.
 
     A state's class key is the lexicographic minimum of (sigma . assignment,
-    progress) over the identity and the given automorphisms; a record's
-    depth map is stored mapped by one sigma that attains it (its `frame`,
-    `frame[sigma[v]] == depth_map[v]`).  When several sigma attain the key
-    (the state is fixed by a nontrivial automorphism), a newcomer is
-    compared in each of their frames.  Given the whole group, a record then
-    dominates a newcomer exactly when some automorphism maps the newcomer's
-    state onto the record's and the record's depth map is no worse than the
-    mapped one, whatever sigma the record was stored under.  With no
-    automorphisms the key is the state and the frame its depth map.
+    progress) over the identity and the given automorphisms.  A record is
+    `(frame, node)`: the node's depth map mapped by one sigma that attains
+    the key (`frame[sigma[v]] == depth_map[v]`), None when depth is not
+    tracked.  When several sigma attain the key (the state is fixed by a
+    nontrivial automorphism), a newcomer is compared in each of their
+    frames.  Given the whole group, a record then dominates a newcomer
+    exactly when some automorphism maps the newcomer's state onto the
+    record's and the record's depth map is no worse than the mapped one,
+    whatever sigma the record was stored under.  With no automorphisms the
+    key is the state and the frame its depth map.
     """
 
     def __init__(self, track_depth: bool, track_swaps: bool, automorphisms=()):
@@ -372,8 +372,8 @@ class _Front:
     def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
         """Store `node` under its class key unless a record of the class
         dominates it (no worse on every tracked coordinate), and evict the
-        records it dominates.  The node keeps its depth map in the frame of
-        the first sigma attaining the key (the identity first)."""
+        records it dominates.  The record keeps the depth map in the frame
+        of the first sigma attaining the key (the identity first)."""
         asg = node.assignment
         best, winners = asg, [None]                 # None: the identity
         # An itemgetter of one index returns the item, not a 1-tuple; with
@@ -392,38 +392,37 @@ class _Front:
         if not self.track_depth:
             # SWAP counts alone (track_swaps): one record, the class's lowest.
             if records:
-                if records[0].swap_count <= swaps:
+                if records[0][1].swap_count <= swaps:
                     stats.nodes_pruned += 1
                     return False
-                records[0].removed = True
+                records[0][1].removed = True
                 stats.fronts_replaced += 1
-            self.store[key] = [node]
+            self.store[key] = [(None, node)]
             return True
 
         dm = node.depth_map
         frames = [dm if frame_of is None else frame_of(dm) for frame_of in winners]
         track_swaps, le = self.track_swaps, operator.le
-        for r in records:                   # a record no worse prunes the node
+        for r_frame, r in records:          # a record no worse prunes the node
             if not track_swaps or r.swap_count <= swaps:
                 for frame in frames:
-                    if all(map(le, r.frame, frame)):
+                    if all(map(le, r_frame, frame)):
                         stats.nodes_pruned += 1
                         return False
         kept = []
-        for r in records:                   # records no better are evicted
-            if not track_swaps or swaps <= r.swap_count:
+        for record in records:              # records no better are evicted
+            if not track_swaps or swaps <= record[1].swap_count:
                 for frame in frames:
-                    if all(map(le, frame, r.frame)):
-                        r.removed = True
+                    if all(map(le, frame, record[0])):
+                        record[1].removed = True
                         break
                 else:
-                    kept.append(r)
+                    kept.append(record)
             else:
-                kept.append(r)
+                kept.append(record)
         if len(kept) < len(records):
             stats.fronts_replaced += 1
-        node.frame = frames[0]
-        kept.append(node)
+        kept.append((frames[0], node))
         self.store[key] = kept
         return True
 

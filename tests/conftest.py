@@ -38,3 +38,41 @@ def tiny_instances(count, seed_base=0, qubits=(3, 4), depth_params=(3, 4, 5, 6))
                                   depth_param=d, seed=seed_base + i))
         i += 1
     return [(s, gen_random_circuit(s)) for s in specs]
+
+
+def gate_positions(circuit):
+    """Gate id -> {qubit: the gate's index among that qubit's gates}, read
+    off the gate list."""
+    count, pos = {}, {}
+    for g in circuit.gates:
+        pos[g.id] = {}
+        for q in g.qubits:
+            pos[g.id][q] = count.get(q, 0)
+            count[q] = pos[g.id][q] + 1
+    return pos
+
+
+def qubit_gates(circuit):
+    """Qubit -> the ids of its gates in circuit order."""
+    seq = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
+    for g in circuit.gates:
+        for q in g.qubits:
+            seq[q].append(g.id)
+    return seq
+
+
+def reference_delta(circuit):
+    """Gate id -> the least time from the gate's start to the end of the
+    circuit on ideal hardware: the makespan of the gate and every gate that
+    depends on it, replayed as early as possible from the gate's start."""
+    delta = {}
+    for g in circuit.gates:
+        ends = dict.fromkeys(g.qubits, g.duration)
+        for later in circuit.gates[g.id:]:
+            reached = [ends[q] for q in later.qubits if q in ends]
+            if reached:
+                end = max(reached) + later.duration
+                for q in later.qubits:
+                    ends[q] = end
+        delta[g.id] = max(ends.values())
+    return delta

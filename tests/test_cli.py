@@ -7,7 +7,7 @@ import pytest
 from qmproute import bench, cli
 from qmproute.bench import CSV_COLUMNS, rows_from_csv, rows_to_csv, run_matrix
 from qmproute.cli import dispatch
-from qmproute.solver import SolveResult, solve
+from qmproute.solver import SolveResult, SolveStats, solve
 
 
 @pytest.fixture
@@ -69,6 +69,18 @@ class TestValidateCommand:
         assert capsys.readouterr().err.startswith("error: op 0: 'gate'")
 
 
+    @pytest.mark.parametrize("topology, edge", [
+        ("linear:4", [-1, 3]), ("grid:2x2", [-1, 2]), ("linear:4", [0, 1]), ("linear:4", [4, 5]),
+    ])
+    def test_edge_off_the_graph_exit_3(self, example_files, capsys, topology, edge):
+        # -1 must not read as the last node, nor 0 or 5 as any node.
+        tmp_path, circuit_file = example_files
+        sched = write_schedule(tmp_path, [{"gate": 1, "edge": edge, "t": 0}])
+        code = dispatch(["validate", "--circuit", str(circuit_file),
+                         "--topology", topology, "--schedule", str(sched)])
+        assert code == 3
+        assert "assignment" in capsys.readouterr().out
+
     def test_unsorted_ops_exit_3(self, example_files, capsys):
         tmp_path, circuit_file = example_files
         sched = write_schedule(tmp_path, [
@@ -110,6 +122,16 @@ class TestSolveCommand:
         assert code == 0
         s = json.loads(stats.read_text())
         assert Fraction(s["objective_value"]) == objective(s["makespan"], s["swap_count"])
+
+    def test_stats_keys_are_the_result_then_solve_stats(self, example_files, tmp_path):
+        _, circuit_file = example_files
+        stats = tmp_path / "stats.json"
+        assert dispatch(["solve", "--circuit", str(circuit_file), "--topology", "linear:4",
+                         "--stats", str(stats)]) == 0
+        s = json.loads(stats.read_text())
+        assert list(s)[:4] == ["status", "objective_value", "makespan", "swap_count"]
+        assert list(s)[4:] == [f.name for f in dataclasses.fields(SolveStats)]
+        assert s["wall_time"] == round(s["wall_time"], 3)
 
     @pytest.mark.parametrize("status, code", [("optimal", 0), ("incumbent", 2), ("timeout", 5)])
     def test_status_sets_exit_code(self, example_files, monkeypatch, capsys, status, code):

@@ -99,6 +99,21 @@ class TestDistances:
             HardwareGraph(4, [(1, 2), (3, 4)])
 
 
+class TestHasEdge:
+    @pytest.mark.parametrize("spec", ["linear:4", "grid:2x3", "y:6"])
+    def test_matches_the_edge_list(self, spec):
+        g = parse_topology(spec)
+        for v, w in itertools.product(range(1, g.num_nodes + 1), repeat=2):
+            assert g.has_edge(v, w) == ((min(v, w), max(v, w)) in g.edges)
+
+    @pytest.mark.parametrize("outside", [0, -1, 5])
+    def test_no_edge_off_the_graph(self, outside):
+        # -1 would read dist's last row, 0 its empty row 0, 5 past its end.
+        g = parse_topology("linear:4")
+        for v in range(-1, 6):
+            assert not g.has_edge(outside, v) and not g.has_edge(v, outside)
+
+
 @st.composite
 def small_connected_graphs(draw):
     """A random spanning tree on 1 to 7 nodes plus any extra edges, up to the

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qmproute.circuit import parse_circuit
+from qmproute.hardware import parse_topology
 from qmproute.schedule import (SWAP, Schedule, ScheduledOp, ScheduleError,
                                compute_metrics, parse_schedule, schedule_to_json,
                                validate)
@@ -104,6 +105,24 @@ class TestValidate:
         r = validate(s, c, linear4)
         assert not r.ok
         assert r.violation.category == "routing"
+
+    def test_zero_duration_gate_is_a_duration_violation(self):
+        # Two 4-unit gates given no time at all must not yield makespan 0.
+        c = parse_circuit_json(2, [([1, 2], 4), ([1, 2], 4)])
+        s = sched([ScheduledOp(1, (1, 2), 0, 0), ScheduledOp(2, (1, 2), 0, 0)])
+        r = validate(s, c, parse_topology("linear:2"))
+        assert not r.ok
+        assert r.violation.category == "duration" and r.violation.op_index == 0
+        assert "gate 1 lasts 0, not its duration 4" in r.violation.message
+
+    def test_swap_not_lasting_swap_duration_is_a_duration_violation(
+            self, example_circuit, linear4, s3):
+        ops = list(s3.ops)
+        ops[2] = swap_op((1, 2), 2, d=5)        # the schedule's swap_duration is 6
+        r = validate(sched(ops), example_circuit, linear4)
+        assert not r.ok
+        assert r.violation.category == "duration" and r.violation.op_index == 2
+        assert "SWAP lasts 5, not the swap duration 6" in r.violation.message
 
     def test_late_binding_traces_initial_position(self, linear4):
         # Virtual 3 first appears on node 2 after a SWAP routed through it;

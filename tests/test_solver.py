@@ -17,7 +17,7 @@ from qmproute.schedule import SWAP, ScheduledOp, compute_metrics, validate
 from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
                              _result, _run, _Search, bound_depth, bound_swaps, solve)
 
-from conftest import tiny_instances
+from conftest import gate_positions, qubit_gates, reference_delta, tiny_instances
 
 
 def depth_config(**kw):
@@ -35,22 +35,28 @@ def combined_config(**kw):
 CONFIGS = {"depth": depth_config, "swaps": swaps_config, "combined": combined_config}
 
 
-def reference_bound_depth(node, info, graph, swap_duration):
+def reference_bound_depth(node, circuit, graph, swap_duration):
     """bound_depth as first written, the reference for the fast version: it
     rescans each pair's gates for the first unscheduled one and builds every
-    term of the repositioning maximum, O(|path|^2) per path."""
-    gates = info.circuit.gates
+    term of the repositioning maximum, O(|path|^2) per path.  Every circuit
+    fact it needs comes from the gate list, not from `analyze`."""
+    gates, delta, pos = circuit.gates, reference_delta(circuit), gate_positions(circuit)
+    per_qubit = qubit_gates(circuit)
+
+    def work(q, k_from, k_to):          # q's gate durations from position k_from to k_to
+        return sum(gates[i - 1].duration for i in per_qubit[q][k_from:k_to])
+
     pair_gates = {}
     for g in gates:
         pair_gates.setdefault(frozenset(g.qubits), []).append(g.id)
     h_q = 0
-    for q in range(1, info.circuit.num_virtual_qubits + 1):
+    for q in range(1, circuit.num_virtual_qubits + 1):
         a = node.assignment[q]
         dq = node.depth_map[a] if a else 0
-        seq = info.per_qubit[q]
+        seq = per_qubit[q]
         frontier = node.progress[q]
         if frontier < len(seq):
-            dq += info.delta[seq[frontier]]
+            dq += delta[seq[frontier]]
         h_q = max(h_q, dq)
 
     d_s = swap_duration
@@ -59,7 +65,7 @@ def reference_bound_depth(node, info, graph, swap_duration):
         first = None
         for i in ids:
             g = gates[i - 1]
-            if info.pos[i][g.qubits[0]] >= node.progress[g.qubits[0]]:
+            if pos[i][g.qubits[0]] >= node.progress[g.qubits[0]]:
                 first = i
                 break
         if first is None:
@@ -70,10 +76,8 @@ def reference_bound_depth(node, info, graph, swap_duration):
             continue
         dqp = node.depth_map[ap]
         dqq = node.depth_map[aq]
-        lam_p = (info.tail_sums[p][node.progress[p]]
-                 - info.tail_sums[p][info.pos[first][p]])
-        lam_q = (info.tail_sums[q][node.progress[q]]
-                 - info.tail_sums[q][info.pos[first][q]])
+        lam_p = work(p, node.progress[p], pos[first][p])
+        lam_q = work(q, node.progress[q], pos[first][q])
         paths = graph.minimal_paths(ap, aq)
         if paths is None:
             continue
@@ -91,27 +95,29 @@ def reference_bound_depth(node, info, graph, swap_duration):
                 if best is None or h < best:
                     best = h
         if best is not None:
-            h_g = max(h_g, info.delta[first] + best)
+            h_g = max(h_g, delta[first] + best)
     return max(h_q, h_g)
 
 
-def reference_minimal_unscheduled(info, progress):
+def reference_minimal_unscheduled(circuit, progress):
     """minimal_unscheduled by its definition, O(gates): the gates that are
     the next unscheduled gate on both of their qubits, in circuit order."""
-    return [g.id for g in info.circuit.gates
-            if all(info.pos[g.id][q] == progress[q] for q in g.qubits)]
+    pos = gate_positions(circuit)
+    return [g.id for g in circuit.gates
+            if all(pos[g.id][q] == progress[q] for q in g.qubits)]
 
 
-def reference_bound_swaps(node, info, graph):
+def reference_bound_swaps(node, circuit, graph):
     """bound_swaps as a scan over qubit pairs: the SWAPs so far plus the
     largest distance less one over placed pairs with a gate still to run."""
+    pos = gate_positions(circuit)
     pair_gates = {}
-    for g in info.circuit.gates:
+    for g in circuit.gates:
         pair_gates.setdefault(frozenset(g.qubits), []).append(g)
     worst = 0
     for gates in pair_gates.values():
         p, q = gates[0].qubits
-        if info.pos[gates[-1].id][p] < node.progress[p]:
+        if pos[gates[-1].id][p] < node.progress[p]:
             continue    # every gate of the pair already scheduled
         ap, aq = node.assignment[p], node.assignment[q]
         if ap and aq:
@@ -331,7 +337,7 @@ class TestExpand:
         plain = _Search(search.circuit, graph, depth_config(swap_duration=config.swap_duration))
         for node in nodes:
             if config.layered:
-                unscheduled = [i for q, seq in info.per_qubit.items()
+                unscheduled = [i for q, seq in qubit_gates(search.circuit).items()
                                for i in seq[node.progress[q]:]]
                 low = min((info.layer[i] for i in unscheduled), default=None)
                 assert list(search.gate_children_edges(node)) == [
@@ -404,7 +410,7 @@ class TestTryInsert:
         assert front.try_insert(new, stats)   # depth is not weighed
         assert old.removed
         assert stats.fronts_replaced == 1
-        assert list(front.store.values()) == [[new]]
+        assert list(front.store.values()) == [[(None, new)]]
 
     def test_swaps_only_equal_swaps_prunes_newcomer(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
@@ -456,7 +462,7 @@ class TestTryInsert:
         assert front.try_insert(old, stats)
         assert front.try_insert(new, stats)
         assert old.removed and stats.fronts_replaced == 1
-        assert list(front.store.values()) == [[new]] and new.frame == (0, 5, 4, 0, 0)
+        assert list(front.store.values()) == [[((0, 5, 4, 0, 0), new)]]
 
     def test_state_fixed_by_an_automorphism_compares_every_frame(self):
         # On grid:2x3 (nodes 1 2 3 / 4 5 6) the left-right flip fixes the
@@ -473,7 +479,8 @@ class TestTryInsert:
         b = self.make_node(search, (0, 0, 3, 7, 0, 3, 0))
         a.assignment = b.assignment = (0, 2, 5)
         assert front.try_insert(a, stats)
-        assert not all(map(operator.le, a.frame, b.depth_map))   # not in b's own frame
+        [[(a_frame, _)]] = front.store.values()
+        assert not all(map(operator.le, a_frame, b.depth_map))   # not in b's own frame
         assert not front.try_insert(b, stats)
         assert stats.nodes_pruned == 1
 
@@ -507,13 +514,10 @@ class TestTryInsert:
                     expected.append(tuple(frame))
             front = new_front()
             assert front.try_insert(node, SolveStats())
-            assert list(front.store) == [(best, node.progress)]
-            assert node.frame == expected[0]
+            assert front.store == {(best, node.progress): [(expected[0], node)]}
             for frame in frames:
-                record = search.root()
-                record.frame = frame
                 front = new_front()
-                front.store[best, node.progress] = [record]
+                front.store[best, node.progress] = [(frame, search.root())]
                 assert front.try_insert(node, SolveStats()) == (frame not in expected)
 
     def test_store_health(self, example_circuit, linear4):
@@ -526,10 +530,10 @@ class TestTryInsert:
             dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
             front.try_insert(self.make_node(search, dm), stats)
         for records in front.store.values():
-            for a in records:
-                for b in records:
+            for a_frame, a in records:
+                for b_frame, b in records:
                     if a is not b:
-                        assert not all(map(operator.le, a.frame, b.frame))
+                        assert not all(map(operator.le, a_frame, b_frame))
 
 
 class TestBounds:
@@ -551,7 +555,7 @@ class TestBounds:
         search = _Search(example_circuit, linear4, depth_config())
         node = search.make_child(search.root(), 1, (1, 2))
         h = bound_depth(node, search.info, linear4, 15)
-        assert h >= 2 + search.info.delta[3]
+        assert h >= 2 + reference_delta(example_circuit)[3]
         assert h >= 4   # still at least the root bound for unscheduled g2
 
     def test_swap_bound_root(self, example_circuit, linear4):
@@ -582,16 +586,17 @@ class TestBounds:
     def test_depth_bound_matches_reference(self, walk, cap):
         search, nodes = walk
         d_s = search.config.swap_duration
-        info, graph = search.info, search.graph
+        info, graph, circuit = search.info, search.graph, search.circuit
+        pos = gate_positions(circuit)
         with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
             for node in nodes:
                 assert (bound_depth(node, info, graph, d_s)
-                        == reference_bound_depth(node, info, graph, d_s))
+                        == reference_bound_depth(node, circuit, graph, d_s))
                 # bound_swaps: the worst distance over every unscheduled gate.
                 assert bound_swaps(node, info, graph) == node.swap_count + max(
                     (graph.dist[node.assignment[p]][node.assignment[q]] - 1
-                     for g in info.circuit.gates for p, q in [g.qubits]
-                     if info.pos[g.id][p] >= node.progress[p]
+                     for g in circuit.gates for p, q in [g.qubits]
+                     if pos[g.id][p] >= node.progress[p]
                      and node.assignment[p] and node.assignment[q]), default=0)
 
     @given(walks())
@@ -599,11 +604,11 @@ class TestBounds:
     def test_tables_match_reference(self, walk):
         # The per-circuit tables answer what the O(gates) and pair scans do.
         search, nodes = walk
-        info, graph = search.info, search.graph
+        info, graph, circuit = search.info, search.graph, search.circuit
         for node in nodes:
             assert (minimal_unscheduled(info, node.progress)
-                    == reference_minimal_unscheduled(info, node.progress))
-            assert bound_swaps(node, info, graph) == reference_bound_swaps(node, info, graph)
+                    == reference_minimal_unscheduled(circuit, node.progress))
+            assert bound_swaps(node, info, graph) == reference_bound_swaps(node, circuit, graph)
 
     def test_admissibility_at_root(self, linear4, y4):
         for graph in (linear4, y4):
