@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -62,7 +61,7 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--w-depth and --w-swaps apply only to --objective combined")
     else:
         w_depth, w_swaps = bench_mod.OBJECTIVE_WEIGHTS[args.objective]
-    config = SolverConfig(w_depth=Fraction(str(w_depth)), w_swaps=Fraction(str(w_swaps)),
+    config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps,
                           layered=args.layered, beam_width=args.beam_width,
                           time_limit=args.time_limit, swap_duration=args.swap_duration)
     circuit = parse_circuit(Path(args.circuit).read_text())
@@ -174,10 +173,11 @@ def build_parser() -> _Parser:
     p.add_argument("--circuit", required=True)
     add_graph_opts(p)
     p.add_argument("--objective", choices=["depth", "swaps", "combined"], default="depth")
-    p.add_argument("--w-depth", dest="w_depth", type=float, default=None,
-                   help="depth weight under --objective combined (default 1)")
-    p.add_argument("--w-swaps", dest="w_swaps", type=float, default=None,
-                   help="SWAP weight under --objective combined (default 0)")
+    p.add_argument("--w-depth", dest="w_depth",
+                   help="depth weight under --objective combined (default 1): an "
+                        "integer, decimal or fraction such as 1/3, read exactly")
+    p.add_argument("--w-swaps", dest="w_swaps",
+                   help="SWAP weight under --objective combined (default 0), read like --w-depth")
     p.add_argument("--layered", action="store_true")
     p.add_argument("--beam-width", dest="beam_width", type=int, default=None)
     p.add_argument("--time-limit", dest="time_limit", type=float, default=None)

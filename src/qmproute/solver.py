@@ -14,12 +14,14 @@ by sigma, so the store compares depth vectors in one frame per class
 justified by one of them; `HardwareGraph.automorphisms` caps the set,
 which only limits how much is merged.  An unweighted coordinate can never
 make a node's best completion worse; when minimizing SWAPs alone each
-class keeps one record, its lowest SWAP count.  Two dominance rules drop
-children before they are built (`_Search.children`): no SWAP undoes its
-parent's SWAP, and with no weight on depth a gate that can run where its
-qubits stand is the only child.  An admissible lower bound drives the
-expansion order, so the first complete node popped is optimal.  A beam
-width converts the search into a heuristic.
+class keeps one record, its lowest SWAP count.  `_Search.children` lists
+a node's children in one pass, and two dominance rules drop children
+before they are built: no SWAP undoes its parent's SWAP, and with no
+weight on depth a gate that can run where its qubits stand is the only
+child.  An admissible lower bound drives the expansion order, so the
+first complete node popped is optimal; at a complete node the bound is
+the objective, so the heap key also ranks incumbents.  A beam width
+converts the search into a heuristic.
 """
 
 from __future__ import annotations
@@ -236,13 +238,6 @@ class _Search:
             h += self.w_swaps * bound_swaps(node, self.info, self.graph)
         return h
 
-    def objective(self, node: SearchNode) -> int:
-        """Exact objective of a complete node, times `scale`."""
-        h = self.w_swaps * node.swap_count
-        if self.w_depth:
-            h += self.w_depth * max(node.depth_map)
-        return h
-
     def root(self) -> SearchNode:
         """The empty schedule.  Nodes carry a depth map only when depth has
         a weight: nothing else reads it, and `_result` replays the times."""
@@ -283,10 +278,23 @@ class _Search:
             dm = tuple(dm)
         return SearchNode(node, gate_index, edge, dm, asg, prog, swaps, scheduled)
 
-    def gate_children_edges(self, node: SearchNode) -> list:
-        """(gate_index, edge) placements for minimal unscheduled gates.
-        Layered mode keeps the lowest unfinished layer: the lowest layer among
-        minimal gates, since all predecessors of its gates are scheduled."""
+    def children(self, node: SearchNode) -> list:
+        """The (gate_index, edge) children the search expands, listed in one
+        pass: each placement of each minimal unscheduled gate, then a SWAP
+        on each edge with an occupied end.  Layered mode keeps the gates in
+        the lowest unfinished layer: the lowest layer among minimal gates,
+        since all predecessors of its gates are scheduled.  Two kinds that
+        some kept child dominates are left out:
+
+        - With no weight on depth, a gate whose qubits are both placed (so
+          on adjacent nodes) is the only child.  A gate moves no qubit, so
+          it can be moved to the front of any completion without changing
+          its SWAP count, and in layered mode it is already in the lowest
+          unfinished layer.  Under a depth weight the rule is unsound:
+          running the ready gate first can delay a longer chain.
+        - No SWAP undoes the node's own SWAP: that child has the
+          grandparent's state, a depth vector no lower and two more SWAPs.
+        """
         gates = minimal_unscheduled(self.info, node.progress)
         if self.config.layered and gates:
             layer = self.info.layer
@@ -300,6 +308,8 @@ class _Search:
             ap, aq = asg[p], asg[q]
             if ap and aq:
                 if graph.has_edge(ap, aq):
+                    if not self.w_depth:
+                        return [(i, (ap, aq))]
                     children.append((i, (ap, aq)))
             elif ap:
                 children += [(i, (ap, w)) for w in graph.neighbors(ap) if w not in busy]
@@ -309,34 +319,10 @@ class _Search:
                 for v, w in graph.edges:
                     if v not in busy and w not in busy:
                         children += ((i, (v, w)), (i, (w, v)))
+        undo = node.edge if node.gate_index == SWAP else None
+        children += [(SWAP, edge) for edge in graph.edges
+                     if (edge[0] in busy or edge[1] in busy) and edge != undo]
         return children
-
-    def swap_children_edges(self, node: SearchNode) -> list:
-        busy = set(node.assignment)
-        return [(SWAP, (v, w)) for v, w in self.graph.edges if v in busy or w in busy]
-
-    def children(self, node: SearchNode) -> list:
-        """The (gate_index, edge) children the search expands: the gate and
-        SWAP children above, less two kinds that some kept child dominates.
-
-        - With no weight on depth, a gate whose qubits are both placed (so
-          on adjacent nodes) is the only child.  A gate moves no qubit, so
-          it can be moved to the front of any completion without changing
-          its SWAP count, and in layered mode it is already in the lowest
-          unfinished layer.  Under a depth weight the rule is unsound:
-          running the ready gate first can delay a longer chain.
-        - No SWAP undoes the node's own SWAP: that child has the
-          grandparent's state, a depth vector no lower and two more SWAPs.
-        """
-        gates = self.gate_children_edges(node)
-        if not self.w_depth:
-            asg, circuit_gates = node.assignment, self.circuit.gates
-            for child in gates:
-                p, q = circuit_gates[child[0] - 1].qubits
-                if asg[p] and asg[q]:
-                    return [child]
-        undo = (SWAP, node.edge) if node.gate_index == SWAP else None
-        return gates + [move for move in self.swap_children_edges(node) if move != undo]
 
 
 class _Front:
@@ -457,7 +443,12 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     """One search at beam width `beam` (None: exact); None when a beam's
     open list empties with no complete node.  Heap entries are (bound,
     -num_scheduled, swap_count, counter, node): the unique counter decides
-    every tie before the node."""
+    every tie before the node.  A complete node's bound is its objective:
+    with every qubit done, `bound_depth` is the deepest node holding a
+    qubit, the makespan (an op leaves a qubit on a node as deep as any it
+    makes, and no depth falls), and `bound_swaps` is the SWAP count.  So
+    the incumbent is the first kept complete child with the least key; a
+    pruned one is no better than the kept complete record that pruned it."""
     config = search.config
     stats = SolveStats()
     front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0,
@@ -472,7 +463,7 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     stats.nodes_inserted += 1
     num_gates = search.circuit.num_gates
     incumbent: SearchNode | None = None
-    incumbent_obj: int | None = None
+    incumbent_key: int | None = None
 
     while open_heap:
         if time_limit is not None and time.monotonic() - t0 > time_limit:
@@ -485,15 +476,15 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
         stats.nodes_expanded += 1
         for gate_index, edge in children(node):
             child = make_child(node, gate_index, edge)
-            if child.num_scheduled == num_gates:
-                obj = search.objective(child)
-                if incumbent_obj is None or obj < incumbent_obj:
-                    incumbent, incumbent_obj = child, obj
             # Only Pareto survivors are bounded: a pruned child needs no key.
             if try_insert is None or try_insert(child, stats):
                 stats.nodes_inserted += 1
                 counter += 1
-                heapq.heappush(open_heap, (bound(child), -child.num_scheduled,
+                key = bound(child)
+                if child.num_scheduled == num_gates and (incumbent is None
+                                                         or key < incumbent_key):
+                    incumbent, incumbent_key = child, key
+                heapq.heappush(open_heap, (key, -child.num_scheduled,
                                            child.swap_count, counter, child))
         if beam is not None:
             alive = [e for e in open_heap if not e[4].removed]
@@ -512,9 +503,10 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
 
 
 def _result(search: _Search, node: SearchNode, stats: SolveStats, status: str) -> SolveResult:
-    """The schedule along `node`'s path.  Its ops are replayed in path order,
-    each as early as possible from all-zero depths, which gives exactly the
-    depth maps the search keeps under a depth weight."""
+    """The schedule along `node`'s path and its objective.  Its ops are
+    replayed in path order, each as early as possible from all-zero depths,
+    which gives exactly the depth maps the search keeps under a depth
+    weight."""
     path = []
     cur = node
     while cur.parent is not None:
@@ -532,9 +524,10 @@ def _result(search: _Search, node: SearchNode, stats: SolveStats, status: str) -
                                duration=duration))
     ops.sort(key=lambda op: op.start)
     schedule = Schedule(ops=tuple(ops), swap_duration=swap_duration)
+    config, makespan = search.config, max(depth)
     return SolveResult(schedule=schedule,
-                       objective_value=Fraction(search.objective(node), search.scale),
+                       objective_value=config.w_depth * makespan + config.w_swaps * node.swap_count,
                        status=status,
                        stats=stats,
-                       makespan=max(depth),
+                       makespan=makespan,
                        swap_count=node.swap_count)

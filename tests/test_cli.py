@@ -113,6 +113,8 @@ class TestSolveCommand:
         (["--objective", "swaps"], lambda m, s: s),
         (["--objective", "combined", "--w-depth", "0.5", "--w-swaps", "3"],
          lambda m, s: Fraction(m, 2) + 3 * s),
+        (["--objective", "combined", "--w-depth", "1/3", "--w-swaps", "3"],
+         lambda m, s: Fraction(m, 3) + 3 * s),
     ])
     def test_objective_weights(self, example_files, tmp_path, flags, objective):
         _, circuit_file = example_files
@@ -122,6 +124,19 @@ class TestSolveCommand:
         assert code == 0
         s = json.loads(stats.read_text())
         assert Fraction(s["objective_value"]) == objective(s["makespan"], s["swap_count"])
+
+    def test_weights_are_read_exactly(self, tmp_path):
+        # A triangle of gates on a line needs one SWAP.  Read as a float,
+        # the weight would be 12345678901234567000.
+        circuit = tmp_path / "triangle.json"
+        circuit.write_text(json.dumps({"num_qubits": 3, "gates": [
+            {"q": [1, 2]}, {"q": [2, 3]}, {"q": [3, 1]}]}))
+        stats = tmp_path / "stats.json"
+        assert dispatch(["solve", "--circuit", str(circuit), "--topology", "linear:3",
+                         "--objective", "combined", "--w-depth", "0",
+                         "--w-swaps", "12345678901234567891", "--stats", str(stats)]) == 0
+        s = json.loads(stats.read_text())
+        assert (s["swap_count"], s["objective_value"]) == (1, "12345678901234567891")
 
     def test_stats_keys_are_the_result_then_solve_stats(self, example_files, tmp_path):
         _, circuit_file = example_files
@@ -196,9 +211,10 @@ class TestUsageErrors:
         (None, ["--topology", "linear:4", "--time-limit", "0"]),
         (None, ["--topology", "linear:4", "--time-limit", "-1"]),
         (None, ["--topology", "linear:4", "--time-limit", "nan"]),
+        (None, ["--topology", "linear:4", "--objective", "combined", "--w-depth", "abc"]),
     ], ids=["negative-swap-duration", "zero-beam-width", "one-node-topology",
             "missing-file", "malformed-json", "zero-time-limit", "negative-time-limit",
-            "nan-time-limit"])
+            "nan-time-limit", "non-number-weight"])
     def test_bad_input_is_a_usage_error(self, example_files, capsys, circuit, flags):
         tmp_path, circuit_file = example_files
         (tmp_path / "malformed.json").write_text("{not json")

@@ -1,7 +1,10 @@
 import gc
+import itertools
 import json
 import operator
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -125,6 +128,38 @@ def reference_bound_swaps(node, circuit, graph):
     return node.swap_count + worst
 
 
+def reference_children(search, node):
+    """Every (gate_index, edge) child of `node` by definition, in the
+    search's order: each placement of each minimal unscheduled gate (in
+    layered mode, of those in the lowest layer with a gate unscheduled), on
+    an edge whose ends hold the gate's placed qubits or are free, then a
+    SWAP on each edge with an occupied end."""
+    circuit, graph, layer = search.circuit, search.graph, search.info.layer
+    gates = reference_minimal_unscheduled(circuit, node.progress)
+    if search.config.layered:
+        unscheduled = [i for q, seq in qubit_gates(circuit).items()
+                       for i in seq[node.progress[q]:]]
+        low = min((layer[i] for i in unscheduled), default=None)
+        gates = [i for i in gates if layer[i] == low]
+    occupied = {a for a in node.assignment[1:] if a}
+    children = []
+    for i in gates:
+        p, q = circuit.gates[i - 1].qubits
+        ap, aq = node.assignment[p], node.assignment[q]
+        if ap and aq:
+            edges = [(ap, aq)] if aq in graph.neighbors(ap) else []
+        elif ap:
+            edges = [(ap, w) for w in graph.neighbors(ap) if w not in occupied]
+        elif aq:
+            edges = [(v, aq) for v in graph.neighbors(aq) if v not in occupied]
+        else:
+            edges = [e for v, w in graph.edges if v not in occupied and w not in occupied
+                     for e in ((v, w), (w, v))]
+        children += [(i, e) for e in edges]
+    return children + [(SWAP, (v, w)) for v, w in graph.edges
+                       if v in occupied or w in occupied]
+
+
 @st.composite
 def connected_graphs(draw, max_nodes=6):
     """A random spanning tree on 4 to `max_nodes` nodes plus random extra
@@ -171,8 +206,7 @@ def walks(draw, graphs=None):
     node = search.root()
     nodes = [node]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=14)):
-        children = list(search.gate_children_edges(node))
-        children.extend(search.swap_children_edges(node))
+        children = reference_children(search, node)
         if not children:
             break
         node = search.make_child(node, *children[pick % len(children)])
@@ -250,18 +284,17 @@ class TestSolveBasics:
 class TestExpand:
     def test_root_children(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        root = search.root()
-        gate_children = list(search.gate_children_edges(root))
-        # g1 and g2 on all 3 edges, both orientations each.
-        assert len(gate_children) == 12
-        assert list(search.swap_children_edges(root)) == []
+        # g1 and g2 on all 3 edges, both orientations each; no SWAP.
+        children = search.children(search.root())
+        assert len(children) == 12
+        assert all(i != SWAP for i, _ in children)
 
     def test_swap_children_when_occupied(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         node = search.root()
         node = search.make_child(node, 1, (1, 2))
         node = search.make_child(node, 2, (3, 4))
-        swaps = list(search.swap_children_edges(node))
+        swaps = [c for c in search.children(node) if c[0] == SWAP]
         assert len(swaps) == 3   # every edge has an assigned endpoint
 
     def executable_node(self, config):
@@ -278,10 +311,9 @@ class TestExpand:
             search = _Search(example_circuit, linear4, config)
             node = search.make_child(search.root(), 1, (1, 2))
             node = search.make_child(node, SWAP, (2, 3))
-            assert (SWAP, (2, 3)) in search.swap_children_edges(node)
+            assert (SWAP, (2, 3)) in reference_children(search, node)
             assert search.children(node) == [
-                c for c in [*search.gate_children_edges(node),
-                            *search.swap_children_edges(node)] if c != (SWAP, (2, 3))]
+                c for c in reference_children(search, node) if c != (SWAP, (2, 3))]
 
     def test_swaps_objective_runs_an_executable_gate_alone(self):
         search, node = self.executable_node(swaps_config())
@@ -291,7 +323,7 @@ class TestExpand:
                              ids=["depth", "combined"])
     def test_depth_weight_keeps_every_child(self, config):
         search, node = self.executable_node(config)
-        full = [*search.gate_children_edges(node), *search.swap_children_edges(node)]
+        full = reference_children(search, node)
         assert full == [(3, (1, 2)), (4, (3, 4)),
                         (SWAP, (1, 2)), (SWAP, (2, 3)), (SWAP, (3, 4))]
         assert search.children(node) == full
@@ -308,9 +340,10 @@ class TestExpand:
                        SolverConfig(w_depth=1, w_swaps=1, **kw)):
             search = _Search(walker.circuit, walker.graph, config)
             for node in nodes:
-                gates = list(search.gate_children_edges(node))
+                full = reference_children(search, node)
+                gates = [c for c in full if c[0] != SWAP]
                 undo = (SWAP, node.edge) if node.gate_index == SWAP else None
-                swaps = [c for c in search.swap_children_edges(node) if c != undo]
+                swaps = [c for c in full if c[0] == SWAP and c != undo]
                 placed = [(i, e) for i, e in gates if all(
                     node.assignment[q] for q in search.circuit.gates[i - 1].qubits)]
                 if config.w_depth == 0 and placed:
@@ -323,28 +356,18 @@ class TestExpand:
         node = search.root()
         node = search.make_child(node, 1, (1, 2))
         # g2 (layer 0) still unscheduled, so g3 (layer 1) must not appear.
-        ids = {i for i, _ in search.gate_children_edges(node)}
+        ids = {i for i, _ in search.children(node)}
         assert 3 not in ids
         assert 2 in ids
 
     @given(walks())
     @settings(max_examples=150, deadline=None)
     def test_derived_state(self, walk):
-        # Occupancy and the layer frontier are derived from a node's
-        # assignment and progress; check them against direct definitions.
+        # No two qubits share a node, and a SWAP exchanges whatever its two
+        # nodes hold.
         search, nodes = walk
-        info, graph, config = search.info, search.graph, search.config
-        plain = _Search(search.circuit, graph, depth_config(swap_duration=config.swap_duration))
         for node in nodes:
-            if config.layered:
-                unscheduled = [i for q, seq in qubit_gates(search.circuit).items()
-                               for i in seq[node.progress[q]:]]
-                low = min((info.layer[i] for i in unscheduled), default=None)
-                assert list(search.gate_children_edges(node)) == [
-                    (i, e) for i, e in plain.gate_children_edges(node) if info.layer[i] == low]
             placed = {a for a in node.assignment[1:] if a}
-            assert [e for _, e in search.swap_children_edges(node)] == [
-                (v, w) for v, w in graph.edges if v in placed or w in placed]
             assert len(placed) == sum(1 for a in node.assignment[1:] if a)
             if node.gate_index == SWAP:
                 v, w = node.edge
@@ -786,12 +809,23 @@ class TestSymmetry:
                     s.fronts_replaced) == counts
 
 
+def pinned_solve(topology, qubits, config):
+    """(status, objective value, (expanded, inserted, pruned, replaced)) of
+    a solve of the seed-0 random circuit with depth parameter 10."""
+    circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
+    r = solve(circuit, parse_topology(topology), config)
+    s = r.stats
+    return (r.status, r.objective_value,
+            (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned, s.fronts_replaced))
+
+
 class TestSearchPinned:
     """The search itself, not only its answers: a change that only makes
     the search faster must expand, insert, prune and replace exactly these
     nodes (counts recorded before the table-driven bounds and the flat
     expansion loop; the combined rows before nodes dropped the depth map
-    under the swaps objective)."""
+    under the swaps objective; the beam and time-limited rows before the
+    incumbent was ranked by its heap key)."""
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", [
         ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
@@ -810,12 +844,103 @@ class TestSearchPinned:
         ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
     ])
     def test_counts(self, topology, qubits, objective, layered, value, counts):
-        circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
-        r = solve(circuit, parse_topology(topology), CONFIGS[objective](layered=layered))
-        s = r.stats
-        assert (r.status, r.objective_value) == ("optimal", value)
-        assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
-                s.fronts_replaced) == counts
+        config = CONFIGS[objective](layered=layered)
+        assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
+        ("linear:5", 5, "depth", False, 1, 205, (22, 70, 13, 0)),
+        ("linear:5", 5, "depth", False, 2, 121, (25, 81, 14, 0)),
+        ("linear:5", 5, "depth", False, 8, 53, (62, 222, 61, 23)),
+        ("linear:5", 5, "depth", True, 1, 183, (23, 77, 14, 0)),
+        ("linear:5", 5, "depth", True, 2, 74, (22, 80, 15, 0)),
+        ("linear:5", 5, "depth", True, 8, 53, (39, 140, 33, 10)),
+        ("linear:5", 5, "swaps", False, 1, 4, (14, 32, 5, 0)),
+        ("linear:5", 5, "swaps", False, 2, 5, (24, 52, 9, 1)),
+        ("linear:5", 5, "swaps", False, 8, 1, (35, 76, 14, 2)),
+        ("linear:5", 5, "swaps", True, 1, 5, (15, 34, 5, 0)),
+        ("linear:5", 5, "swaps", True, 2, 5, (24, 55, 6, 1)),
+        ("linear:5", 5, "swaps", True, 8, 1, (27, 67, 13, 2)),
+        ("linear:5", 5, "combined", False, 1, 320, (23, 73, 13, 0)),
+        ("linear:5", 5, "combined", False, 2, 181, (28, 95, 12, 1)),
+        ("linear:5", 5, "combined", False, 8, 79, (47, 164, 31, 2)),
+        ("linear:5", 5, "combined", True, 1, 278, (21, 72, 11, 0)),
+        ("linear:5", 5, "combined", True, 2, 208, (28, 91, 13, 1)),
+        ("linear:5", 5, "combined", True, 8, 63, (33, 119, 22, 2)),
+        ("grid:2x3", 6, "depth", False, 1, 45, (12, 103, 24, 0)),
+        ("grid:2x3", 6, "depth", False, 2, 59, (20, 159, 30, 1)),
+        ("grid:2x3", 6, "depth", False, 8, 45, (54, 396, 99, 3)),
+        ("grid:2x3", 6, "depth", True, 1, 137, (25, 159, 38, 0)),
+        ("grid:2x3", 6, "depth", True, 2, 85, (30, 197, 45, 0)),
+        ("grid:2x3", 6, "depth", True, 8, 50, (54, 330, 115, 2)),
+        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 22, 0)),
+        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 58, 24, 0)),
+        ("grid:2x3", 6, "swaps", False, 8, 1, (33, 187, 75, 1)),
+        ("grid:2x3", 6, "swaps", True, 1, 1, (11, 46, 22, 0)),
+        ("grid:2x3", 6, "swaps", True, 2, 1, (12, 53, 25, 0)),
+        ("grid:2x3", 6, "swaps", True, 8, 1, (18, 66, 72, 0)),
+        ("grid:2x3", 6, "combined", False, 1, 59, (11, 98, 22, 0)),
+        ("grid:2x3", 6, "combined", False, 2, 59, (15, 129, 23, 0)),
+        ("grid:2x3", 6, "combined", False, 8, 59, (43, 348, 67, 1)),
+        ("grid:2x3", 6, "combined", True, 1, 59, (11, 88, 22, 0)),
+        ("grid:2x3", 6, "combined", True, 2, 59, (15, 114, 27, 1)),
+        ("grid:2x3", 6, "combined", True, 8, 59, (32, 202, 83, 1)),
+    ])
+    def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
+        config = CONFIGS[objective](layered=layered, beam_width=width)
+        assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, limit, status, value, "
+                             "counts", [
+        ("linear:5", 5, "depth", False, 62, "incumbent", 53, (62, 222, 61, 23)),
+        ("linear:5", 5, "depth", True, 39, "incumbent", 53, (39, 140, 33, 10)),
+        ("linear:5", 5, "swaps", False, 35, "incumbent", 1, (35, 76, 14, 2)),
+        ("linear:5", 5, "swaps", True, 27, "incumbent", 1, (27, 67, 13, 2)),
+        ("linear:5", 5, "combined", False, 62, "incumbent", 63, (62, 204, 79, 5)),
+        ("linear:5", 5, "combined", True, 39, "incumbent", 63, (39, 132, 41, 2)),
+        ("grid:2x3", 6, "depth", False, 158, "incumbent", 45, (158, 889, 402, 9)),
+        ("grid:2x3", 6, "depth", True, 118, "incumbent", 45, (118, 660, 262, 21)),
+        ("grid:2x3", 6, "swaps", False, 36, "incumbent", 1, (36, 204, 88, 1)),
+        ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
+        ("grid:2x3", 6, "combined", False, 158, "incumbent", 59, (158, 870, 460, 8)),
+        ("grid:2x3", 6, "combined", True, 91, "incumbent", 59, (91, 514, 203, 12)),
+        ("y:6", 6, "depth", False, 626, "timeout", None, (621, 1982, 1524, 49)),
+        ("y:6", 6, "depth", True, 346, "timeout", None, (322, 1037, 678, 45)),
+        ("y:6", 6, "swaps", False, 134, "timeout", None, (131, 452, 247, 7)),
+        ("y:6", 6, "swaps", True, 55, "incumbent", 2, (55, 183, 78, 4)),
+        ("y:6", 6, "combined", False, 361, "timeout", None, (358, 1248, 841, 34)),
+        ("y:6", 6, "combined", True, 166, "incumbent", 84, (166, 646, 285, 32)),
+    ])
+    def test_time_limited_incumbent(self, monkeypatch, topology, qubits, objective, layered,
+                                    limit, status, value, counts):
+        # A clock that ticks once per reading stops the search after `limit`
+        # turns of its loop, the full run's expansions: the run ends on the
+        # incumbent it holds, or on no schedule at all.
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=itertools.count().__next__))
+        config = CONFIGS[objective](layered=layered, time_limit=limit)
+        assert pinned_solve(topology, qubits, config) == (status, value, counts)
+
+    @pytest.mark.parametrize("layered", [False, True], ids=["plain", "layered"])
+    @pytest.mark.parametrize("objective", ["depth", "swaps", "combined"])
+    @pytest.mark.parametrize("topology, qubits", [("linear:5", 5), ("grid:2x3", 6),
+                                                  ("y:6", 6)])
+    def test_traced_names_are_called(self, monkeypatch, topology, qubits, objective, layered):
+        # perfbench times the search's layers by wrapping these module
+        # globals; a search that bypassed one would empty its metric.
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("minimal_unscheduled", "bound_depth", "bound_swaps"):
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+        config = CONFIGS[objective](layered=layered)
+        _, _, (expanded, inserted, _, _) = pinned_solve(topology, qubits, config)
+        assert calls == Counter({"minimal_unscheduled": expanded,
+                                 "bound_depth": inserted if config.w_depth else 0,
+                                 "bound_swaps": inserted if config.w_swaps else 0})
 
 
 def reference_ops(node):
@@ -878,6 +1003,33 @@ class TestReplayedTimes:
             assert r.objective_value == r.swap_count
         else:
             assert r.objective_value == r.makespan + 10 * r.swap_count
+
+
+class TestCompleteNodes:
+    """At a complete node the bound is the objective, so the search takes
+    a complete child's heap key as its objective."""
+
+    @given(walks(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_is_the_objective(self, walk, rng):
+        search, nodes = walk
+        circuit, graph, node = search.circuit, search.graph, nodes[-1]
+        # Walk on to a complete node, taking a gate child whenever there is one.
+        while node.num_scheduled < circuit.num_gates:
+            children = reference_children(search, node)
+            node = search.make_child(node, *rng.choice(
+                [c for c in children if c[0] != SWAP] or children))
+        kw = {"layered": search.config.layered, "swap_duration": search.config.swap_duration}
+        for config in (depth_config(**kw), swaps_config(**kw), combined_config(**kw),
+                       SolverConfig(w_depth=Fraction(1, 3), w_swaps=Fraction(5, 2), **kw)):
+            other = _Search(circuit, graph, config)
+            r = _result(other, node, SolveStats(), "optimal")
+            objective = config.w_depth * r.makespan + config.w_swaps * r.swap_count
+            assert other.bound(node) == other.scale * objective
+            assert r.objective_value == objective
+        assert validate(r.schedule, circuit, graph).ok
+        m = compute_metrics(r.schedule)
+        assert (m.depth, m.swaps) == (r.makespan, r.swap_count)
 
 
 class TestCollector:
