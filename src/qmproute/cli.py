@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import oracle as oracle_mod
-from .circuit import parse_circuit
+from .circuit import circuit_to_json, parse_circuit
 from .hardware import parse_graph, parse_topology
 from .schedule import (DEFAULT_SWAP_DURATION, compute_metrics, parse_schedule,
                        schedule_to_json, validate)
@@ -39,18 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, record: dict):
-    if getattr(args, "format", "human") == "structured":
+    if args.format == "structured":
         print(json.dumps(record))
     else:
         print(" ".join(f"{k}={v}" for k, v in record.items()))
 
 
 def _load_graph(args):
-    if getattr(args, "graph", None):
+    if args.graph is not None:
         return parse_graph(Path(args.graph).read_text())
-    if getattr(args, "topology", None):
-        return parse_topology(args.topology)
-    raise _UsageError("one of --graph or --topology is required")
+    return parse_topology(args.topology)
 
 
 def _cmd_solve(args) -> int:
@@ -122,7 +120,6 @@ def _cmd_gen(args) -> int:
     spec = bench_mod.InstanceSpec(topology=args.topology, num_qubits=args.qubits,
                                   depth_param=args.depth_param, seed=args.seed)
     circuit = bench_mod.gen_random_circuit(spec)
-    from .circuit import circuit_to_json
     text = circuit_to_json(circuit)
     if args.out:
         Path(args.out).write_text(text)
@@ -166,8 +163,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_opts(p):
-        p.add_argument("--graph", help="graph file (JSON)")
-        p.add_argument("--topology", help="topology spec: linear:4 | grid:2x3 | y:6")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph", help="graph file (JSON)")
+        source.add_argument("--topology", help="topology spec: linear:4 | grid:2x3 | y:6")
 
     p = sub.add_parser("solve", help="run the branch-and-bound solver")
     p.add_argument("--circuit", required=True)
@@ -226,13 +224,8 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

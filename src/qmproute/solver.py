@@ -78,6 +78,8 @@ class SolverConfig:
             raise SolverError(f"layered must be a bool, got {self.layered!r}")
         if type(self.use_pareto) is not bool:
             raise SolverError(f"use_pareto must be a bool, got {self.use_pareto!r}")
+        if self.beam_width is not None and not self.use_pareto:
+            raise SolverError("a beam width needs the Pareto store (use_pareto=True)")
         if self.time_limit is not None and (
                 isinstance(self.time_limit, bool)
                 or not isinstance(self.time_limit, (int, float))
@@ -416,7 +418,9 @@ class _Front:
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:
     """Solve the mapping problem; exact unless a beam width or time limit cuts
     the search.  In beam mode a dead-ended search is deterministically
-    restarted with twice the beam width until a solution is found.
+    restarted with twice the beam width until a solution is found.  This
+    ends, since a beam always has its Pareto store and so each run inserts
+    finitely many nodes.
 
     The cyclic garbage collector is off while the search runs, and back on
     afterwards if it was on before.  The search makes no reference cycles
@@ -442,8 +446,10 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
 def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     """One search at beam width `beam` (None: exact); None when a beam's
     open list empties with no complete node.  Heap entries are (bound,
-    -num_scheduled, swap_count, counter, node): the unique counter decides
-    every tie before the node.  A complete node's bound is its objective:
+    -num_scheduled, swap_count, insert count, node): the count of nodes
+    inserted so far is unique per entry and decides every tie before the
+    node.  A beam trim keeps the `beam` least live entries, sorted (a
+    sorted list is a heap).  A complete node's bound is its objective:
     with every qubit done, `bound_depth` is the deepest node holding a
     qubit, the makespan (an op leaves a qubit on a node as deep as any it
     makes, and no depth falls), and `bound_swaps` is the SWAP count.  So
@@ -455,18 +461,17 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
                    automorphisms=search.graph.automorphisms())
     try_insert = front.try_insert if config.use_pareto else None
     children, make_child, bound = search.children, search.make_child, search.bound
-    time_limit = config.time_limit
+    deadline = math.inf if config.time_limit is None else t0 + config.time_limit
     root = search.root()
-    counter = 1
-    open_heap = [(bound(root), 0, 0, counter, root)]
     front.try_insert(root, stats)
     stats.nodes_inserted += 1
+    open_heap = [(bound(root), 0, 0, stats.nodes_inserted, root)]
     num_gates = search.circuit.num_gates
     incumbent: SearchNode | None = None
     incumbent_key: int | None = None
 
     while open_heap:
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+        if time.monotonic() > deadline:
             break
         node = heapq.heappop(open_heap)[4]
         if node.removed:
@@ -479,21 +484,14 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
             # Only Pareto survivors are bounded: a pruned child needs no key.
             if try_insert is None or try_insert(child, stats):
                 stats.nodes_inserted += 1
-                counter += 1
                 key = bound(child)
                 if child.num_scheduled == num_gates and (incumbent is None
                                                          or key < incumbent_key):
                     incumbent, incumbent_key = child, key
                 heapq.heappush(open_heap, (key, -child.num_scheduled,
-                                           child.swap_count, counter, child))
-        if beam is not None:
-            alive = [e for e in open_heap if not e[4].removed]
-            if len(alive) > beam:
-                # A sorted list is already a heap.
-                alive.sort()
-                for e in alive[beam:]:
-                    e[4].removed = True
-                open_heap = alive[:beam]
+                                           child.swap_count, stats.nodes_inserted, child))
+        if beam is not None and len(open_heap) > beam:
+            open_heap = sorted(e for e in open_heap if not e[4].removed)[:beam]
 
     if incumbent is not None:
         return _result(search, incumbent, stats, "incumbent")

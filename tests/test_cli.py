@@ -202,6 +202,21 @@ class TestUsageErrors:
         _, circuit_file = example_files
         assert dispatch(["solve", "--circuit", str(circuit_file)]) == 4
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_exactly_one_graph_source(self, example_files, capsys, command, both):
+        tmp_path, circuit_file = example_files
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(VALID_FILES["graph"]))
+        argv = [command, "--circuit", str(circuit_file)]
+        if both:
+            argv += ["--graph", str(graph), "--topology", "linear:4"]
+        if command == "validate":
+            argv += ["--schedule", str(write_schedule(tmp_path, []))]
+        assert dispatch(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--graph" in err and "--topology" in err
+
     @pytest.mark.parametrize("circuit, flags", [
         (None, ["--topology", "linear:4", "--swap-duration", "-5"]),
         (None, ["--topology", "linear:4", "--beam-width", "0"]),

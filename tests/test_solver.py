@@ -252,9 +252,13 @@ class TestSolveBasics:
         ({"use_pareto": 0}, "use_pareto"),
         ({"w_depth": True}, "w_depth must be an int, a Fraction or a decimal string"),
         ({"w_swaps": 0.1}, "w_swaps must be an int, a Fraction or a decimal string"),
+        # Well typed but refused: without the store a width-1 beam can
+        # insert SWAP children until memory runs out.
+        ({"beam_width": 1, "use_pareto": False}, "needs the Pareto store"),
     ], ids=["float-swap-duration", "bool-swap-duration", "float-beam-width",
             "bool-beam-width", "int-layered", "str-layered", "bool-time-limit",
-            "str-time-limit", "int-use-pareto", "bool-w-depth", "float-w-swaps"])
+            "str-time-limit", "int-use-pareto", "bool-w-depth", "float-w-swaps",
+            "beam-without-pareto"])
     def test_bad_types_rejected(self, kw, match):
         # Not a raw TypeError from a comparison, a bool is not read as 1,
         # and a float weight is not taken at its binary value.
