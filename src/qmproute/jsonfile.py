@@ -8,14 +8,19 @@ import json
 
 
 def load(text: str, error: type[ValueError], what: str):
-    """Decode `text`, raising `error` if it is not JSON.  The tokens `NaN`,
-    `Infinity` and `-Infinity` are not JSON, though `json` accepts them."""
+    """Decode `text`, raising `error` if it cannot be decoded.  The tokens
+    `NaN`, `Infinity` and `-Infinity` are not JSON, though `json` accepts
+    them.  Past a syntax error, `json` fails on an integer of more digits
+    than Python converts (a `ValueError`) and on nesting deeper than the
+    recursion limit."""
     def reject(token):
         raise error(f"malformed {what} file: {token} is not a JSON number")
 
     try:
         return json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as e:
+    except error:
+        raise
+    except (ValueError, RecursionError) as e:
         raise error(f"malformed {what} file: {e}") from e
 
 

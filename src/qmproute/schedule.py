@@ -157,15 +157,22 @@ def validate(schedule: Schedule, circuit: Circuit, graph: HardwareGraph) -> Vali
                                 f"{prev_id} ends at {prev_end} on qubit {q}")
             last_end[q] = (g.id, op.end)
 
-    # No temporal overlap per hardware node.
-    busy: dict[int, list[tuple[int, int, int]]] = {}
+    # No temporal overlap per hardware node.  The ops are sorted by start,
+    # and the earlier ops on a node passed this check, so its earlier
+    # positive-duration ops are disjoint and each ends by the next one's
+    # start: only the last can overlap a later op.  An op of no positive
+    # duration overlaps no later op.
+    last: dict[int, tuple[int, int, int]] = {}     # node -> (start, end, op index)
     for idx, op in enumerate(ops):
         for node in op.edge:
-            for (s, e, j) in busy.get(node, ()):
+            if node in last:
+                s, e, j = last[node]
                 if op.start < e and s < op.end:
                     return fail("overlap", idx,
                                 f"ops {j} and {idx} overlap on node {node}")
-            busy.setdefault(node, []).append((op.start, op.end, idx))
+        if op.end > op.start:
+            for node in op.edge:
+                last[node] = (op.start, op.end, idx)
 
     return ValidationResult(ok=True, initial_assignment=initial)
 

@@ -10,15 +10,17 @@ This is sound because a state's completions depend only on its assignment
 and progress: an automorphism sigma maps every completion of a state to
 one of its image, with the same SWAP count and the depth vector permuted
 by sigma, so the store compares depth vectors in one frame per class
-(`_Front`).  Any set of automorphisms is sound, since each merge is
+(`_Search.keep`).  Any set of automorphisms is sound, since each merge is
 justified by one of them; `HardwareGraph.automorphisms` caps the set,
 which only limits how much is merged.  An unweighted coordinate can never
 make a node's best completion worse; when minimizing SWAPs alone each
-class keeps one record, its lowest SWAP count.  `_Search.children` lists
-a node's children in one pass, and two dominance rules drop children
-before they are built: no SWAP undoes its parent's SWAP, and with no
-weight on depth a gate that can run where its qubits stand is the only
-child.  An admissible lower bound drives the expansion order, so the
+class keeps one record, the node with its lowest SWAP count.
+`_Search.children` lists a node's children in one pass, each as its state
+in plain tuples, and `_Search.keep` probes the store with each and builds
+a node only for a child the store keeps.  Two dominance rules drop
+children before they are listed: no SWAP undoes its parent's SWAP, and
+with no weight on depth a gate that can run where its qubits stand is the
+only child.  An admissible lower bound drives the expansion order, so the
 first complete node popped is optimal; at a complete node the bound is
 the objective, so the heap key also ranks incumbents.  A beam width
 converts the search into a heuristic.
@@ -229,6 +231,17 @@ class _Search:
         self.scale = math.lcm(config.w_depth.denominator, config.w_swaps.denominator)
         self.w_depth = int(config.w_depth * self.scale)
         self.w_swaps = int(config.w_swaps * self.scale)
+        # The graph's automorphisms, and for each sigma the getter of its
+        # inverse (the nodes sorted by image), which reads a depth map into
+        # sigma's frame: frame[u] = depth_map[sigma^-1[u]].
+        self.automorphisms = graph.automorphisms()
+        self.frame_of = [operator.itemgetter(*sorted(range(len(sigma)), key=sigma.__getitem__))
+                         for sigma in self.automorphisms]
+        # Per edge, its transposition of the nodes 0..|V|, built the first
+        # time the edge's SWAP is listed (only edges next to an occupied
+        # node ever are): read at a node's assignment, it gives the SWAP
+        # child's assignment.
+        self.transpositions = [None] * len(graph.edges)
 
     def bound(self, node: SearchNode) -> int:
         """Lower bound on the objective, times `scale`."""
@@ -249,44 +262,16 @@ class _Search:
                           assignment=(0,) * (n + 1), progress=(0,) * (n + 1),
                           swap_count=0, num_scheduled=0)
 
-    def make_child(self, node: SearchNode, gate_index: int, edge) -> SearchNode:
-        v, w = edge
-        asg, prog, swaps = node.assignment, node.progress, node.swap_count
-        if gate_index == SWAP:
-            # The qubits (if any) at v and w trade places.
-            moved = list(asg)
-            if v in asg:
-                moved[asg.index(v)] = w
-            if w in asg:
-                moved[asg.index(w)] = v
-            asg, swaps, scheduled = tuple(moved), swaps + 1, node.num_scheduled
-            duration = self.config.swap_duration
-        else:
-            gate = self.circuit.gates[gate_index - 1]
-            p, q = gate.qubits
-            if asg[p] != v or asg[q] != w:
-                moved = list(asg)
-                moved[p], moved[q] = v, w
-                asg = tuple(moved)
-            prog = list(prog)
-            prog[p] += 1
-            prog[q] += 1
-            prog, scheduled = tuple(prog), node.num_scheduled + 1
-            duration = gate.duration
-        dm = node.depth_map
-        if dm is not None:
-            dm = list(dm)
-            dm[v] = dm[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + duration
-            dm = tuple(dm)
-        return SearchNode(node, gate_index, edge, dm, asg, prog, swaps, scheduled)
-
     def children(self, node: SearchNode) -> list:
-        """The (gate_index, edge) children the search expands, listed in one
-        pass: each placement of each minimal unscheduled gate, then a SWAP
-        on each edge with an occupied end.  Layered mode keeps the gates in
-        the lowest unfinished layer: the lowest layer among minimal gates,
-        since all predecessors of its gates are scheduled.  Two kinds that
-        some kept child dominates are left out:
+        """The children the search expands, in one pass, each as its state:
+        (gate_index, edge, depth_map, assignment, progress, swap_count,
+        num_scheduled) as tuples and ints.  They are each placement of each
+        minimal unscheduled gate, then a SWAP on each edge with an occupied
+        end, whose assignment is one getter of the node's assignment read
+        at the edge's transposition (`transpositions`).  Layered mode keeps
+        the gates in the lowest unfinished layer: the lowest layer among
+        minimal gates, since all predecessors of its gates are scheduled.
+        Two kinds that some kept child dominates are left out:
 
         - With no weight on depth, a gate whose qubits are both placed (so
           on adjacent nodes) is the only child.  A gate moves no qubit, so
@@ -297,122 +282,157 @@ class _Search:
         - No SWAP undoes the node's own SWAP: that child has the
           grandparent's state, a depth vector no lower and two more SWAPs.
         """
-        gates = minimal_unscheduled(self.info, node.progress)
+        asg, prog, dm = node.assignment, node.progress, node.depth_map
+        gates = minimal_unscheduled(self.info, prog)
         if self.config.layered and gates:
             layer = self.info.layer
             low = min(layer[i] for i in gates)
             gates = [i for i in gates if layer[i] == low]
-        asg, graph, circuit_gates = node.assignment, self.graph, self.circuit.gates
+        graph, circuit_gates = self.graph, self.circuit.gates
+        swaps, scheduled = node.swap_count, node.num_scheduled
         busy = set(asg)     # occupied nodes (plus 0, never a node)
         children = []
         for i in gates:
-            p, q = circuit_gates[i - 1].qubits
+            gate = circuit_gates[i - 1]
+            p, q = gate.qubits
             ap, aq = asg[p], asg[q]
             if ap and aq:
-                if graph.has_edge(ap, aq):
-                    if not self.w_depth:
-                        return [(i, (ap, aq))]
-                    children.append((i, (ap, aq)))
+                edges = [(ap, aq)] if graph.has_edge(ap, aq) else ()
             elif ap:
-                children += [(i, (ap, w)) for w in graph.neighbors(ap) if w not in busy]
+                edges = [(ap, w) for w in graph.neighbors(ap) if w not in busy]
             elif aq:
-                children += [(i, (v, aq)) for v in graph.neighbors(aq) if v not in busy]
+                edges = [(v, aq) for v in graph.neighbors(aq) if v not in busy]
             else:
-                for v, w in graph.edges:
-                    if v not in busy and w not in busy:
-                        children += ((i, (v, w)), (i, (w, v)))
+                edges = [e for v, w in graph.edges if v not in busy and w not in busy
+                         for e in ((v, w), (w, v))]
+            if not edges:
+                continue
+            done = list(prog)
+            done[p] += 1
+            done[q] += 1
+            done = tuple(done)
+            for edge in edges:
+                v, w = edge
+                deeper = dm
+                if dm is not None:
+                    deeper = list(dm)
+                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + gate.duration
+                    deeper = tuple(deeper)
+                if ap and aq:
+                    if not self.w_depth:
+                        return [(i, edge, deeper, asg, done, swaps, scheduled + 1)]
+                    moved = asg
+                else:
+                    moved = list(asg)
+                    moved[p], moved[q] = v, w
+                    moved = tuple(moved)
+                children.append((i, edge, deeper, moved, done, swaps, scheduled + 1))
         undo = node.edge if node.gate_index == SWAP else None
-        children += [(SWAP, edge) for edge in graph.edges
-                     if (edge[0] in busy or edge[1] in busy) and edge != undo]
+        d_s, taus = self.config.swap_duration, self.transpositions
+        swapped = operator.itemgetter(*asg)     # tau -> tau . assignment
+        for index, edge in enumerate(graph.edges):
+            v, w = edge
+            if (v in busy or w in busy) and edge != undo:
+                tau = taus[index]
+                if tau is None:
+                    tau = list(range(graph.num_nodes + 1))
+                    tau[v], tau[w] = w, v
+                    tau = taus[index] = tuple(tau)
+                deeper = dm
+                if dm is not None:
+                    deeper = list(dm)
+                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + d_s
+                    deeper = tuple(deeper)
+                children.append((SWAP, edge, deeper, swapped(tau), prog, swaps + 1, scheduled))
         return children
 
+    def keep(self, node: SearchNode, children, store: dict | None, stats: SolveStats) -> list:
+        """The children of `node`, states as `children` lists them, that the
+        Pareto store `store` keeps, built as `SearchNode`s in order; every
+        one when `store` is None.  No node is built for a pruned child.
 
-class _Front:
-    """Pareto store: class key -> non-dominated records, compared on the
-    depth map and the SWAP count, each only if the objective weighs it.
-
-    A state's class key is the lexicographic minimum of (sigma . assignment,
-    progress) over the identity and the given automorphisms.  A record is
-    `(frame, node)`: the node's depth map mapped by one sigma that attains
-    the key (`frame[sigma[v]] == depth_map[v]`), None when depth is not
-    tracked.  When several sigma attain the key (the state is fixed by a
-    nontrivial automorphism), a newcomer is compared in each of their
-    frames.  Given the whole group, a record then dominates a newcomer
-    exactly when some automorphism maps the newcomer's state onto the
-    record's and the record's depth map is no worse than the mapped one,
-    whatever sigma the record was stored under.  With no automorphisms the
-    key is the state and the frame its depth map.
-    """
-
-    def __init__(self, track_depth: bool, track_swaps: bool, automorphisms=()):
-        self.track_depth = track_depth
-        self.track_swaps = track_swaps
-        # Each sigma with a getter of its inverse, which reads a depth map
-        # into sigma's frame: frame[u] = depth_map[sigma^-1[u]].
-        self.maps = []
-        for sigma in automorphisms:
-            inverse = [0] * len(sigma)
-            for v, u in enumerate(sigma):
-                inverse[u] = v
-            self.maps.append((sigma, operator.itemgetter(*inverse)))
-        self.store: dict = {}
-
-    def try_insert(self, node: SearchNode, stats: SolveStats) -> bool:
-        """Store `node` under its class key unless a record of the class
-        dominates it (no worse on every tracked coordinate), and evict the
-        records it dominates.  The record keeps the depth map in the frame
-        of the first sigma attaining the key (the identity first)."""
-        asg = node.assignment
-        best, winners = asg, [None]                 # None: the identity
-        # An itemgetter of one index returns the item, not a 1-tuple; with
-        # no qubits there is one state anyway.
-        if self.maps and len(asg) > 1:
-            images_of = operator.itemgetter(*asg)   # sigma -> sigma . assignment
-            for sigma, frame_of in self.maps:
-                image = images_of(sigma)
-                if image < best:
-                    best, winners = image, [frame_of]
-                elif image == best:
-                    winners.append(frame_of)
-        key = (best, node.progress)
-        records = self.store.get(key, ())
-        swaps = node.swap_count
-        if not self.track_depth:
-            # SWAP counts alone (track_swaps): one record, the class's lowest.
-            if records:
-                if records[0][1].swap_count <= swaps:
-                    stats.nodes_pruned += 1
-                    return False
-                records[0][1].removed = True
-                stats.fronts_replaced += 1
-            self.store[key] = [(None, node)]
-            return True
-
-        dm = node.depth_map
-        frames = [dm if frame_of is None else frame_of(dm) for frame_of in winners]
-        track_swaps, le = self.track_swaps, operator.le
-        for r_frame, r in records:          # a record no worse prunes the node
-            if not track_swaps or r.swap_count <= swaps:
-                for frame in frames:
-                    if all(map(le, r_frame, frame)):
-                        stats.nodes_pruned += 1
-                        return False
+        The store maps a class key to the class's non-dominated records,
+        compared on the depth map and the SWAP count, each only if the
+        objective weighs it.  A state's class key is the lexicographic
+        minimum of (sigma . assignment, progress) over the identity and the
+        automorphisms.  Under a depth weight a class holds a list of records
+        `(frame, node)`: the depth map read into the frame of the first
+        sigma attaining the key (`frame[sigma[v]] == depth_map[v]`), the
+        identity first.  When several sigma attain the key (the state is
+        fixed by a nontrivial automorphism), a newcomer is compared in each
+        of their frames.  Given the whole group, a record then dominates a
+        newcomer exactly when some automorphism maps the newcomer's state
+        onto the record's and the record's depth map is no worse than the
+        mapped one, whatever sigma the record was stored under.  With SWAP
+        counts alone a class holds one record, the node with the lowest
+        count, as itself.  A record no worse than a child prunes it; a kept
+        child evicts the records no better than it, marked `removed`.
+        """
+        if store is None:
+            return [SearchNode(node, *child) for child in children]
+        automorphisms, frame_of = self.automorphisms, self.frame_of
+        track_swaps, le = self.w_swaps > 0, operator.le
         kept = []
-        for record in records:              # records no better are evicted
-            if not track_swaps or swaps <= record[1].swap_count:
-                for frame in frames:
-                    if all(map(le, frame, record[0])):
-                        record[1].removed = True
-                        break
-                else:
-                    kept.append(record)
+        for child in children:
+            dm, asg, prog, swaps = child[2:6]
+            images = map(operator.itemgetter(*asg), automorphisms)
+            if dm is None:
+                best = asg
+                for image in images:
+                    if image < best:
+                        best = image
+                key = (best, prog)
+                record = store.get(key)
+                if record is not None:
+                    if record.swap_count <= swaps:
+                        stats.nodes_pruned += 1
+                        continue
+                    record.removed = True
+                    stats.fronts_replaced += 1
             else:
-                kept.append(record)
-        if len(kept) < len(records):
-            stats.fronts_replaced += 1
-        kept.append((frames[0], node))
-        self.store[key] = kept
-        return True
+                # The key's least image, and the depth map in the frame of
+                # each sigma attaining it.
+                best, frames = asg, [dm]
+                for image, to_frame in zip(images, frame_of):
+                    if image < best:
+                        best, frames = image, [to_frame(dm)]
+                    elif image == best:
+                        frames.append(to_frame(dm))
+                key = (best, prog)
+                records = store.get(key, ())
+                pruned = False
+                for r_frame, r in records:     # a record no worse prunes the child
+                    if not track_swaps or r.swap_count <= swaps:
+                        for frame in frames:
+                            if all(map(le, r_frame, frame)):
+                                pruned = True
+                                break
+                        if pruned:
+                            break
+                if pruned:
+                    stats.nodes_pruned += 1
+                    continue
+                survivors = []
+                for record in records:      # records no better are evicted
+                    if not track_swaps or swaps <= record[1].swap_count:
+                        for frame in frames:
+                            if all(map(le, frame, record[0])):
+                                record[1].removed = True
+                                break
+                        else:
+                            survivors.append(record)
+                    else:
+                        survivors.append(record)
+                if len(survivors) < len(records):
+                    stats.fronts_replaced += 1
+            child = SearchNode(node, *child)
+            if dm is None:
+                store[key] = child
+            else:
+                survivors.append((frames[0], child))
+                store[key] = survivors
+            kept.append(child)
+        return kept
 
 
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -457,13 +477,11 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     pruned one is no better than the kept complete record that pruned it."""
     config = search.config
     stats = SolveStats()
-    front = _Front(track_depth=config.w_depth > 0, track_swaps=config.w_swaps > 0,
-                   automorphisms=search.graph.automorphisms())
-    try_insert = front.try_insert if config.use_pareto else None
-    children, make_child, bound = search.children, search.make_child, search.bound
+    store = {} if config.use_pareto else None
+    children, keep, bound = search.children, search.keep, search.bound
     deadline = math.inf if config.time_limit is None else t0 + config.time_limit
+    # The root is not stored: no other node has its empty state.
     root = search.root()
-    front.try_insert(root, stats)
     stats.nodes_inserted += 1
     open_heap = [(bound(root), 0, 0, stats.nodes_inserted, root)]
     num_gates = search.circuit.num_gates
@@ -479,17 +497,15 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
         if node.num_scheduled == num_gates:
             return _result(search, node, stats, "incumbent" if beam else "optimal")
         stats.nodes_expanded += 1
-        for gate_index, edge in children(node):
-            child = make_child(node, gate_index, edge)
-            # Only Pareto survivors are bounded: a pruned child needs no key.
-            if try_insert is None or try_insert(child, stats):
-                stats.nodes_inserted += 1
-                key = bound(child)
-                if child.num_scheduled == num_gates and (incumbent is None
-                                                         or key < incumbent_key):
-                    incumbent, incumbent_key = child, key
-                heapq.heappush(open_heap, (key, -child.num_scheduled,
-                                           child.swap_count, stats.nodes_inserted, child))
+        # Only Pareto survivors are built and bounded: a pruned child needs no key.
+        for child in keep(node, children(node), store, stats):
+            stats.nodes_inserted += 1
+            key = bound(child)
+            if child.num_scheduled == num_gates and (incumbent is None
+                                                     or key < incumbent_key):
+                incumbent, incumbent_key = child, key
+            heapq.heappush(open_heap, (key, -child.num_scheduled,
+                                       child.swap_count, stats.nodes_inserted, child))
         if beam is not None and len(open_heap) > beam:
             open_heap = sorted(e for e in open_heap if not e[4].removed)[:beam]
 

@@ -7,6 +7,13 @@ from qmproute.circuit import parse_circuit
 from qmproute.hardware import parse_topology
 
 
+# Input that `json` fails on past its syntax: an integer too long to
+# convert, and nesting past the recursion limit.  Every parser must raise
+# its own error class on both.
+UNDECODABLE = pytest.mark.parametrize("text", ['{"x": ' + "1" * 5000 + "}", "[" * 100000],
+                                      ids=["long-integer", "deep-nesting"])
+
+
 @pytest.fixture
 def example_circuit():
     """Three-gate circuit on four virtual qubits used throughout the tests:

@@ -8,6 +8,8 @@ from qmproute.bench import (CSV_COLUMNS, BenchError, InstanceSpec, ResultRow, _p
                             rows_from_csv, rows_to_csv, run_matrix)
 from qmproute.solver import SolveResult
 
+from conftest import UNDECODABLE
+
 
 def spec(seed=1, qubits=4, depth_param=3, topology="linear:4"):
     return InstanceSpec(topology=topology, num_qubits=qubits,
@@ -238,6 +240,11 @@ class TestMatrix:
         entry = {k: v for k, v in entry.items() if v is not None}
         with pytest.raises(BenchError, match="instance 0: "):
             parse_matrix(json.dumps({**self.matrix(), "instances": [entry]}))
+
+    @UNDECODABLE
+    def test_parse_matrix_rejects_undecodable_json(self, text):
+        with pytest.raises(BenchError, match="malformed matrix file"):
+            parse_matrix(text)
 
     def test_parse_matrix_accepts_valid(self):
         assert parse_matrix(json.dumps(self.matrix())) == self.matrix()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qmproute.circuit import CircuitError, analyze, minimal_unscheduled, parse_circuit
 
-from conftest import gate_positions, qubit_gates, reference_delta
+from conftest import UNDECODABLE, gate_positions, qubit_gates, reference_delta
 
 
 def make_circuit(n, gate_list):
@@ -51,6 +51,11 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(CircuitError, match="malformed"):
             parse_circuit("{not json")
+
+    @UNDECODABLE
+    def test_undecodable_json(self, text):
+        with pytest.raises(CircuitError, match="malformed circuit file"):
+            parse_circuit(text)
 
     @pytest.mark.parametrize("data, match", [
         ({"num_qubits": 2, "gates": [{"q": [1, 2], "d": True}]}, "duration must be an integer"),

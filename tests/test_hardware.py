@@ -12,6 +12,8 @@ from qmproute import hardware
 from qmproute.hardware import (AUTOMORPHISM_CAP, HardwareError, HardwareGraph,
                                parse_graph, parse_topology)
 
+from conftest import UNDECODABLE
+
 
 def as_nx(graph):
     g = nx.Graph()
@@ -276,6 +278,11 @@ class TestGraphFile:
     def test_unknown_field(self):
         with pytest.raises(HardwareError, match="unknown"):
             parse_graph('{"num_nodes": 2, "edges": [[1, 2]], "x": 1}')
+
+    @UNDECODABLE
+    def test_undecodable_json(self, text):
+        with pytest.raises(HardwareError, match="malformed graph file"):
+            parse_graph(text)
 
     @pytest.mark.parametrize("text, match", [
         ('{"num_nodes": true, "edges": []}', "num_nodes must be int"),

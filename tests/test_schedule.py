@@ -1,13 +1,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qmproute.circuit import parse_circuit
+from qmproute.circuit import Circuit, GateSpec, parse_circuit
 from qmproute.hardware import parse_topology
-from qmproute.schedule import (SWAP, Schedule, ScheduledOp, ScheduleError,
+from qmproute.schedule import (SWAP, Schedule, ScheduledOp, ScheduleError, Violation,
                                compute_metrics, parse_schedule, schedule_to_json,
                                validate)
 
+from conftest import UNDECODABLE
 
 def parse_circuit_json(n, gate_list):
     return parse_circuit(json.dumps({
@@ -23,10 +26,62 @@ def sched(ops, swap_duration=6):
 def gate_op(circuit, gate_id, edge, start):
     return ScheduledOp(kind=gate_id, edge=edge, start=start,
                        duration=circuit.gates[gate_id - 1].duration)
+from conftest import UNDECODABLE
+
 
 
 def swap_op(edge, start, d=6):
     return ScheduledOp(kind=SWAP, edge=edge, start=start, duration=d)
+
+
+def reference_overlap(ops):
+    """The first overlap on a node, by a scan of all earlier ops on it in
+    the order `validate` checks: (op index, message), or None."""
+    busy = {}
+    for idx, op in enumerate(ops):
+        for node in op.edge:
+            for start, end, j in busy.get(node, ()):
+                if op.start < end and start < op.end:
+                    return idx, f"ops {j} and {idx} overlap on node {node}"
+            busy.setdefault(node, []).append((op.start, op.end, idx))
+    return None
+
+
+@st.composite
+def routed_schedules(draw):
+    """(schedule, circuit, graph): random SWAPs and gates on qubits that sit
+    on adjacent nodes, the gates making up the circuit.  The ops are sorted
+    by start and each gate starts after the last one on its qubits ends, so
+    only the overlap check can fail: an op starts up to 6 units before its
+    nodes are free.  Gates and SWAPs may last 0."""
+    graph = parse_topology(draw(st.sampled_from(["linear:4", "grid:2x3", "y:5"])))
+    n = draw(st.integers(2, graph.num_nodes))
+    nodes = draw(st.permutations(range(1, graph.num_nodes + 1)))
+    at = {q: nodes[q - 1] for q in range(1, n + 1)}
+    swap_duration = draw(st.integers(0, 3))
+    node_free, qubit_free = {}, {}
+    gates, ops, start = [], [], 0
+    for _ in range(draw(st.integers(0, 14))):
+        pairs = [(p, q) for p in at for q in at if p != q and graph.has_edge(at[p], at[q])]
+        if pairs and draw(st.booleans()):
+            p, q = draw(st.sampled_from(pairs))
+            gates.append(GateSpec(len(gates) + 1, (p, q), draw(st.integers(0, 3))))
+            kind, edge, duration = len(gates), (at[p], at[q]), gates[-1].duration
+            earliest = max(qubit_free.get(p, 0), qubit_free.get(q, 0))
+            qubits = (p, q)
+        else:
+            edge = draw(st.sampled_from(graph.edges))
+            kind, duration, earliest, qubits = SWAP, swap_duration, 0, ()
+            moved = {edge[0]: edge[1], edge[1]: edge[0]}
+            at = {q: moved.get(a, a) for q, a in at.items()}
+        free = max(node_free.get(edge[0], 0), node_free.get(edge[1], 0))
+        start = max(start, earliest, free + draw(st.integers(-6, 1)))
+        ops.append(ScheduledOp(kind=kind, edge=edge, start=start, duration=duration))
+        for node in edge:
+            node_free[node] = start + duration
+        for q in qubits:
+            qubit_free[q] = start + duration
+    return sched(ops, swap_duration), Circuit(n, tuple(gates)), graph
 
 
 @pytest.fixture
@@ -89,6 +144,23 @@ class TestValidate:
         r = validate(s, c, linear4)
         assert not r.ok
         assert r.violation.category == "overlap"
+
+    @given(routed_schedules())
+    @example((sched([ScheduledOp(1, (1, 2), 0, 3), swap_op((2, 3), 0, 0), swap_op((2, 3), 1, 0)], 0),
+              Circuit(2, (GateSpec(1, (1, 2), 3),)), parse_topology("linear:4")))
+    @settings(max_examples=300, deadline=None)
+    def test_overlap_check_matches_all_pairs_reference(self, instance):
+        # validate keeps only the last positive-duration op per node; its
+        # verdict, op index and message are those of the all-pairs scan.
+        # In the example a zero-duration SWAP starts with gate 1 on node 2,
+        # and the next one overlaps gate 1 there.
+        schedule, circuit, graph = instance
+        r = validate(schedule, circuit, graph)
+        expected = reference_overlap(schedule.ops)
+        if expected is None:
+            assert r.ok
+        else:
+            assert r.violation == Violation("overlap", *expected)
 
     def test_unsorted_ops_are_an_order_violation(self, example_circuit, linear4, s3):
         ops = list(s3.ops)
@@ -212,6 +284,11 @@ class TestScheduleFile:
                            "ops": [{"gate": 0, "edge": [1, 2], "t": 0},
                                    {"gate": 1, "edge": [1, 2], "t": 6}]})
         with pytest.raises(ScheduleError, match="'swap_duration' must be a nonnegative integer"):
+            parse_schedule(text, example_circuit)
+
+    @UNDECODABLE
+    def test_undecodable_json(self, example_circuit, text):
+        with pytest.raises(ScheduleError, match="malformed schedule file"):
             parse_schedule(text, example_circuit)
 
     def test_ops_not_a_list(self, example_circuit):

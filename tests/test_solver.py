@@ -1,7 +1,11 @@
+import copy
 import gc
+import hashlib
+import heapq
 import itertools
 import json
 import operator
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,8 +21,8 @@ from qmproute.circuit import Circuit, GateSpec, minimal_unscheduled, parse_circu
 from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, ScheduledOp, compute_metrics, validate
-from qmproute.solver import (SolveStats, SolverConfig, SolverError, _Front,
-                             _result, _run, _Search, bound_depth, bound_swaps, solve)
+from qmproute.solver import (SearchNode, SolveStats, SolverConfig, SolverError, _result, _run,
+                             _Search, bound_depth, bound_swaps, solve)
 
 from conftest import gate_positions, qubit_gates, reference_delta, tiny_instances
 
@@ -160,6 +164,36 @@ def reference_children(search, node):
                        if v in occupied or w in occupied]
 
 
+def ops(search, node):
+    """The (gate_index, edge) of each child state `search` lists for `node`."""
+    return [state[:2] for state in search.children(node)]
+
+
+def built(search, node):
+    """Every child `search` lists for `node`, built with no Pareto store."""
+    return search.keep(node, search.children(node), None, SolveStats())
+
+
+def asymmetric(search):
+    """A copy of `search` that keys its store under no automorphism, so
+    only equal states share a class."""
+    search = copy.copy(search)
+    search.automorphisms, search.frame_of = [], []
+    return search
+
+
+def child(search, node, gate_index, edge):
+    """`node`'s child by the op (gate_index, edge), built by `search`.  The
+    op's state is taken from the children that a plain depth search on the
+    same instance lists, which leave out only the SWAP undoing `node`'s own;
+    its depth map is None when `node` has none."""
+    lister = _Search(search.circuit, search.graph,
+                     depth_config(swap_duration=search.config.swap_duration))
+    [state] = [c for c in lister.children(node) if c[:2] == (gate_index, edge)]
+    [kept] = search.keep(node, [state], None, SolveStats())
+    return kept
+
+
 @st.composite
 def connected_graphs(draw, max_nodes=6):
     """A random spanning tree on 4 to `max_nodes` nodes plus random extra
@@ -198,7 +232,7 @@ def instances(draw, max_gates,
 def walks(draw, graphs=None):
     """(search, nodes): a graph (drawn from `graphs` if given), a random
     circuit on it, a search in either mode, and the nodes along one random
-    sequence of children from the root."""
+    sequence of children from the root, as the search builds them."""
     circuit, graph = draw(instances(max_gates=8) if graphs is None
                           else instances(max_gates=8, graphs=graphs))
     search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20)),
@@ -206,10 +240,10 @@ def walks(draw, graphs=None):
     node = search.root()
     nodes = [node]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=14)):
-        children = reference_children(search, node)
+        children = built(search, node)
         if not children:
             break
-        node = search.make_child(node, *children[pick % len(children)])
+        node = children[pick % len(children)]
         nodes.append(node)
     return search, nodes
 
@@ -289,16 +323,16 @@ class TestExpand:
     def test_root_children(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         # g1 and g2 on all 3 edges, both orientations each; no SWAP.
-        children = search.children(search.root())
+        children = ops(search, search.root())
         assert len(children) == 12
         assert all(i != SWAP for i, _ in children)
 
     def test_swap_children_when_occupied(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         node = search.root()
-        node = search.make_child(node, 1, (1, 2))
-        node = search.make_child(node, 2, (3, 4))
-        swaps = [c for c in search.children(node) if c[0] == SWAP]
+        node = child(search, node, 1, (1, 2))
+        node = child(search, node, 2, (3, 4))
+        swaps = [c for c in ops(search, node) if c[0] == SWAP]
         assert len(swaps) == 3   # every edge has an assigned endpoint
 
     def executable_node(self, config):
@@ -307,21 +341,21 @@ class TestExpand:
         c = parse_circuit(json.dumps({"num_qubits": 4, "gates": [
             {"q": [1, 2]}, {"q": [3, 4]}, {"q": [1, 2]}, {"q": [3, 4]}]}))
         search = _Search(c, parse_topology("linear:4"), config)
-        node = search.make_child(search.root(), 1, (1, 2))
-        return search, search.make_child(node, 2, (3, 4))
+        node = child(search, search.root(), 1, (1, 2))
+        return search, child(search, node, 2, (3, 4))
 
     def test_no_swap_undoes_the_parent_swap(self, example_circuit, linear4):
         for config in (depth_config(), swaps_config(), SolverConfig(w_depth=1, w_swaps=1)):
             search = _Search(example_circuit, linear4, config)
-            node = search.make_child(search.root(), 1, (1, 2))
-            node = search.make_child(node, SWAP, (2, 3))
+            node = child(search, search.root(), 1, (1, 2))
+            node = child(search, node, SWAP, (2, 3))
             assert (SWAP, (2, 3)) in reference_children(search, node)
-            assert search.children(node) == [
+            assert ops(search, node) == [
                 c for c in reference_children(search, node) if c != (SWAP, (2, 3))]
 
     def test_swaps_objective_runs_an_executable_gate_alone(self):
         search, node = self.executable_node(swaps_config())
-        assert search.children(node) == [(3, (1, 2))]   # the first of gates 3, 4
+        assert ops(search, node) == [(3, (1, 2))]   # the first of gates 3, 4
 
     @pytest.mark.parametrize("config", [depth_config(), SolverConfig(w_depth=1, w_swaps=1)],
                              ids=["depth", "combined"])
@@ -330,7 +364,7 @@ class TestExpand:
         full = reference_children(search, node)
         assert full == [(3, (1, 2)), (4, (3, 4)),
                         (SWAP, (1, 2)), (SWAP, (2, 3)), (SWAP, (3, 4))]
-        assert search.children(node) == full
+        assert ops(search, node) == full
 
     @given(walks())
     @settings(max_examples=100, deadline=None)
@@ -351,16 +385,16 @@ class TestExpand:
                 placed = [(i, e) for i, e in gates if all(
                     node.assignment[q] for q in search.circuit.gates[i - 1].qubits)]
                 if config.w_depth == 0 and placed:
-                    assert search.children(node) == placed[:1]
+                    assert ops(search, node) == placed[:1]
                 else:
-                    assert search.children(node) == gates + swaps
+                    assert ops(search, node) == gates + swaps
 
     def test_layered_filter(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config(layered=True))
         node = search.root()
-        node = search.make_child(node, 1, (1, 2))
+        node = child(search, node, 1, (1, 2))
         # g2 (layer 0) still unscheduled, so g3 (layer 1) must not appear.
-        ids = {i for i, _ in search.children(node)}
+        ids = {i for i, _ in ops(search, node)}
         assert 3 not in ids
         assert 2 in ids
 
@@ -378,88 +412,119 @@ class TestExpand:
                 moved = {v: w, w: v}
                 assert node.assignment == tuple(moved.get(a, a) for a in node.parent.assignment)
 
+    @given(walks())
+    @settings(max_examples=100, deadline=None)
+    def test_child_states_by_definition(self, walk):
+        # Each listed child state is its op applied to the node: a SWAP
+        # exchanges whatever its two nodes hold, a gate puts its qubits on
+        # the edge's ends and advances both; the op's nodes end at the later
+        # of their depths plus its duration.  `keep` builds the node from
+        # exactly that state.
+        search, nodes = walk
+        circuit, d_s = search.circuit, search.config.swap_duration
+        for node in nodes:
+            states = search.children(node)
+            for state, kept in zip(states, search.keep(node, states, None, SolveStats()),
+                                   strict=True):
+                gate_index, (v, w), dm, asg, prog, swaps, done = state
+                if gate_index == SWAP:
+                    moved = {v: w, w: v}
+                    expected = (tuple(moved.get(a, a) for a in node.assignment), node.progress,
+                                node.swap_count + 1, node.num_scheduled)
+                    duration = d_s
+                else:
+                    gate = circuit.gates[gate_index - 1]
+                    placed, advanced = list(node.assignment), list(node.progress)
+                    for qubit, at in zip(gate.qubits, (v, w)):
+                        placed[qubit] = at
+                        advanced[qubit] += 1
+                    expected = (tuple(placed), tuple(advanced), node.swap_count,
+                                node.num_scheduled + 1)
+                    duration = gate.duration
+                depths = list(node.depth_map)
+                depths[v] = depths[w] = max(depths[v], depths[w]) + duration
+                assert (asg, prog, swaps, done) == expected
+                assert dm == tuple(depths)
+                assert (kept.parent, kept.gate_index, kept.edge, kept.depth_map, kept.assignment,
+                        kept.progress, kept.swap_count, kept.num_scheduled) == (
+                    node, gate_index, (v, w), dm, asg, prog, swaps, done)
+
 
 class TestTryInsert:
-    def make_node(self, search, depth_map, swaps=0):
-        n = search.root()
-        n.depth_map = depth_map
-        n.swap_count = swaps
-        return n
+    """The Pareto store, as `_Search.keep` tries to insert each child."""
+
+    def offer(self, search, store, stats, depth_map, swaps=0, assignment=None,
+              symmetric=False):
+        """Offer `store` a child of the root in this state, listed as
+        `_Search.children` lists one, keyed under the graph's automorphisms
+        when `symmetric` and under none otherwise: the node built for it,
+        or None if the store prunes it."""
+        root = search.root()
+        asg = root.assignment if assignment is None else assignment
+        state = (1, (1, 2), depth_map, asg, root.progress, swaps, 1)
+        kept = (search if symmetric else asymmetric(search)).keep(root, [state], store, stats)
+        return kept[0] if kept else None
 
     def test_equal_dominates(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_depth=True, track_swaps=False)
-        stats = SolveStats()
-        a = self.make_node(search, (0, 5, 5, 0, 0))
-        b = self.make_node(search, (0, 5, 5, 0, 0))
-        assert front.try_insert(a, stats)
-        assert not front.try_insert(b, stats)
+        store, stats = {}, SolveStats()
+        assert self.offer(search, store, stats, (0, 5, 5, 0, 0))
+        assert not self.offer(search, store, stats, (0, 5, 5, 0, 0))
         assert stats.nodes_pruned == 1
 
     def test_strict_improvement_evicts(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_depth=True, track_swaps=False)
-        stats = SolveStats()
-        old = self.make_node(search, (0, 5, 5, 0, 0))
-        new = self.make_node(search, (0, 4, 5, 0, 0))
-        front.try_insert(old, stats)
-        assert front.try_insert(new, stats)
+        store, stats = {}, SolveStats()
+        old = self.offer(search, store, stats, (0, 5, 5, 0, 0))
+        assert self.offer(search, store, stats, (0, 4, 5, 0, 0))
         assert old.removed
         assert stats.fronts_replaced == 1
 
     def test_incomparable_both_retained(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_depth=True, track_swaps=False)
-        stats = SolveStats()
-        a = self.make_node(search, (0, 4, 6, 0, 0))
-        b = self.make_node(search, (0, 5, 5, 0, 0))
-        assert front.try_insert(a, stats)
-        assert front.try_insert(b, stats)
+        store, stats = {}, SolveStats()
+        a = self.offer(search, store, stats, (0, 4, 6, 0, 0))
+        b = self.offer(search, store, stats, (0, 5, 5, 0, 0))
+        assert a and b
         assert not a.removed and not b.removed
 
     def test_swap_dimension(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, SolverConfig(w_depth=1, w_swaps=1))
-        front = _Front(track_depth=True, track_swaps=True)
-        stats = SolveStats()
-        a = self.make_node(search, (0, 5, 5, 0, 0), swaps=1)
-        b = self.make_node(search, (0, 4, 4, 0, 0), swaps=2)
-        assert front.try_insert(a, stats)
-        assert front.try_insert(b, stats)   # better depth, worse swaps
+        store, stats = {}, SolveStats()
+        a = self.offer(search, store, stats, (0, 5, 5, 0, 0), swaps=1)
+        assert a
+        assert self.offer(search, store, stats, (0, 4, 4, 0, 0), swaps=2)   # better depth, worse swaps
         assert not a.removed
 
     def test_swaps_only_fewer_swaps_evicts_better_depth(self, example_circuit, linear4):
+        # Under the swaps objective nodes carry no depth map: depth is not
+        # weighed, and a class's record is the node itself.
         search = _Search(example_circuit, linear4, swaps_config())
-        front = _Front(track_depth=False, track_swaps=True)
-        stats = SolveStats()
-        old = self.make_node(search, (0, 4, 4, 0, 0), swaps=2)
-        new = self.make_node(search, (0, 9, 9, 0, 0), swaps=1)
-        assert front.try_insert(old, stats)
-        assert front.try_insert(new, stats)   # depth is not weighed
+        store, stats = {}, SolveStats()
+        old = self.offer(search, store, stats, None, swaps=2)
+        new = self.offer(search, store, stats, None, swaps=1)
+        assert old and new
         assert old.removed
         assert stats.fronts_replaced == 1
-        assert list(front.store.values()) == [[(None, new)]]
+        assert list(store.values()) == [new]
 
     def test_swaps_only_equal_swaps_prunes_newcomer(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
-        front = _Front(track_depth=False, track_swaps=True)
-        stats = SolveStats()
-        first = self.make_node(search, (0, 9, 9, 0, 0), swaps=1)
-        second = self.make_node(search, (0, 4, 4, 0, 0), swaps=1)
-        assert front.try_insert(first, stats)
-        assert not front.try_insert(second, stats)   # a tie keeps the first
+        store, stats = {}, SolveStats()
+        first = self.offer(search, store, stats, None, swaps=1)
+        assert first
+        assert not self.offer(search, store, stats, None, swaps=1)   # a tie keeps the first
         assert not first.removed
         assert stats.nodes_pruned == 1
 
     def test_swaps_only_one_record_per_state(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
-        front = _Front(track_depth=False, track_swaps=True)
-        stats = SolveStats()
+        store, stats = {}, SolveStats()
         import random
         rng = random.Random(11)
         for _ in range(50):
-            dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
-            front.try_insert(self.make_node(search, dm, swaps=rng.randint(0, 5)), stats)
-            assert all(len(records) == 1 for records in front.store.values())
+            self.offer(search, store, stats, None, swaps=rng.randint(0, 5))
+            assert all(isinstance(record, SearchNode) for record in store.values())
 
     def test_mirror_image_is_one_record(self, example_circuit, linear4):
         # Gate 1 on edge (1,2) and on its mirror (4,3) under the reflection
@@ -467,29 +532,25 @@ class TestTryInsert:
         # Without the automorphism the two states are separate records.
         search = _Search(example_circuit, linear4, depth_config())
         root = search.root()
-        for automorphisms, kept in ((linear4.automorphisms(), 1), ((), 2)):
-            front = _Front(track_depth=True, track_swaps=False, automorphisms=automorphisms)
-            stats = SolveStats()
-            a = search.make_child(root, 1, (1, 2))
-            b = search.make_child(root, 1, (4, 3))
-            assert front.try_insert(a, stats)
-            assert front.try_insert(b, stats) == (kept == 2)
-            assert sum(map(len, front.store.values())) == kept
+        states = {state[:2]: state for state in search.children(root)}
+        a, b = (states[op] for op in ((1, (1, 2)), (1, (4, 3))))
+        for keeper, kept in ((search, 1), (asymmetric(search), 2)):
+            store, stats = {}, SolveStats()
+            assert keeper.keep(root, [a], store, stats)
+            assert bool(keeper.keep(root, [b], store, stats)) == (kept == 2)
+            assert sum(map(len, store.values())) == kept
         assert linear4.automorphisms() == [(0, 4, 3, 2, 1)]
 
     def test_better_mirror_image_evicts(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_depth=True, track_swaps=False,
-                       automorphisms=linear4.automorphisms())
-        stats = SolveStats()
-        old = self.make_node(search, (0, 5, 5, 0, 0))
-        old.assignment = (0, 1, 2, 0, 0)
-        new = self.make_node(search, (0, 0, 0, 4, 5))
-        new.assignment = (0, 4, 3, 0, 0)
-        assert front.try_insert(old, stats)
-        assert front.try_insert(new, stats)
+        store, stats = {}, SolveStats()
+        old = self.offer(search, store, stats, (0, 5, 5, 0, 0), assignment=(0, 1, 2, 0, 0),
+                         symmetric=True)
+        new = self.offer(search, store, stats, (0, 0, 0, 4, 5), assignment=(0, 4, 3, 0, 0),
+                         symmetric=True)
+        assert old and new
         assert old.removed and stats.fronts_replaced == 1
-        assert list(front.store.values()) == [[((0, 5, 4, 0, 0), new)]]
+        assert list(store.values()) == [[((0, 5, 4, 0, 0), new)]]
 
     def test_state_fixed_by_an_automorphism_compares_every_frame(self):
         # On grid:2x3 (nodes 1 2 3 / 4 5 6) the left-right flip fixes the
@@ -499,16 +560,14 @@ class TestTryInsert:
         graph = parse_topology("grid:2x3")
         circuit = Circuit(2, (GateSpec(1, (1, 2), 3),))
         search = _Search(circuit, graph, depth_config())
-        front = _Front(track_depth=True, track_swaps=False,
-                       automorphisms=graph.automorphisms())
-        stats = SolveStats()
-        a = self.make_node(search, (0, 7, 3, 0, 0, 3, 0))
-        b = self.make_node(search, (0, 0, 3, 7, 0, 3, 0))
-        a.assignment = b.assignment = (0, 2, 5)
-        assert front.try_insert(a, stats)
-        [[(a_frame, _)]] = front.store.values()
-        assert not all(map(operator.le, a_frame, b.depth_map))   # not in b's own frame
-        assert not front.try_insert(b, stats)
+        store, stats = {}, SolveStats()
+        a_map, b_map = (0, 7, 3, 0, 0, 3, 0), (0, 0, 3, 7, 0, 3, 0)
+        assert self.offer(search, store, stats, a_map, assignment=(0, 2, 5),
+                          symmetric=True)
+        [[(a_frame, _)]] = store.values()
+        assert not all(map(operator.le, a_frame, b_map))   # not in b's own frame
+        assert not self.offer(search, store, stats, b_map, assignment=(0, 2, 5),
+                              symmetric=True)
         assert stats.nodes_pruned == 1
 
     @given(walks(topologies("grid:2x2", "grid:3x3", "y:4", "y:7", "linear:5")))
@@ -520,13 +579,11 @@ class TestTryInsert:
         # the first of them, and compared in each: a record in one of them
         # prunes it, a record in any other frame of its depth map does not
         # (two permutations of one depth map are ordered only when equal).
+        # A node is offered as the state its parent's children list; the
+        # root, which is no child, as its own state.
         search, nodes = walk
         graph = search.graph
         group = [tuple(range(graph.num_nodes + 1))] + graph.automorphisms()
-
-        def new_front():
-            return _Front(track_depth=True, track_swaps=False,
-                          automorphisms=graph.automorphisms())
 
         for node in nodes:
             images = {sigma: tuple(sigma[a] for a in node.assignment) for sigma in group}
@@ -539,24 +596,31 @@ class TestTryInsert:
                 frames.append(tuple(frame))
                 if images[sigma] == best:
                     expected.append(tuple(frame))
-            front = new_front()
-            assert front.try_insert(node, SolveStats())
-            assert front.store == {(best, node.progress): [(expected[0], node)]}
+            if node.parent is None:
+                parent, state = search.root(), (None, None, node.depth_map, node.assignment,
+                                                node.progress, 0, 0)
+            else:
+                parent = node.parent
+                [state] = [c for c in search.children(parent)
+                           if c[:2] == (node.gate_index, node.edge)]
+            store = {}
+            [kept] = search.keep(parent, [state], store, SolveStats())
+            assert (kept.assignment, kept.depth_map) == (node.assignment, node.depth_map)
+            assert store == {(best, node.progress): [(expected[0], kept)]}
             for frame in frames:
-                front = new_front()
-                front.store[best, node.progress] = [(frame, search.root())]
-                assert front.try_insert(node, SolveStats()) == (frame not in expected)
+                store = {(best, node.progress): [(frame, search.root())]}
+                assert bool(search.keep(parent, [state], store, SolveStats())) == (
+                    frame not in expected)
 
     def test_store_health(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        front = _Front(track_depth=True, track_swaps=False)
-        stats = SolveStats()
+        store, stats = {}, SolveStats()
         import random
         rng = random.Random(7)
         for _ in range(50):
             dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
-            front.try_insert(self.make_node(search, dm), stats)
-        for records in front.store.values():
+            self.offer(search, store, stats, dm)
+        for records in store.values():
             for a_frame, a in records:
                 for b_frame, b in records:
                     if a is not b:
@@ -574,13 +638,13 @@ class TestBounds:
                                       "gates": [{"q": [1, 2], "d": 4},
                                                 {"q": [1, 2], "d": 4}]}))
         search = _Search(c, linear4, depth_config())
-        node = search.make_child(search.root(), 1, (1, 2))
+        node = child(search, search.root(), 1, (1, 2))
         # Second gate adjacent at depth 4: bound is 4 + delta(2) = 8.
         assert bound_depth(node, search.info, linear4, 15) == 8
 
     def test_after_g1_bound(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
-        node = search.make_child(search.root(), 1, (1, 2))
+        node = child(search, search.root(), 1, (1, 2))
         h = bound_depth(node, search.info, linear4, 15)
         assert h >= 2 + reference_delta(example_circuit)[3]
         assert h >= 4   # still at least the root bound for unscheduled g2
@@ -595,8 +659,8 @@ class TestBounds:
                                                 {"q": [3, 4], "d": 4},
                                                 {"q": [1, 4], "d": 4}]}))
         search = _Search(c, linear4, swaps_config())
-        node = search.make_child(search.root(), 1, (1, 2))
-        node = search.make_child(node, 2, (3, 4))
+        node = child(search, search.root(), 1, (1, 2))
+        node = child(search, node, 2, (3, 4))
         # Virtual 1 at node 1, virtual 4 at node 4: distance 3 -> 2 SWAPs.
         assert bound_swaps(node, search.info, linear4) == 2
 
@@ -813,6 +877,41 @@ class TestSymmetry:
                     s.fronts_replaced) == counts
 
 
+def heap_digest(monkeypatch):
+    """Record every entry the search pushes on its open list; the returned
+    function gives the sha256 of the pushed (key, -num_scheduled,
+    swap_count, insert count) tuples so far."""
+    pushed = []
+
+    def heappush(heap, entry):
+        pushed.append(entry[:4])
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(solver, "heapq", SimpleNamespace(heappush=heappush,
+                                                         heappop=heapq.heappop))
+    return lambda: hashlib.sha256(repr(pushed).encode()).hexdigest()
+
+
+# The sha256 of each exact pinned row's pushed heap entries (`heap_digest`),
+# recorded before children were built and probed in one pass.
+HEAP_DIGESTS = {
+    ("linear:5", "depth", False): "865883d2324818c4b9256a6f09a9d1296655a65caf3ca220bd8405b8f16a5c02",
+    ("linear:5", "depth", True): "860ef3471d5b418aae2f281546a508869bce4b356b73c4782c3524c8620a0d9b",
+    ("linear:5", "swaps", False): "402f4e0835b9bc0e3a1944d34bd62c59a70d55ce8c87fbf8ea1f853023606e75",
+    ("linear:5", "swaps", True): "781b3e3c4fafdac1664292f0db621cdfdd7b521272c89c90397eacf157260415",
+    ("grid:2x3", "depth", False): "a9e71d3f073e2da6704c71646fae3aa7a161c6bd20cde9dacb403fb23be4373f",
+    ("grid:2x3", "depth", True): "2c1461e8ac9106204f42cdfa57f66e0abe1c57db3e073d72527de4ae17b56939",
+    ("grid:2x3", "swaps", False): "48cc653187dcaf4d5459110ccef34520bb3958567613e807424f731acc5e3b4c",
+    ("grid:2x3", "swaps", True): "8814210fcd81e1b7a0b4b0ba6b11a1a4606cde85a14bfefd45418ffe124c78f2",
+    ("y:6", "depth", False): "7a3291c2fbeb3d5afc7becfddc1b04c07bcb5733cf81e742a3a2b0557ea5f6b9",
+    ("y:6", "depth", True): "651b6c9a0425209dc3bdf45dafa43bc00fef55cdb26aed4018f245ec34a46267",
+    ("y:6", "swaps", False): "91a47157e46e5ea6fd491ade36f03cf38f2c112841ba7000c269ae475c4b7e2f",
+    ("y:6", "swaps", True): "84915563710470f16652e18c73dc8a141d61c69353f39f084541d9406f4637ca",
+    ("linear:5", "combined", False): "1e80e8042a0e819aae52d315af13fefb2c45a9e3165c3b3e51373b3ac15bd3a3",
+    ("linear:5", "combined", True): "2a90f63bad30d420b57393856967c1a8d9ce62b57b52913bc63652f3cbc41fe1",
+}
+
+
 def pinned_solve(topology, qubits, config):
     """(status, objective value, (expanded, inserted, pruned, replaced)) of
     a solve of the seed-0 random circuit with depth parameter 10."""
@@ -829,7 +928,9 @@ class TestSearchPinned:
     nodes (counts recorded before the table-driven bounds and the flat
     expansion loop; the combined rows before nodes dropped the depth map
     under the swaps objective; the beam and time-limited rows before the
-    incumbent was ranked by its heap key)."""
+    incumbent was ranked by its heap key).  The exact rows also pin the
+    sequence of heap entries pushed, so that a reordering with equal counts
+    fails too."""
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", [
         ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
@@ -847,9 +948,11 @@ class TestSearchPinned:
         ("linear:5", 5, "combined", False, 63, (62, 204, 79, 5)),
         ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
     ])
-    def test_counts(self, topology, qubits, objective, layered, value, counts):
+    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts):
+        digest = heap_digest(monkeypatch)
         config = CONFIGS[objective](layered=layered)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
+        assert digest() == HEAP_DIGESTS[topology, objective, layered]
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
         ("linear:5", 5, "depth", False, 1, 205, (22, 70, 13, 0)),
@@ -984,7 +1087,7 @@ class TestReplayedTimes:
             node = other.root()
             assert node.depth_map == (None if config.w_depth == 0 else nodes[0].depth_map)
             for walked in nodes[1:]:
-                node = other.make_child(node, walked.gate_index, walked.edge)
+                node = child(other, node, walked.gate_index, walked.edge)
                 assert ((node.assignment, node.progress, node.swap_count, node.num_scheduled)
                         == (walked.assignment, walked.progress, walked.swap_count,
                             walked.num_scheduled))
@@ -1020,9 +1123,8 @@ class TestCompleteNodes:
         circuit, graph, node = search.circuit, search.graph, nodes[-1]
         # Walk on to a complete node, taking a gate child whenever there is one.
         while node.num_scheduled < circuit.num_gates:
-            children = reference_children(search, node)
-            node = search.make_child(node, *rng.choice(
-                [c for c in children if c[0] != SWAP] or children))
+            children = built(search, node)
+            node = rng.choice([c for c in children if c.gate_index != SWAP] or children)
         kw = {"layered": search.config.layered, "swap_duration": search.config.swap_duration}
         for config in (depth_config(**kw), swaps_config(**kw), combined_config(**kw),
                        SolverConfig(w_depth=Fraction(1, 3), w_swaps=Fraction(5, 2), **kw)):
@@ -1086,6 +1188,26 @@ class TestCollector:
             assert gc.isenabled()
         finally:
             (gc.enable if collecting else gc.disable)()
+
+
+class TestDenseGraph:
+    def test_small_circuit_allocates_only_what_the_search_reaches(self):
+        # On the complete graph K_50 (1,225 edges, 32 automorphisms kept) a
+        # 3-gate circuit routes with no SWAP in 3 expansions.  Per-edge
+        # tables of num_nodes + 1 entries built up front, one per edge and
+        # automorphism, peak at 22 MB here; the solve itself at 3-5 MB.
+        n = 50
+        graph = HardwareGraph(n, itertools.combinations(range(1, n + 1), 2))
+        circuit = Circuit(4, tuple(GateSpec(i, pq, 4)
+                                   for i, pq in enumerate([(1, 2), (3, 4), (1, 3)], 1)))
+        tracemalloc.start()
+        try:
+            result = solve(circuit, graph, swaps_config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.status, result.objective_value) == ("optimal", 0)
+        assert peak < 10_000_000
 
 
 class TestModesAndProperties:
