@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: solve, validate, oracle, gen, bench, report.
-Exit codes: 0 success / proven optimal, 2 incumbent only, 3 validation
-violation, 4 usage error or bad input (an invalid option value, a missing
-or malformed file), 5 the time limit passed with no schedule.
+Exit codes: 0 success / proven optimal, 2 incumbent only (for `oracle`:
+cap-exhausted, no schedule within --max-swaps), 3 validation violation,
+4 usage error or bad input (an invalid option value, a missing or
+malformed file), 5 the time limit passed with no schedule.
 """
 
 from __future__ import annotations

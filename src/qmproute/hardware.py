@@ -44,6 +44,8 @@ class HardwareGraph:
             if not (1 <= v <= num_nodes and 1 <= w <= num_nodes):
                 raise HardwareError(f"edge ({v},{w}) out of range")
             canon.add((min(v, w), max(v, w)))
+        if len(canon) < num_nodes - 1:     # before any per-node allocation
+            raise HardwareError("hardware graph must be connected")
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
         self._adj: dict[int, list[int]] = {v: [] for v in range(1, num_nodes + 1)}
         for v, w in self.edges:

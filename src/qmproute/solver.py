@@ -358,15 +358,16 @@ class _Search:
         automorphisms.  Under a depth weight a class holds a list of records
         `(frame, node)`: the depth map read into the frame of the first
         sigma attaining the key (`frame[sigma[v]] == depth_map[v]`), the
-        identity first.  When several sigma attain the key (the state is
-        fixed by a nontrivial automorphism), a newcomer is compared in each
-        of their frames.  Given the whole group, a record then dominates a
-        newcomer exactly when some automorphism maps the newcomer's state
-        onto the record's and the record's depth map is no worse than the
-        mapped one, whatever sigma the record was stored under.  With SWAP
-        counts alone a class holds one record, the node with the lowest
-        count, as itself.  A record no worse than a child prunes it; a kept
-        child evicts the records no better than it, marked `removed`.
+        identity first.  A child is compared in that one frame.  A record
+        stored under sigma_A that is no worse than a child read under
+        sigma_B holds the child's state moved by sigma_A^-1 . sigma_B, so
+        each prune is justified by one automorphism; a state fixed by a
+        nontrivial automorphism may attain the key in other frames too, and
+        comparing in one of them only prunes less, as `AUTOMORPHISM_CAP`
+        does.  With SWAP counts alone a class holds one record, the node
+        with the lowest count, as itself.  A record no worse than a child
+        prunes it; a kept child evicts the records no better than it,
+        marked `removed`.
         """
         if store is None:
             return [SearchNode(node, *child) for child in children]
@@ -390,37 +391,28 @@ class _Search:
                     record.removed = True
                     stats.fronts_replaced += 1
             else:
-                # The key's least image, and the depth map in the frame of
-                # each sigma attaining it.
-                best, frames = asg, [dm]
-                for image, to_frame in zip(images, frame_of):
+                # The key's least image, and the getter of the first sigma
+                # attaining it (None: the identity).
+                best, to_frame = asg, None
+                for image, getter in zip(images, frame_of):
                     if image < best:
-                        best, frames = image, [to_frame(dm)]
-                    elif image == best:
-                        frames.append(to_frame(dm))
+                        best, to_frame = image, getter
+                frame = dm if to_frame is None else to_frame(dm)
                 key = (best, prog)
                 records = store.get(key, ())
                 pruned = False
                 for r_frame, r in records:     # a record no worse prunes the child
-                    if not track_swaps or r.swap_count <= swaps:
-                        for frame in frames:
-                            if all(map(le, r_frame, frame)):
-                                pruned = True
-                                break
-                        if pruned:
-                            break
+                    if (not track_swaps or r.swap_count <= swaps) and all(map(le, r_frame, frame)):
+                        pruned = True
+                        break
                 if pruned:
                     stats.nodes_pruned += 1
                     continue
                 survivors = []
                 for record in records:      # records no better are evicted
-                    if not track_swaps or swaps <= record[1].swap_count:
-                        for frame in frames:
-                            if all(map(le, frame, record[0])):
-                                record[1].removed = True
-                                break
-                        else:
-                            survivors.append(record)
+                    if ((not track_swaps or swaps <= record[1].swap_count)
+                            and all(map(le, frame, record[0]))):
+                        record[1].removed = True
                     else:
                         survivors.append(record)
                 if len(survivors) < len(records):
@@ -429,7 +421,7 @@ class _Search:
             if dm is None:
                 store[key] = child
             else:
-                survivors.append((frames[0], child))
+                survivors.append((frame, child))
                 store[key] = survivors
             kept.append(child)
         return kept

@@ -358,6 +358,15 @@ class TestPipeline:
         oracle_out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert int(solve_out["objective_value"]) == oracle_out["value"]
 
+    def test_oracle_cap_exhausted_exit_2(self, tmp_path, capsys):
+        # A triangle of gates on a line needs one SWAP, which a cap of 0 forbids.
+        circuit = tmp_path / "triangle.json"
+        circuit.write_text(json.dumps({"num_qubits": 3, "gates": [
+            {"q": [1, 2]}, {"q": [2, 3]}, {"q": [3, 1]}]}))
+        assert dispatch(["oracle", "--circuit", str(circuit), "--topology", "linear:3",
+                         "--max-swaps", "0"]) == 2
+        assert capsys.readouterr().out.startswith("status=cap-exhausted ")
+
     def test_bench_and_report(self, tmp_path, capsys):
         matrix_file = tmp_path / "matrix.json"
         matrix_file.write_text(json.dumps({

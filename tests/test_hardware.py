@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from unittest import mock
 
 import networkx as nx
@@ -292,3 +293,15 @@ class TestGraphFile:
     def test_non_integer_rejected(self, text, match):
         with pytest.raises(HardwareError, match=match):
             parse_graph(text)
+
+    def test_under_connected_file_rejected_before_allocating_per_node(self):
+        # A connected graph needs num_nodes - 1 edges; a short file naming a
+        # million nodes and no edges is refused before any per-node table.
+        tracemalloc.start()
+        try:
+            with pytest.raises(HardwareError, match="connected"):
+                parse_graph('{"num_nodes": 1000000, "edges": []}')
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -552,50 +552,32 @@ class TestTryInsert:
         assert old.removed and stats.fronts_replaced == 1
         assert list(store.values()) == [[((0, 5, 4, 0, 0), new)]]
 
-    def test_state_fixed_by_an_automorphism_compares_every_frame(self):
-        # On grid:2x3 (nodes 1 2 3 / 4 5 6) the left-right flip fixes the
-        # middle column.  With both qubits there, a depth map and its flip
-        # are the same state's; the key is attained in two frames, and the
-        # newcomer is pruned in the second.
-        graph = parse_topology("grid:2x3")
-        circuit = Circuit(2, (GateSpec(1, (1, 2), 3),))
-        search = _Search(circuit, graph, depth_config())
-        store, stats = {}, SolveStats()
-        a_map, b_map = (0, 7, 3, 0, 0, 3, 0), (0, 0, 3, 7, 0, 3, 0)
-        assert self.offer(search, store, stats, a_map, assignment=(0, 2, 5),
-                          symmetric=True)
-        [[(a_frame, _)]] = store.values()
-        assert not all(map(operator.le, a_frame, b_map))   # not in b's own frame
-        assert not self.offer(search, store, stats, b_map, assignment=(0, 2, 5),
-                              symmetric=True)
-        assert stats.nodes_pruned == 1
-
     @given(walks(topologies("grid:2x2", "grid:3x3", "y:4", "y:7", "linear:5")))
     @settings(max_examples=100, deadline=None)
     def test_canonical_key_and_frames(self, walk):
         # The key is the least image of the assignment over the whole
-        # group, and the frames are the depth map moved by each sigma that
-        # attains it: node sigma[v] gets v's depth.  The node is stored in
-        # the first of them, and compared in each: a record in one of them
-        # prunes it, a record in any other frame of its depth map does not
-        # (two permutations of one depth map are ordered only when equal).
-        # A node is offered as the state its parent's children list; the
-        # root, which is no child, as its own state.
+        # group, and the node's frame is its depth map moved by the first
+        # sigma (the identity first) that attains it: node sigma[v] gets
+        # v's depth.  The node is stored and compared in that frame alone:
+        # a record in a frame of its depth map prunes it exactly when that
+        # frame equals the stored one (two permutations of one depth map
+        # are ordered only when equal).  A node is offered as the state
+        # its parent's children list; the root, which is no child, as its
+        # own state.
         search, nodes = walk
         graph = search.graph
         group = [tuple(range(graph.num_nodes + 1))] + graph.automorphisms()
 
         for node in nodes:
-            images = {sigma: tuple(sigma[a] for a in node.assignment) for sigma in group}
-            best = min(images.values())
-            frames, expected = [], []
+            images = [tuple(sigma[a] for a in node.assignment) for sigma in group]
+            best = min(images)
+            frames = []
             for sigma in group:
                 frame = [0] * len(sigma)
                 for v, u in enumerate(sigma):
                     frame[u] = node.depth_map[v]
                 frames.append(tuple(frame))
-                if images[sigma] == best:
-                    expected.append(tuple(frame))
+            stored = frames[images.index(best)]
             if node.parent is None:
                 parent, state = search.root(), (None, None, node.depth_map, node.assignment,
                                                 node.progress, 0, 0)
@@ -606,11 +588,11 @@ class TestTryInsert:
             store = {}
             [kept] = search.keep(parent, [state], store, SolveStats())
             assert (kept.assignment, kept.depth_map) == (node.assignment, node.depth_map)
-            assert store == {(best, node.progress): [(expected[0], kept)]}
+            assert store == {(best, node.progress): [(stored, kept)]}
             for frame in frames:
                 store = {(best, node.progress): [(frame, search.root())]}
                 assert bool(search.keep(parent, [state], store, SolveStats())) == (
-                    frame not in expected)
+                    frame != stored)
 
     def test_store_health(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
@@ -799,6 +781,13 @@ def solve_both_ways(circuit, graph, objective, layered, **kw):
 # At most 4 qubits on 4 nodes: small enough for many solves per test.
 TINY_TOPOLOGIES = topologies("linear:4", "y:4", "grid:2x2")
 
+# A 6-node star and a 6-cycle, where many children are fixed by a
+# nontrivial automorphism and so attain their class key in more than one
+# frame; built per draw, so no test shares their caches.
+STAR6_EDGES = [(1, i) for i in range(2, 7)]
+SYMMETRIC_GRAPHS = st.sampled_from([STAR6_EDGES, [(i, i % 6 + 1) for i in range(1, 7)]]).map(
+    lambda edges: HardwareGraph(6, edges))
+
 
 class TestSymmetry:
     """Metamorphic laws of the optimum, which the symmetric Pareto store
@@ -828,7 +817,8 @@ class TestSymmetry:
         b = solve_both_ways(circuit, relabelled_graph(graph, perm), objective, layered)
         assert a.objective_value == b.objective_value
 
-    @given(instances(max_gates=5, graphs=topologies("grid:2x2", "y:4", "grid:2x3")),
+    @given(instances(max_gates=5, graphs=st.one_of(topologies("grid:2x2", "y:4", "grid:2x3"),
+                                                   SYMMETRIC_GRAPHS)),
            st.sampled_from(["depth", "swaps"]), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_symmetric_store_matches_no_store(self, instance, objective, layered):
@@ -911,6 +901,8 @@ HEAP_DIGESTS = {
     ("linear:5", "combined", True): "2a90f63bad30d420b57393856967c1a8d9ce62b57b52913bc63652f3cbc41fe1",
 }
 
+STAR_HEAP_DIGEST = "cfe17efe248253ccedde8633ebc933baf179493c9c944089f5a649643ed298e0"
+
 
 def pinned_solve(topology, qubits, config):
     """(status, objective value, (expanded, inserted, pruned, replaced)) of
@@ -953,6 +945,19 @@ class TestSearchPinned:
         config = CONFIGS[objective](layered=layered)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
         assert digest() == HEAP_DIGESTS[topology, objective, layered]
+
+    def test_symmetric_star_counts(self, monkeypatch):
+        # A 6-node star, where a child is often fixed by a nontrivial
+        # automorphism: the store compares it in the first frame attaining
+        # its class key only (counts and digest recorded then).
+        digest = heap_digest(monkeypatch)
+        circuit = gen_random_circuit(InstanceSpec("linear:6", 5, 10, 0))
+        r = solve(circuit, HardwareGraph(6, STAR6_EDGES), depth_config())
+        s = r.stats
+        assert (r.status, r.objective_value) == ("optimal", 76)
+        assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
+                s.fronts_replaced) == (486, 1244, 1185, 33)
+        assert digest() == STAR_HEAP_DIGEST
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
         ("linear:5", 5, "depth", False, 1, 205, (22, 70, 13, 0)),
