@@ -11,7 +11,7 @@ time from its start to circuit completion on ideal hardware).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import jsonfile
 
@@ -111,12 +111,37 @@ class PrecedenceInfo:
     (q, delta[first], position of first on p, position of first on q),
     where `first` is the pair's first such gate and q the pair's other
     qubit.  An entry holds no k, so the rows share one tuple per gate.
+
+    `bound_rows` reads these tables at a whole progress vector, once per
+    vector: each info is built for one search, and memoises its rows.
     """
     layer: list[int]
     tail_sums: list[list[int]]
     head: list[list[int]]
     ready: list[list[tuple[int, int, int] | None]]
     live: list[list[list[tuple[int, int, int, int]]]]
+    rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def bound_rows(self, progress: tuple) -> tuple:
+        """(heads, pairs) at `progress`, a tuple over qubits 0..n, derived
+        on the first request and kept in `rows`.  heads[q] is delta of q's
+        next gate (0 for q = 0 and once q is done).  pairs has a row (p,
+        q, delta[first], work_p, work_q) per `live` entry at `progress`,
+        so one per qubit pair with a gate still to run; a qubit's work is
+        the total duration of its gates from its progress up to `first`."""
+        rows = self.rows.get(progress)
+        if rows is None:
+            tail_sums = self.tail_sums
+            pairs = []
+            for p, k in enumerate(progress):
+                tail_p = tail_sums[p]
+                for q, delta_first, at_p, at_q in self.live[p][k]:
+                    tail_q = tail_sums[q]
+                    pairs.append((p, q, delta_first, tail_p[k] - tail_p[at_p],
+                                  tail_q[progress[q]] - tail_q[at_q]))
+            rows = self.rows[progress] = (
+                tuple(row[k] for row, k in zip(self.head, progress)), tuple(pairs))
+        return rows
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:

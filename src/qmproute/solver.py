@@ -17,10 +17,13 @@ make a node's best completion worse; when minimizing SWAPs alone each
 class keeps one record, the node with its lowest SWAP count.
 `_Search.children` lists a node's children in one pass, each as its state
 in plain tuples, and `_Search.keep` probes the store with each and builds
-a node only for a child the store keeps.  Two dominance rules drop
-children before they are listed: no SWAP undoes its parent's SWAP, and
-with no weight on depth a gate that can run where its qubits stand is the
-only child.  An admissible lower bound drives the expansion order, so the
+a node only for a child the store keeps.  What a progress vector alone
+decides is derived once per solve, the first time a node needs it: its
+moves (`_Search.moves`) and its bound rows (`PrecedenceInfo.bound_rows`),
+so the many nodes that share a progress vector share them.  Two
+dominance rules drop children before they are listed: no SWAP undoes its
+parent's SWAP, and with no weight on depth a gate that can run where its
+qubits stand is the only child.  An admissible lower bound drives the expansion order, so the
 first complete node popped is optimal; at a complete node the bound is
 the objective, so the heap key also ranks incumbents.  A beam width
 converts the search into a heuristic.
@@ -135,7 +138,8 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
     delta of its next gate.  A placed pair's: delta of its next shared gate
     `first` plus the earliest time that gate can start, once each qubit has
     done its work before `first` and the two have met on an edge of some
-    minimal path between their nodes.
+    minimal path between their nodes.  Every circuit fact in the terms is
+    a row of the node's progress vector (`info.bound_rows`).
 
     A pair on adjacent nodes is skipped: its term is delta[first] +
     max(start_p, start_q), which is at most the larger of the two qubits'
@@ -143,63 +147,57 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
     plus delta[first].  A pair's paths are scanned only until its term can
     no longer exceed the running maximum.
     """
-    dm, asg, progress = node.depth_map, node.assignment, node.progress
+    dm, asg = node.depth_map, node.assignment
+    heads, pairs = info.bound_rows(node.progress)
     h = 0
-    for a, k, row in zip(asg, progress, info.head):
-        t = dm[a] + row[k]              # dm[0] == 0: an unplaced qubit's node
+    for a, head in zip(asg, heads):
+        t = dm[a] + head                # dm[0] == 0: an unplaced qubit's node
         if t > h:
             h = t
 
-    d_s, dist, tail_sums = swap_duration, graph.dist, info.tail_sums
-    for ap, k, row, tail_p in zip(asg, progress, info.live, tail_sums):
-        if not ap:
+    d_s, dist = swap_duration, graph.dist
+    for p, q, delta_first, work_p, work_q in pairs:
+        ap, aq = asg[p], asg[q]
+        if not ap or not aq or dist[ap][aq] == 1:
             continue
-        # p's depth plus all its remaining work: p's finish with no wait.
-        near, finish_p = dist[ap], dm[ap] + tail_p[k]
-        for q, delta_first, at_p, at_q in row[k]:
-            aq = asg[q]
-            if not aq or near[aq] == 1:
-                continue
-            paths = graph.minimal_paths(ap, aq)
-            if paths is None:
-                continue  # enumeration capped; skipping keeps the bound admissible
-            # Each wire's depth plus its circuit work before `first`.
-            start_p = finish_p - tail_p[at_p]
-            tail_q = tail_sums[q]
-            start_q = dm[aq] + tail_q[progress[q]] - tail_q[at_q]
-            bar = h - delta_first       # the term raises h only above this
-            best = None
-            for path in paths:
-                # The gate runs on edge e = (path[e], path[e+1]) once p has
-                # swapped forward to path[e] and q back to path[e+1].  p's
-                # earliest arrival L(e) is a prefix maximum of node depth +
-                # d_s per hop, q's R(e) the matching suffix maximum, so L
-                # only grows with e (d_s >= 0) and R only shrinks.  Two
-                # pointers close in on one edge m, each step moving the side
-                # that arrives earlier.  The left one leaves edge e only when
-                # L(e) < R(j) <= R(e+1), so L(e+1) <= R(e); the right one
-                # leaves e only when R(e) <= L(i) <= L(e-1), so R(e-1) <= L(e).
-                # Every edge left of m thus starts no earlier than R(m-1) >=
-                # max(L(m), R(m)), every edge right of m no earlier than
-                # L(m+1) >= max(L(m), R(m)): the least start is at m.
-                i, j = 0, len(path) - 2
-                left, right = start_p, start_q
-                while i < j:
-                    if left < right:
-                        i += 1
-                        x = dm[path[i]]
-                        left = (left if left > x else x) + d_s
-                    else:
-                        x = dm[path[j]]
-                        j -= 1
-                        right = (right if right > x else x) + d_s
-                h_path = left if left > right else right
-                if h_path <= bar:
-                    break
-                if best is None or h_path < best:
-                    best = h_path
-            else:
-                h = delta_first + best
+        paths = graph.minimal_paths(ap, aq)
+        if paths is None:
+            continue  # enumeration capped; skipping keeps the bound admissible
+        # Each wire's depth plus its circuit work before `first`.
+        start_p, start_q = dm[ap] + work_p, dm[aq] + work_q
+        bar = h - delta_first       # the term raises h only above this
+        best = None
+        for path in paths:
+            # The gate runs on edge e = (path[e], path[e+1]) once p has
+            # swapped forward to path[e] and q back to path[e+1].  p's
+            # earliest arrival L(e) is a prefix maximum of node depth +
+            # d_s per hop, q's R(e) the matching suffix maximum, so L
+            # only grows with e (d_s >= 0) and R only shrinks.  Two
+            # pointers close in on one edge m, each step moving the side
+            # that arrives earlier.  The left one leaves edge e only when
+            # L(e) < R(j) <= R(e+1), so L(e+1) <= R(e); the right one
+            # leaves e only when R(e) <= L(i) <= L(e-1), so R(e-1) <= L(e).
+            # Every edge left of m thus starts no earlier than R(m-1) >=
+            # max(L(m), R(m)), every edge right of m no earlier than
+            # L(m+1) >= max(L(m), R(m)): the least start is at m.
+            i, j = 0, len(path) - 2
+            left, right = start_p, start_q
+            while i < j:
+                if left < right:
+                    i += 1
+                    x = dm[path[i]]
+                    left = (left if left > x else x) + d_s
+                else:
+                    x = dm[path[j]]
+                    j -= 1
+                    right = (right if right > x else x) + d_s
+            h_path = left if left > right else right
+            if h_path <= bar:
+                break
+            if best is None or h_path < best:
+                best = h_path
+        else:
+            h = delta_first + best
     return h
 
 
@@ -208,13 +206,10 @@ def bound_swaps(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph) ->
     SWAPs made so far plus, over placed pairs with a gate still to run,
     the largest distance less one."""
     asg, dist, worst = node.assignment, graph.dist, 0
-    for ap, k, row in zip(asg, node.progress, info.live):
-        if ap:
-            near = dist[ap]
-            for entry in row[k]:
-                aq = asg[entry[0]]
-                if aq and near[aq] - 1 > worst:
-                    worst = near[aq] - 1
+    for row in info.bound_rows(node.progress)[1]:
+        ap, aq = asg[row[0]], asg[row[1]]
+        if ap and aq and dist[ap][aq] - 1 > worst:
+            worst = dist[ap][aq] - 1
     return node.swap_count + worst
 
 
@@ -242,16 +237,11 @@ class _Search:
         # node ever are): read at a node's assignment, it gives the SWAP
         # child's assignment.
         self.transpositions = [None] * len(graph.edges)
-
-    def bound(self, node: SearchNode) -> int:
-        """Lower bound on the objective, times `scale`."""
-        h = 0
-        if self.w_depth:
-            h += self.w_depth * bound_depth(node, self.info, self.graph,
-                                            self.config.swap_duration)
-        if self.w_swaps:
-            h += self.w_swaps * bound_swaps(node, self.info, self.graph)
-        return h
+        # Per progress vector, built the first time a node with it is
+        # expanded: its minimal gates after the layered filter, each as
+        # (gate id, p, q, duration, progress after it).
+        self.moves: dict[tuple, tuple] = {}
+        self.bound = _bound(self.info, graph, config.swap_duration, self.w_depth, self.w_swaps)
 
     def root(self) -> SearchNode:
         """The empty schedule.  Nodes carry a depth map only when depth has
@@ -268,8 +258,10 @@ class _Search:
         num_scheduled) as tuples and ints.  They are each placement of each
         minimal unscheduled gate, then a SWAP on each edge with an occupied
         end, whose assignment is one getter of the node's assignment read
-        at the edge's transposition (`transpositions`).  Layered mode keeps
-        the gates in the lowest unfinished layer: the lowest layer among
+        at the edge's transposition (`transpositions`).  The minimal gates
+        and the progress after each are the node's progress vector's
+        `moves`, derived on its first expansion.  Layered mode keeps the
+        gates in the lowest unfinished layer: the lowest layer among
         minimal gates, since all predecessors of its gates are scheduled.
         Two kinds that some kept child dominates are left out:
 
@@ -283,18 +275,27 @@ class _Search:
           grandparent's state, a depth vector no lower and two more SWAPs.
         """
         asg, prog, dm = node.assignment, node.progress, node.depth_map
-        gates = minimal_unscheduled(self.info, prog)
-        if self.config.layered and gates:
-            layer = self.info.layer
-            low = min(layer[i] for i in gates)
-            gates = [i for i in gates if layer[i] == low]
-        graph, circuit_gates = self.graph, self.circuit.gates
+        moves = self.moves.get(prog)
+        if moves is None:
+            gates = minimal_unscheduled(self.info, prog)
+            if self.config.layered and gates:
+                layer = self.info.layer
+                low = min(layer[i] for i in gates)
+                gates = [i for i in gates if layer[i] == low]
+            moves = []
+            for i in gates:
+                gate = self.circuit.gates[i - 1]
+                p, q = gate.qubits
+                done = list(prog)
+                done[p] += 1
+                done[q] += 1
+                moves.append((i, p, q, gate.duration, tuple(done)))
+            moves = self.moves[prog] = tuple(moves)
+        graph = self.graph
         swaps, scheduled = node.swap_count, node.num_scheduled
         busy = set(asg)     # occupied nodes (plus 0, never a node)
         children = []
-        for i in gates:
-            gate = circuit_gates[i - 1]
-            p, q = gate.qubits
+        for i, p, q, duration, done in moves:
             ap, aq = asg[p], asg[q]
             if ap and aq:
                 edges = [(ap, aq)] if graph.has_edge(ap, aq) else ()
@@ -305,18 +306,12 @@ class _Search:
             else:
                 edges = [e for v, w in graph.edges if v not in busy and w not in busy
                          for e in ((v, w), (w, v))]
-            if not edges:
-                continue
-            done = list(prog)
-            done[p] += 1
-            done[q] += 1
-            done = tuple(done)
             for edge in edges:
                 v, w = edge
                 deeper = dm
                 if dm is not None:
                     deeper = list(dm)
-                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + gate.duration
+                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + duration
                     deeper = tuple(deeper)
                 if ap and aq:
                     if not self.w_depth:
@@ -375,7 +370,7 @@ class _Search:
         track_swaps, le = self.w_swaps > 0, operator.le
         kept = []
         for child in children:
-            dm, asg, prog, swaps = child[2:6]
+            _, _, dm, asg, prog, swaps, _ = child
             images = map(operator.itemgetter(*asg), automorphisms)
             if dm is None:
                 best = asg
@@ -425,6 +420,20 @@ class _Search:
                 store[key] = survivors
             kept.append(child)
         return kept
+
+
+def _bound(info: PrecedenceInfo, graph: HardwareGraph, swap_duration: int,
+           w_depth: int, w_swaps: int):
+    """The search's lower bound on the objective, times its scale, as a
+    function of a node: the weighted bounds for the objective's positive
+    weights.  It refers to no `_Search`, so a search holding it makes no
+    reference cycle."""
+    if not w_swaps:
+        return lambda node: w_depth * bound_depth(node, info, graph, swap_duration)
+    if not w_depth:
+        return lambda node: w_swaps * bound_swaps(node, info, graph)
+    return lambda node: (w_depth * bound_depth(node, info, graph, swap_duration)
+                         + w_swaps * bound_swaps(node, info, graph))
 
 
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:

@@ -229,14 +229,16 @@ def instances(draw, max_gates,
 
 
 @st.composite
-def walks(draw, graphs=None):
+def walks(draw, graphs=None, objectives=("depth",)):
     """(search, nodes): a graph (drawn from `graphs` if given), a random
-    circuit on it, a search in either mode, and the nodes along one random
-    sequence of children from the root, as the search builds them."""
+    circuit on it, a search in either mode under an objective drawn from
+    `objectives`, and the nodes along one random sequence of children from
+    the root, as the search builds them."""
     circuit, graph = draw(instances(max_gates=8) if graphs is None
                           else instances(max_gates=8, graphs=graphs))
-    search = _Search(circuit, graph, depth_config(swap_duration=draw(st.integers(0, 20)),
-                                                  layered=draw(st.booleans())))
+    config = CONFIGS[draw(st.sampled_from(objectives))]
+    search = _Search(circuit, graph, config(swap_duration=draw(st.integers(0, 20)),
+                                            layered=draw(st.booleans())))
     node = search.root()
     nodes = [node]
     for pick in draw(st.lists(st.integers(0, 10 ** 6), max_size=14)):
@@ -695,6 +697,85 @@ class TestBounds:
                     assert root_h <= r.objective_value
 
 
+class TestProgressMemos:
+    """What a progress vector alone decides is derived once per search:
+    its moves (`_Search.moves`) and its bound rows
+    (`PrecedenceInfo.bound_rows`)."""
+
+    @given(walks(objectives=tuple(CONFIGS)))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_their_definitions(self, walk):
+        search, nodes = walk
+        circuit, info = search.circuit, search.info
+        delta, pos, per_qubit = reference_delta(circuit), gate_positions(circuit), qubit_gates(circuit)
+        first_qubit = {}                # unordered pair -> its first gate's first qubit
+        for g in circuit.gates:
+            first_qubit.setdefault(frozenset(g.qubits), g.qubits[0])
+        for node in nodes:
+            prog = node.progress
+            search.children(node)
+            # The minimal gates (in layered mode, of the lowest layer with a
+            # gate unscheduled), each with the progress after it.
+            gates = reference_minimal_unscheduled(circuit, prog)
+            if search.config.layered:
+                low = min((info.layer[i] for q, seq in per_qubit.items() for i in seq[prog[q]:]),
+                          default=None)
+                gates = [i for i in gates if info.layer[i] == low]
+            moves = []
+            for i in gates:
+                gate, after = circuit.gates[i - 1], list(prog)
+                for q in gate.qubits:
+                    after[q] += 1
+                moves.append((i, *gate.qubits, gate.duration, tuple(after)))
+            assert search.moves[prog] == tuple(moves)
+
+            def work(q, to):            # q's gate durations from its progress to position `to`
+                return sum(circuit.gates[i - 1].duration for i in per_qubit[q][prog[q]:to])
+
+            heads, pairs = info.bound_rows(prog)
+            assert heads == (0, *(delta[seq[prog[q]]] if prog[q] < len(seq) else 0
+                                  for q, seq in per_qubit.items()))
+            expected = []
+            for pair, p in first_qubit.items():
+                (q,) = pair - {p}
+                later = [i for i in per_qubit[p][prog[p]:] if q in circuit.gates[i - 1].qubits]
+                if later:
+                    first = later[0]
+                    expected.append((p, q, delta[first], work(p, pos[first][p]),
+                                     work(q, pos[first][q])))
+            assert sorted(pairs) == sorted(expected)
+
+    @given(walks(objectives=tuple(CONFIGS)))
+    @settings(max_examples=100, deadline=None)
+    def test_a_filled_memo_answers_as_a_fresh_one(self, walk):
+        # `search` lists and bounds every child along the walk first, so
+        # each node's rows come from whichever node had its progress
+        # first; a fresh search derives them from the node itself.
+        search, nodes = walk
+        for node in nodes:
+            for kid in built(search, node):
+                search.bound(kid)
+        for node in reversed(nodes):
+            fresh = _Search(search.circuit, search.graph, search.config)
+            assert search.children(node) == fresh.children(node)
+            assert search.bound(node) == fresh.bound(node)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_a_memo_belongs_to_one_search(self, reverse):
+        # One Circuit object, solved layered and not, at two SWAP
+        # durations: each solve searches exactly as it does alone.
+        circuit = gen_random_circuit(InstanceSpec("linear:5", 5, 10, 0))
+        graph = parse_topology("linear:5")
+        runs = [(True, 15, 53, (39, 140, 33, 10)), (False, 15, 53, (62, 222, 61, 23)),
+                (True, 6, 44, (36, 135, 18, 22)), (False, 6, 44, (74, 275, 55, 60))]
+        for layered, d_s, value, counts in reversed(runs) if reverse else runs:
+            r = solve(circuit, graph, depth_config(layered=layered, swap_duration=d_s))
+            s = r.stats
+            assert (r.status, r.objective_value, (s.nodes_expanded, s.nodes_inserted,
+                                                  s.nodes_pruned, s.fronts_replaced)) == (
+                "optimal", value, counts)
+
+
 class TestFractionalWeights:
     W_DEPTH, W_SWAPS = Fraction(1, 3), Fraction(5, 2)
 
@@ -1037,8 +1118,9 @@ class TestSearchPinned:
                                                   ("y:6", 6)])
     def test_traced_names_are_called(self, monkeypatch, topology, qubits, objective, layered):
         # perfbench times the search's layers by wrapping these module
-        # globals; a search that bypassed one would empty its metric.
-        calls = Counter()
+        # globals; a search that bypassed one would empty its metric.  The
+        # minimal gates are derived once per progress vector expanded.
+        calls, expanded_progress = Counter(), []
 
         def counting(name, fn):
             def wrapper(*args):
@@ -1046,11 +1128,18 @@ class TestSearchPinned:
                 return fn(*args)
             return wrapper
 
+        def children(search, node):
+            expanded_progress.append(node.progress)
+            return listing(search, node)
+
         for name in ("minimal_unscheduled", "bound_depth", "bound_swaps"):
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+        listing = _Search.children
+        monkeypatch.setattr(_Search, "children", children)
         config = CONFIGS[objective](layered=layered)
         _, _, (expanded, inserted, _, _) = pinned_solve(topology, qubits, config)
-        assert calls == Counter({"minimal_unscheduled": expanded,
+        assert len(expanded_progress) == expanded
+        assert calls == Counter({"minimal_unscheduled": len(set(expanded_progress)),
                                  "bound_depth": inserted if config.w_depth else 0,
                                  "bound_swaps": inserted if config.w_swaps else 0})
 
