@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, TextIO
@@ -195,7 +196,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     """Rows of a results CSV; BenchError unless it has exactly the
     CSV_COLUMNS header, a field for every column, a known status, mode and
     objective, metrics set exactly when the status has a schedule, and an
-    integer wherever ResultRow holds one."""
+    integer, written as -?[0-9]+, wherever ResultRow holds one."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != CSV_COLUMNS:
         raise BenchError(f"results CSV must have the columns {','.join(CSV_COLUMNS)}, "
@@ -219,11 +220,10 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         def num(key, optional=False):
             if optional and rec[key] == "":
                 return None
-            try:
-                return int(rec[key])
-            except ValueError:
+            if not re.fullmatch("-?[0-9]+", rec[key]):
                 raise BenchError(f"{where}: column {key!r} must be an integer, "
-                                 f"got {rec[key]!r}") from None
+                                 f"got {rec[key]!r}")
+            return int(rec[key])
         rows.append(ResultRow(rec["instance_id"], rec["topology"], num("qubits"),
                               num("depth_param"), num("seed"), rec["mode"],
                               rec["objective"], num("depth", True), num("swaps", True),

@@ -2,10 +2,11 @@
 
 A circuit is an ordered list of two-qubit gates over virtual qubits.  Gates
 on the same qubit are totally ordered by their position in the list, which
-induces a partial order over all gates.  The analysis pass precomputes the
-layer indices used by the layered search mode and the tables the search
-reads by per-qubit progress, among them each next gate's tail time (minimum
-time from its start to circuit completion on ideal hardware).
+induces a partial order over all gates.  The analysis pass computes, per
+gate, the layer index used by the layered search mode and the tail time
+delta (minimum time from its start to circuit completion on ideal
+hardware); what the search reads at a progress vector comes from one pass
+over the gate list.
 """
 
 from __future__ import annotations
@@ -91,124 +92,81 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 @dataclass(frozen=True)
 class PrecedenceInfo:
-    """The tables the search reads, from a static analysis of a circuit's
-    precedence structure.  In the analysis, delta[i] is the minimum time
-    from gate i's start to circuit completion.
+    """The precedence facts the search reads, by gate id (entry 0 unused):
+    layer[i] is gate i's recursive layer index (0 for a gate with no
+    predecessor), delta[i] the minimum time from its start to circuit
+    completion on ideal hardware.
 
-    layer[i] is gate i's recursive layer index (0 for gates with no
-    predecessor; entry 0 unused).
-
-    The other tables are lists indexed by qubit (row 0 unused), then by
-    the qubit's progress k, its number of scheduled gates, up to and
-    including its gate count:
-    tail_sums[q][k] is the total duration of q's gates from its k-th on.
-    head[q][k] is delta of q's k-th gate, 0 once q is done.
-    ready[q][k] is (gate id, partner qubit, the gate's position on the
-    partner) for that gate, None once q is done; the gate is minimal
-    exactly when the partner's progress equals that position.
-    live[p][k] has an entry for each qubit pair whose first gate has p as
-    its first qubit and which has a gate at position k or later on p:
-    (q, delta[first], position of first on p, position of first on q),
-    where `first` is the pair's first such gate and q the pair's other
-    qubit.  An entry holds no k, so the rows share one tuple per gate.
-
-    `bound_rows` reads these tables at a whole progress vector, once per
-    vector: each info is built for one search, and memoises its rows.
+    A progress vector, a tuple over qubits 0..n of each qubit's number of
+    scheduled gates, is a per-qubit prefix of `gates`.  One pass over the
+    gates in order, counting each qubit's gates passed so far, reads it: a
+    gate is unscheduled once that count reaches its qubits' progress, and
+    next on a qubit when the two are equal.  `bound_rows` makes that pass
+    once per vector: each info is built for one search, and memoises the
+    vector's rows in `rows`.
     """
+    gates: tuple[GateSpec, ...]
     layer: list[int]
-    tail_sums: list[list[int]]
-    head: list[list[int]]
-    ready: list[list[tuple[int, int, int] | None]]
-    live: list[list[list[tuple[int, int, int, int]]]]
+    delta: list[int]
     rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bound_rows(self, progress: tuple) -> tuple:
-        """(heads, pairs) at `progress`, a tuple over qubits 0..n, derived
-        on the first request and kept in `rows`.  heads[q] is delta of q's
-        next gate (0 for q = 0 and once q is done).  pairs has a row (p,
-        q, delta[first], work_p, work_q) per `live` entry at `progress`,
-        so one per qubit pair with a gate still to run; a qubit's work is
-        the total duration of its gates from its progress up to `first`."""
+        """(heads, pairs) at `progress`, derived on the first request and
+        kept in `rows`.  heads[q] is delta of q's next gate (0 for q = 0 and
+        once q is done).  pairs has a row (p, q, delta[first], work_p,
+        work_q) per qubit pair with a gate still to run, in the order of
+        `first`, the pair's first unscheduled gate, whose qubits are (p, q);
+        a qubit's work is the total duration of its gates from its progress
+        up to `first`."""
         rows = self.rows.get(progress)
         if rows is None:
-            tail_sums = self.tail_sums
-            pairs = []
-            for p, k in enumerate(progress):
-                tail_p = tail_sums[p]
-                for q, delta_first, at_p, at_q in self.live[p][k]:
-                    tail_q = tail_sums[q]
-                    pairs.append((p, q, delta_first, tail_p[k] - tail_p[at_p],
-                                  tail_q[progress[q]] - tail_q[at_q]))
-            rows = self.rows[progress] = (
-                tuple(row[k] for row, k in zip(self.head, progress)), tuple(pairs))
+            delta, seen, met, pairs = self.delta, [0] * len(progress), set(), []
+            heads, work = [0] * len(progress), [0] * len(progress)
+            for g in self.gates:
+                p, q = g.qubits
+                if seen[p] >= progress[p]:
+                    if seen[p] == progress[p]:
+                        heads[p] = delta[g.id]
+                    if seen[q] == progress[q]:
+                        heads[q] = delta[g.id]
+                    pair = (p, q) if p < q else (q, p)
+                    if pair not in met:
+                        met.add(pair)
+                        pairs.append((p, q, delta[g.id], work[p], work[q]))
+                    work[p] += g.duration
+                    work[q] += g.duration
+                seen[p] += 1
+                seen[q] += 1
+            rows = self.rows[progress] = (tuple(heads), tuple(pairs))
         return rows
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:
-    # per_qubit[q]: the ids of q's gates in order; pos[i][q]: gate i's
-    # index in per_qubit[q].
-    per_qubit: dict[int, list[int]] = {q: [] for q in range(1, circuit.num_virtual_qubits + 1)}
-    pos: dict[int, dict[int, int]] = {}
-    layer = [0] * (circuit.num_gates + 1)
-    pairs: dict[frozenset, tuple[int, int, list[int]]] = {}
+    # A gate's direct predecessors are the last gates on its two qubits:
+    # after[q] is 1 + the layer of q's last gate so far.
+    layer, after = [0] * (circuit.num_gates + 1), [0] * (circuit.num_virtual_qubits + 1)
     for g in circuit.gates:
-        # A gate's direct predecessors are the last gates on its two qubits.
-        layer[g.id] = max((1 + layer[per_qubit[q][-1]] for q in g.qubits if per_qubit[q]),
-                          default=0)
-        pos[g.id] = {}
-        for q in g.qubits:
-            pos[g.id][q] = len(per_qubit[q])
-            per_qubit[q].append(g.id)
-        pairs.setdefault(frozenset(g.qubits), (*g.qubits, []))[2].append(g.id)
-
-    # A gate's direct successors are the next gates on its two qubits; they
-    # have larger ids, so one reverse pass suffices.
-    delta: dict[int, int] = {}
+        p, q = g.qubits
+        layer[g.id] = max(after[p], after[q])
+        after[p] = after[q] = layer[g.id] + 1
+    # Its direct successors are the next gates on its two qubits, later in
+    # the list: one reverse pass, with before[q] delta of q's next gate.
+    delta, before = [0] * (circuit.num_gates + 1), [0] * (circuit.num_virtual_qubits + 1)
     for g in reversed(circuit.gates):
-        delta[g.id] = g.duration + max((delta[per_qubit[q][k + 1]] for q, k in pos[g.id].items()
-                                        if k + 1 < len(per_qubit[q])), default=0)
-
-    tail_sums: list[list[int]] = [[0]]
-    head: list[list[int]] = [[0]]
-    ready: list[list[tuple[int, int, int] | None]] = [[None]]
-    live: list[list[list[tuple[int, int, int, int]]]] = [[[]]]
-    for q, ids in per_qubit.items():
-        sums = [0] * (len(ids) + 1)
-        for k in range(len(ids) - 1, -1, -1):
-            sums[k] = sums[k + 1] + circuit.gates[ids[k] - 1].duration
-        tail_sums.append(sums)
-        head.append([delta[i] for i in ids] + [0])
-        ready.append([(i, r, pos[i][r]) for i in ids for r in pos[i] if r != q] + [None])
-        live.append([[] for _ in range(len(ids) + 1)])
-    for p, q, ids in pairs.values():
-        # Gate `first` is the pair's next from just after the one before it
-        # on p up to its own position there.
-        start = 0
-        for first in ids:
-            at_p = pos[first][p]
-            entry = (q, delta[first], at_p, pos[first][q])
-            for k in range(start, at_p + 1):
-                live[p][k].append(entry)
-            start = at_p + 1
-
-    return PrecedenceInfo(layer=layer, tail_sums=tail_sums, head=head, ready=ready, live=live)
+        p, q = g.qubits
+        delta[g.id] = before[p] = before[q] = g.duration + max(before[p], before[q])
+    return PrecedenceInfo(gates=circuit.gates, layer=layer, delta=delta)
 
 
-def minimal_unscheduled(info: PrecedenceInfo, progress) -> list[int]:
-    """Gate ids, ascending, that are the first unscheduled gate on both of
-    their qubits.
-
-    `progress` maps each virtual qubit to the number of its gates already
-    scheduled (a downward-closed set is exactly a per-qubit prefix).  Each
-    qubit's next gate is looked up in `ready`, and kept, from its lower
-    qubit, when it is the partner's next gate too.
-    """
-    ready, result = info.ready, []
-    for q in range(1, len(ready)):
-        gate = ready[q][progress[q]]
-        if gate is not None:
-            i, r, k = gate
-            if q < r and progress[r] == k:
-                result.append(i)
-    result.sort()
+def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> list[int]:
+    """Gate ids, ascending, that are the next gate on both of their qubits
+    at `progress` (a downward-closed set of gates is exactly a per-qubit
+    prefix), from one pass over the gates as `PrecedenceInfo` describes."""
+    seen, result = [0] * len(progress), []
+    for g in info.gates:
+        p, q = g.qubits
+        if seen[p] == progress[p] and seen[q] == progress[q]:
+            result.append(g.id)
+        seen[p] += 1
+        seen[q] += 1
     return result

@@ -3,8 +3,9 @@
 Subcommands: solve, validate, oracle, gen, bench, report.
 Exit codes: 0 success / proven optimal, 2 incumbent only (for `oracle`:
 cap-exhausted, no schedule within --max-swaps), 3 validation violation,
-4 usage error or bad input (an invalid option value, a missing or
-malformed file), 5 the time limit passed with no schedule.
+4 usage error or bad input (an invalid option value, `report` with
+neither --rmd nor --parity, a missing or malformed file), 5 the time limit
+passed with no schedule.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not args.rmd and not args.parity:
+        raise _UsageError("report needs --rmd or --parity")
     rows = bench_mod.rows_from_csv(Path(args.infile).read_text())
     if args.objective:
         rows = [r for r in rows if r.objective == args.objective]

@@ -23,10 +23,10 @@ moves (`_Search.moves`) and its bound rows (`PrecedenceInfo.bound_rows`),
 so the many nodes that share a progress vector share them.  Two
 dominance rules drop children before they are listed: no SWAP undoes its
 parent's SWAP, and with no weight on depth a gate that can run where its
-qubits stand is the only child.  An admissible lower bound drives the expansion order, so the
-first complete node popped is optimal; at a complete node the bound is
-the objective, so the heap key also ranks incumbents.  A beam width
-converts the search into a heuristic.
+qubits stand is the only child.  An admissible lower bound drives the
+expansion order, so the first complete node popped is optimal; at a
+complete node the bound is the objective, so the heap key also ranks
+incumbents.  A beam width converts the search into a heuristic.
 """
 
 from __future__ import annotations

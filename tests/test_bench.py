@@ -195,6 +195,14 @@ class TestMatrix:
          "line 2: column 'seed' must be an integer, got '1.5'"),
         (CSV_HEADER + "\n" + CSV_ROW.rsplit(",", 1)[0] + ",",
          "line 2: column 'wall_time_ms' must be an integer, got ''"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",10,0,10,", ",\u0661\u0660,0,10,"),
+         "line 2: column 'depth' must be an integer, got '\u0661\u0660'"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",10,0,10,", ",1_0,0,10,"),
+         "line 2: column 'depth' must be an integer, got '1_0'"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",4,3,1,", ",4,3, 7,"),
+         "line 2: column 'seed' must be an integer, got ' 7'"),
+        (CSV_HEADER + "\n" + CSV_ROW.replace(",4,3,1,", ",4,3,+7,"),
+         "line 2: column 'seed' must be an integer, got '\\+7'"),
         (CSV_HEADER + "\n" + CSV_ROW + "\n" + CSV_ROW.replace(",10,0,10,", ",,0,10,"),
          "line 3: column 'depth' must be set for status optimal"),
         (CSV_HEADER + "\n" + CSV_ROW.replace(",0,10,optimal,", ",0,,incumbent,"),
@@ -205,7 +213,8 @@ class TestMatrix:
          "line 2: column 'swaps' must be empty for status error"),
     ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row",
             "unknown-mode", "unknown-objective", "non-integer-depth", "float-seed",
-            "empty-wall-time", "optimal-without-depth", "incumbent-without-unweighted",
+            "empty-wall-time", "arabic-indic-depth", "underscore-depth", "spaced-seed",
+            "plus-seed", "optimal-without-depth", "incumbent-without-unweighted",
             "timeout-with-metrics", "error-with-swaps"])
     def test_rows_from_csv_rejects(self, text, message):
         assert rows_from_csv(CSV_HEADER + "\n" + CSV_ROW + "\n")

@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import CircuitError, analyze, minimal_unscheduled, parse_circuit
 
 from conftest import UNDECODABLE, gate_positions, qubit_gates, reference_delta
@@ -69,17 +71,18 @@ class TestParse:
 
 
 def deltas(info, circuit):
-    """Gate id -> delta as `head` holds it, the same on both of the gate's
-    qubits."""
-    result = {}
-    for i, at in gate_positions(circuit).items():
-        (result[i],) = {info.head[q][k] for q, k in at.items()}
-    return result
+    """Gate id -> delta as `info.delta` holds it."""
+    return {g.id: info.delta[g.id] for g in circuit.gates}
 
 
 def gate_sequences(info):
-    """Qubit -> the ids of its gates in order, as `ready` lists them."""
-    return {q: [entry[0] for entry in row[:-1]] for q, row in enumerate(info.ready) if q}
+    """Qubit -> the ids of its gates in order, from the gate list `info`
+    keeps."""
+    result = {}
+    for g in info.gates:
+        for q in g.qubits:
+            result.setdefault(q, []).append(g.id)
+    return result
 
 
 class TestAnalyze:
@@ -103,9 +106,10 @@ class TestAnalyze:
         assert info.layer[1] == 0
 
 
-def remaining_time(info, circuit, q, i):
-    """Total duration of gates on qubit q from gate i (inclusive) onward."""
-    return info.tail_sums[q][gate_positions(circuit)[i][q]]
+def remaining_time(info, q, i):
+    """Total duration of gates on qubit q from gate i (inclusive) onward,
+    from the gate list `info` keeps."""
+    return sum(g.duration for g in info.gates[i - 1:] if q in g.qubits)
 
 
 def immediate_preds(circuit):
@@ -118,21 +122,19 @@ def immediate_preds(circuit):
 class TestRemainingTime:
     def test_example_values(self, example_circuit):
         info = analyze(example_circuit)
-        assert remaining_time(info, example_circuit, 1, 1) == 3   # g1 (d=2) + g3 (d=1)
-        assert remaining_time(info, example_circuit, 4, 3) == 1   # only g3
-        assert remaining_time(info, example_circuit, 4, 2) == 4   # g2 + g3
-        assert info.tail_sums[1] == [3, 1, 0]
+        assert remaining_time(info, 1, 1) == 3   # g1 (d=2) + g3 (d=1)
+        assert remaining_time(info, 4, 3) == 1   # only g3
+        assert remaining_time(info, 4, 2) == 4   # g2 + g3
+        assert remaining_time(info, 1, 3) == 1   # only g3
 
     def test_last_gate_singleton(self):
         c = make_circuit(2, [(1, 2, 7)])
-        assert remaining_time(analyze(c), c, 1, 1) == 7
+        assert remaining_time(analyze(c), 1, 1) == 7
 
     def test_gate_not_on_qubit(self, example_circuit):
         info = analyze(example_circuit)
-        # g1 acts on qubits 1 and 2 only, g3 on 4 and 1, each at position 1.
+        # g1 acts on qubits 1 and 2 only, g3 on 4 and 1.
         assert gate_sequences(info) == {1: [1, 3], 2: [1], 3: [2], 4: [2, 3]}
-        assert info.ready[1][0] == (1, 2, 0) and info.ready[2][0] == (1, 1, 0)
-        assert info.ready[4][1] == (3, 1, 1) and info.ready[1][1] == (3, 4, 1)
 
     def test_immediate_preds(self, example_circuit):
         assert immediate_preds(example_circuit) == {1: set(), 2: set(), 3: {1, 2}}
@@ -141,15 +143,15 @@ class TestRemainingTime:
 class TestMinimalUnscheduled:
     def test_root_frontier(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, {1: 0, 2: 0, 3: 0, 4: 0}) == [1, 2]
+        assert minimal_unscheduled(info, (0, 0, 0, 0, 0)) == [1, 2]
 
     def test_after_g1_g2(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, {1: 1, 2: 1, 3: 1, 4: 1}) == [3]
+        assert minimal_unscheduled(info, (0, 1, 1, 1, 1)) == [3]
 
     def test_all_scheduled(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, {1: 2, 2: 1, 3: 1, 4: 2}) == []
+        assert minimal_unscheduled(info, (0, 2, 1, 1, 2)) == []
 
 
 def random_small_circuit(rng, n_qubits, n_gates):
@@ -210,35 +212,25 @@ class TestSearchTables:
     def test_tables_match_their_definitions(self, raw):
         c = make_circuit(4, [(p, q, d) for ((p, q), d) in raw])
         info = analyze(c)
-        delta, pos, preds = reference_delta(c), gate_positions(c), immediate_preds(c)
-        assert len(info.layer) == c.num_gates + 1
+        delta, preds = reference_delta(c), immediate_preds(c)
+        assert info.gates == c.gates
+        assert len(info.layer) == len(info.delta) == c.num_gates + 1
         for g in c.gates:
             assert info.layer[g.id] == max((info.layer[i] + 1 for i in preds[g.id]), default=0)
-        first_qubit = {}                # unordered pair -> its first gate's first qubit
-        for g in c.gates:
-            first_qubit.setdefault(frozenset(g.qubits), g.qubits[0])
-        assert len(info.head) == len(info.ready) == len(info.live) == len(info.tail_sums) == 5
-        for q, ids in qubit_gates(c).items():
-            assert len(info.head[q]) == len(info.ready[q]) == len(info.live[q]) == len(ids) + 1
-            assert info.head[q][-1] == 0 and info.ready[q][-1] is None
-            assert info.live[q][-1] == []
-            assert info.tail_sums[q] == [sum(c.gates[i - 1].duration for i in ids[k:])
-                                         for k in range(len(ids) + 1)]
-            for k, i in enumerate(ids):
-                (r,) = set(c.gates[i - 1].qubits) - {q}
-                assert info.head[q][k] == delta[i]
-                assert info.ready[q][k] == (i, r, pos[i][r])
-            for k in range(len(ids) + 1):
-                expected = []
-                for pair, p in first_qubit.items():
-                    if p != q:
-                        continue
-                    (r,) = pair - {q}
-                    later = [i for i in ids[k:] if r in c.gates[i - 1].qubits]
-                    if later:
-                        first = later[0]
-                        expected.append((r, delta[first], pos[first][q], pos[first][r]))
-                assert sorted(info.live[q][k]) == sorted(expected)
+            assert info.delta[g.id] == delta[g.id]
+
+    def test_analysis_memory_is_linear_in_the_gates(self):
+        # Two lists by gate id, and the circuit's own gate tuple: a
+        # 10,000-gate circuit on 100 qubits needs well under 2 MB.
+        c = gen_random_circuit(InstanceSpec("grid:10x10", 100, 10000, 0))
+        tracemalloc.start()
+        try:
+            info = analyze(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.gates is c.gates
+        assert peak < 2_000_000
 
 
 class TestProperties:
@@ -285,8 +277,8 @@ class TestProperties:
                     assert preds[i] <= scheduled
                 for i in frontier[:2]:
                     p, q = c.gates[i - 1].qubits
-                    np_ = dict(progress)
+                    np_ = list(progress)
                     np_[p] += 1
                     np_[q] += 1
-                    explore(np_, scheduled | {i})
-            explore({q: 0 for q in range(1, 5)}, set())
+                    explore(tuple(np_), scheduled | {i})
+            explore((0,) * 5, set())

@@ -385,6 +385,12 @@ class TestPipeline:
         assert "RMD" in capsys.readouterr().out
         assert parity.read_text().startswith("non_layered,layered")
 
+    def test_report_needs_an_output(self, tmp_path, capsys):
+        # With neither --rmd nor --parity a report would print and write
+        # nothing; the CSV is not read.
+        assert dispatch(["report", "--in", str(tmp_path / "missing.csv")]) == 4
+        assert capsys.readouterr().err == "usage error: report needs --rmd or --parity\n"
+
     def test_interrupted_bench_keeps_finished_rows(self, tmp_path, monkeypatch):
         # Each row is on disk once its solve ends: a run stopped during the
         # second solve leaves the header and the first row, as the writer

@@ -708,9 +708,6 @@ class TestProgressMemos:
         search, nodes = walk
         circuit, info = search.circuit, search.info
         delta, pos, per_qubit = reference_delta(circuit), gate_positions(circuit), qubit_gates(circuit)
-        first_qubit = {}                # unordered pair -> its first gate's first qubit
-        for g in circuit.gates:
-            first_qubit.setdefault(frozenset(g.qubits), g.qubits[0])
         for node in nodes:
             prog = node.progress
             search.children(node)
@@ -735,15 +732,19 @@ class TestProgressMemos:
             heads, pairs = info.bound_rows(prog)
             assert heads == (0, *(delta[seq[prog[q]]] if prog[q] < len(seq) else 0
                                   for q, seq in per_qubit.items()))
+            # One row per qubit pair with a gate still to run, in the order
+            # of `first`, the pair's first unscheduled gate, with (p, q) the
+            # qubit order of `first`.
+            firsts = {}                 # unordered pair -> its first unscheduled gate
+            for g in circuit.gates:
+                if pos[g.id][g.qubits[0]] >= prog[g.qubits[0]]:
+                    firsts.setdefault(frozenset(g.qubits), g.id)
             expected = []
-            for pair, p in first_qubit.items():
-                (q,) = pair - {p}
-                later = [i for i in per_qubit[p][prog[p]:] if q in circuit.gates[i - 1].qubits]
-                if later:
-                    first = later[0]
-                    expected.append((p, q, delta[first], work(p, pos[first][p]),
-                                     work(q, pos[first][q])))
-            assert sorted(pairs) == sorted(expected)
+            for first in sorted(firsts.values()):
+                p, q = circuit.gates[first - 1].qubits
+                expected.append((p, q, delta[first], work(p, pos[first][p]),
+                                 work(q, pos[first][q])))
+            assert pairs == tuple(expected)
 
     @given(walks(objectives=tuple(CONFIGS)))
     @settings(max_examples=100, deadline=None)
