@@ -205,7 +205,7 @@ class HardwareGraph:
         return results
 
 
-_TOPOLOGY_RE = re.compile(r"^(linear|grid|y):(\d+)(?:x(\d+))?$")
+_TOPOLOGY_RE = re.compile(r"(linear|grid|y):([0-9]+)(?:x([0-9]+))?")
 
 
 def parse_topology(spec: str) -> HardwareGraph:
@@ -217,7 +217,7 @@ def parse_topology(spec: str) -> HardwareGraph:
        round-robin over three arms, each arm a chain off the center (y:4 is
        the 3-star).
     """
-    m = _TOPOLOGY_RE.match(spec)
+    m = _TOPOLOGY_RE.fullmatch(spec)
     if not m:
         raise HardwareError(f"bad topology spec {spec!r}")
     kind, n, b = m.group(1), int(m.group(2)), m.group(3)

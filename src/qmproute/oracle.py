@@ -32,8 +32,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.objective not in (DEPTH, SWAPS):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if min(self.max_swaps, self.swap_duration) < 0:
-            raise ValueError("max_swaps and swap_duration must be >= 0")
+        for name in ("max_swaps", "swap_duration"):
+            value = getattr(self, name)     # `type(x) is int`: a bool is not a count
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass

@@ -56,7 +56,6 @@ class SolverConfig:
     beam_width: int | None = None       # None = exact search
     time_limit: float | None = None     # seconds
     swap_duration: int = DEFAULT_SWAP_DURATION
-    use_pareto: bool = True
 
     def __post_init__(self):
         for name in ("w_depth", "w_swaps"):
@@ -81,10 +80,6 @@ class SolverConfig:
                               f"got {self.swap_duration!r}")
         if type(self.layered) is not bool:
             raise SolverError(f"layered must be a bool, got {self.layered!r}")
-        if type(self.use_pareto) is not bool:
-            raise SolverError(f"use_pareto must be a bool, got {self.use_pareto!r}")
-        if self.beam_width is not None and not self.use_pareto:
-            raise SolverError("a beam width needs the Pareto store (use_pareto=True)")
         if self.time_limit is not None and (
                 isinstance(self.time_limit, bool)
                 or not isinstance(self.time_limit, (int, float))
@@ -346,28 +341,33 @@ class _Search:
         Pareto store `store` keeps, built as `SearchNode`s in order; every
         one when `store` is None.  No node is built for a pruned child.
 
-        The store maps a class key to the class's non-dominated records,
-        compared on the depth map and the SWAP count, each only if the
-        objective weighs it.  A state's class key is the lexicographic
-        minimum of (sigma . assignment, progress) over the identity and the
-        automorphisms.  Under a depth weight a class holds a list of records
-        `(frame, node)`: the depth map read into the frame of the first
-        sigma attaining the key (`frame[sigma[v]] == depth_map[v]`), the
-        identity first.  A child is compared in that one frame.  A record
-        stored under sigma_A that is no worse than a child read under
-        sigma_B holds the child's state moved by sigma_A^-1 . sigma_B, so
-        each prune is justified by one automorphism; a state fixed by a
-        nontrivial automorphism may attain the key in other frames too, and
-        comparing in one of them only prunes less, as `AUTOMORPHISM_CAP`
-        does.  With SWAP counts alone a class holds one record, the node
-        with the lowest count, as itself.  A record no worse than a child
-        prunes it; a kept child evicts the records no better than it,
-        marked `removed`.
+        The store maps a class key to the class's non-dominated records.  A
+        state's class key is the lexicographic minimum of (sigma .
+        assignment, progress) over the identity and the automorphisms.
+        Under a depth weight a class holds a list of records `(vector,
+        node)`: the depth map read into the frame of the first sigma
+        attaining the key (`frame[sigma[v]] == depth_map[v]`), the identity
+        first, then the SWAP count if the objective weighs it.  A child is
+        compared in that one frame, entry by entry.  A record stored under
+        sigma_A that is no worse than a child read under sigma_B holds the
+        child's state moved by sigma_A^-1 . sigma_B, so each prune is
+        justified by one automorphism; a state fixed by a nontrivial
+        automorphism may attain the key in other frames too, and comparing
+        in one of them only prunes less, as `AUTOMORPHISM_CAP` does.
+
+        A class's vectors are an antichain (a child is stored only if no
+        record is no worse, and evicts those no better), so one pass decides
+        a child.  The first record no worse than it prunes it, and no record
+        before was marked `removed`: r1 no better than the child ahead of r2
+        no worse would give r2 <= r1.  If none prunes it, the child is kept
+        and the records no better than it are marked and dropped.  With SWAP
+        counts alone a class holds one record, the node with the lowest
+        count, as itself.
         """
         if store is None:
             return [SearchNode(node, *child) for child in children]
         automorphisms, frame_of = self.automorphisms, self.frame_of
-        track_swaps, le = self.w_swaps > 0, operator.le
+        w_swaps, le = self.w_swaps, operator.le
         kept = []
         for child in children:
             _, _, dm, asg, prog, swaps, _ = child
@@ -385,40 +385,36 @@ class _Search:
                         continue
                     record.removed = True
                     stats.fronts_replaced += 1
-            else:
-                # The key's least image, and the getter of the first sigma
-                # attaining it (None: the identity).
-                best, to_frame = asg, None
-                for image, getter in zip(images, frame_of):
-                    if image < best:
-                        best, to_frame = image, getter
-                frame = dm if to_frame is None else to_frame(dm)
-                key = (best, prog)
-                records = store.get(key, ())
-                pruned = False
-                for r_frame, r in records:     # a record no worse prunes the child
-                    if (not track_swaps or r.swap_count <= swaps) and all(map(le, r_frame, frame)):
-                        pruned = True
-                        break
-                if pruned:
+                child = store[key] = SearchNode(node, *child)
+                kept.append(child)
+                continue
+            # The key's least image, and the getter of the first sigma
+            # attaining it (None: the identity).
+            best, to_frame = asg, None
+            for image, getter in zip(images, frame_of):
+                if image < best:
+                    best, to_frame = image, getter
+            vector = dm if to_frame is None else to_frame(dm)
+            if w_swaps:
+                vector += (swaps,)
+            key = (best, prog)
+            records = store.get(key, ())
+            survivors = []
+            for record in records:
+                if all(map(le, record[0], vector)):     # no worse: prunes the child
                     stats.nodes_pruned += 1
-                    continue
-                survivors = []
-                for record in records:      # records no better are evicted
-                    if ((not track_swaps or swaps <= record[1].swap_count)
-                            and all(map(le, frame, record[0]))):
-                        record[1].removed = True
-                    else:
-                        survivors.append(record)
+                    break
+                if all(map(le, vector, record[0])):     # no better: evicted
+                    record[1].removed = True
+                else:
+                    survivors.append(record)
+            else:
                 if len(survivors) < len(records):
                     stats.fronts_replaced += 1
-            child = SearchNode(node, *child)
-            if dm is None:
-                store[key] = child
-            else:
-                survivors.append((frame, child))
+                child = SearchNode(node, *child)
+                survivors.append((vector, child))
                 store[key] = survivors
-            kept.append(child)
+                kept.append(child)
         return kept
 
 
@@ -455,7 +451,7 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
     collecting = gc.isenabled()
     gc.disable()
     try:
-        while (result := _run(search, beam, t0)) is None:
+        while (result := _run(search, beam, t0, {})) is None:
             beam *= 2
     finally:
         if collecting:
@@ -464,8 +460,10 @@ def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = 
     return result
 
 
-def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
-    """One search at beam width `beam` (None: exact); None when a beam's
+def _run(search: _Search, beam: int | None, t0: float,
+         store: dict | None) -> SolveResult | None:
+    """One search at beam width `beam` (None: exact) with the empty Pareto
+    store `store` (None: no store, every child kept); None when a beam's
     open list empties with no complete node.  Heap entries are (bound,
     -num_scheduled, swap_count, insert count, node): the count of nodes
     inserted so far is unique per entry and decides every tie before the
@@ -478,7 +476,6 @@ def _run(search: _Search, beam: int | None, t0: float) -> SolveResult | None:
     pruned one is no better than the kept complete record that pruned it."""
     config = search.config
     stats = SolveStats()
-    store = {} if config.use_pareto else None
     children, keep, bound = search.children, search.keep, search.bound
     deadline = math.inf if config.time_limit is None else t0 + config.time_limit
     # The root is not stored: no other node has its empty state.

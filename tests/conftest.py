@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from qmproute.bench import InstanceSpec, gen_random_circuit
 from qmproute.circuit import parse_circuit
 from qmproute.hardware import parse_topology
+from qmproute.solver import _run, _Search
 
 
 # Input that `json` fails on past its syntax: an integer too long to
@@ -32,6 +34,12 @@ def linear4():
 @pytest.fixture
 def y4():
     return parse_topology("y:4")
+
+
+def solve_without_store(circuit, graph, config):
+    """The exact search with no Pareto store, so no child is pruned: the
+    reference the store's pruning must agree with."""
+    return _run(_Search(circuit, graph, config), None, time.monotonic(), None)
 
 
 def tiny_instances(count, seed_base=0, qubits=(3, 4), depth_params=(3, 4, 5, 6)):

@@ -17,6 +17,8 @@ from qmproute.schedule import (SWAP, Schedule, ScheduledOp, compute_metrics,
                                validate)
 from qmproute.solver import SolverConfig, _Search, solve
 
+from conftest import solve_without_store
+
 
 def report(criterion, ok, detail=""):
     line = f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -108,7 +110,7 @@ def test_criterion_3_oracle_equivalence():
             assert exact.objective_value == oracle.value, (spec, objective)
             _EXACT_OPTIMA[(idx, objective)] = exact.objective_value
             layered = solve(circuit, graph, cfg(layered=True))
-            layered_ref = solve(circuit, graph, cfg(layered=True, use_pareto=False))
+            layered_ref = solve_without_store(circuit, graph, cfg(layered=True))
             assert layered.objective_value == layered_ref.objective_value, (spec, objective)
             checked += 2
     report(3, checked == 200, f"{checked}/200 combinations matched")
@@ -134,8 +136,7 @@ def test_criterion_5_pruning_soundness():
     for spec, circuit, graph in _INSTANCES[:20]:
         for layered in (False, True):
             with_pruning = solve(circuit, graph, depth_config(layered=layered))
-            without = solve(circuit, graph,
-                            depth_config(layered=layered, use_pareto=False))
+            without = solve_without_store(circuit, graph, depth_config(layered=layered))
             assert with_pruning.objective_value == without.objective_value, (spec, layered)
             checked += 1
     report(5, True, f"pruned == unpruned optimum on {checked} runs")

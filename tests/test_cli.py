@@ -227,9 +227,10 @@ class TestUsageErrors:
         (None, ["--topology", "linear:4", "--time-limit", "-1"]),
         (None, ["--topology", "linear:4", "--time-limit", "nan"]),
         (None, ["--topology", "linear:4", "--objective", "combined", "--w-depth", "abc"]),
+        (None, ["--topology", "linear:\u0664"]),
     ], ids=["negative-swap-duration", "zero-beam-width", "one-node-topology",
             "missing-file", "malformed-json", "zero-time-limit", "negative-time-limit",
-            "nan-time-limit", "non-number-weight"])
+            "nan-time-limit", "non-number-weight", "non-ascii-digit-topology"])
     def test_bad_input_is_a_usage_error(self, example_files, capsys, circuit, flags):
         tmp_path, circuit_file = example_files
         (tmp_path / "malformed.json").write_text("{not json")

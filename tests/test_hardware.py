@@ -71,6 +71,11 @@ class TestTopologies:
             parse_topology("ring:5")
         with pytest.raises(HardwareError):
             parse_topology("grid:6")
+        # Sizes are ASCII digits and the spec is the whole string: no
+        # Arabic-Indic four, no trailing newline.
+        for spec in ("linear:\u0664", "grid:\u0662x\u0663", "linear:4\n"):
+            with pytest.raises(HardwareError, match="bad topology spec"):
+                parse_topology(spec)
 
 
 class TestDistances:

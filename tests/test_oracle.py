@@ -57,6 +57,17 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(**{"max_swaps": 2, **change})
 
+    @pytest.mark.parametrize("name, value", [
+        ("swap_duration", 1.5), ("swap_duration", True), ("max_swaps", "1"),
+        ("max_swaps", 2.0), ("max_swaps", False),
+    ], ids=["float-swap-duration", "bool-swap-duration", "str-max-swaps",
+            "float-max-swaps", "bool-max-swaps"])
+    def test_rejects_non_integers(self, name, value):
+        # A float duration would give a fractional optimum, a bool is not
+        # read as 0 or 1, and a string is no raw TypeError.
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            OracleConfig(**{"max_swaps": 2, name: value})
+
 
 class TestFixpoint:
     def test_stabilizes(self, example_circuit, linear4):

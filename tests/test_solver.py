@@ -5,6 +5,7 @@ import heapq
 import itertools
 import json
 import operator
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,8 @@ from qmproute.schedule import SWAP, ScheduledOp, compute_metrics, validate
 from qmproute.solver import (SearchNode, SolveStats, SolverConfig, SolverError, _result, _run,
                              _Search, bound_depth, bound_swaps, solve)
 
-from conftest import gate_positions, qubit_gates, reference_delta, tiny_instances
+from conftest import (gate_positions, qubit_gates, reference_delta, solve_without_store,
+                      tiny_instances)
 
 
 def depth_config(**kw):
@@ -285,16 +287,11 @@ class TestSolveBasics:
         ({"layered": "yes"}, "layered"),
         ({"time_limit": True}, "time limit"),
         ({"time_limit": "5"}, "time limit"),
-        ({"use_pareto": 0}, "use_pareto"),
         ({"w_depth": True}, "w_depth must be an int, a Fraction or a decimal string"),
         ({"w_swaps": 0.1}, "w_swaps must be an int, a Fraction or a decimal string"),
-        # Well typed but refused: without the store a width-1 beam can
-        # insert SWAP children until memory runs out.
-        ({"beam_width": 1, "use_pareto": False}, "needs the Pareto store"),
     ], ids=["float-swap-duration", "bool-swap-duration", "float-beam-width",
             "bool-beam-width", "int-layered", "str-layered", "bool-time-limit",
-            "str-time-limit", "int-use-pareto", "bool-w-depth", "float-w-swaps",
-            "beam-without-pareto"])
+            "str-time-limit", "bool-w-depth", "float-w-swaps"])
     def test_bad_types_rejected(self, kw, match):
         # Not a raw TypeError from a comparison, a bool is not read as 1,
         # and a float weight is not taken at its binary value.
@@ -522,7 +519,6 @@ class TestTryInsert:
     def test_swaps_only_one_record_per_state(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
         store, stats = {}, SolveStats()
-        import random
         rng = random.Random(11)
         for _ in range(50):
             self.offer(search, store, stats, None, swaps=rng.randint(0, 5))
@@ -597,18 +593,60 @@ class TestTryInsert:
                     frame != stored)
 
     def test_store_health(self, example_circuit, linear4):
-        search = _Search(example_circuit, linear4, depth_config())
+        # A class's vectors, the SWAP count last when it is weighed, are
+        # an antichain.
+        for config in (depth_config(), SolverConfig(w_depth=1, w_swaps=1)):
+            search = _Search(example_circuit, linear4, config)
+            store, stats = {}, SolveStats()
+            rng = random.Random(7)
+            for _ in range(50):
+                dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
+                self.offer(search, store, stats, dm, swaps=rng.randint(0, 3))
+            for records in store.values():
+                for a_frame, a in records:
+                    assert a_frame == a.depth_map + ((a.swap_count,) if config.w_swaps else ())
+                    for b_frame, b in records:
+                        if a is not b:
+                            assert not all(map(operator.le, a_frame, b_frame))
+
+    @pytest.mark.parametrize("config", [depth_config(), SolverConfig(w_depth=1, w_swaps=1)],
+                             ids=["depth", "combined"])
+    def test_one_pass_matches_two_passes(self, example_circuit, linear4, config):
+        # `keep` decides a child in one pass over its class; here the
+        # definition decides it in two.  First: is some record no worse
+        # than the child?  Then, if not, which records is the child no
+        # worse than?  (0,1,2,0,0) and its mirror (0,4,3,0,0) are one
+        # class, keyed by the first; the mirror's depths are read reversed.
+        search = _Search(example_circuit, linear4, config)
         store, stats = {}, SolveStats()
-        import random
-        rng = random.Random(7)
-        for _ in range(50):
+        key = ((0, 1, 2, 0, 0), search.root().progress)
+        rng = random.Random(21)
+        pruned = replaced = 0
+        for _ in range(300):
             dm = (0,) + tuple(rng.randint(0, 4) for _ in range(4))
-            self.offer(search, store, stats, dm)
-        for records in store.values():
-            for a_frame, a in records:
-                for b_frame, b in records:
-                    if a is not b:
-                        assert not all(map(operator.le, a_frame, b_frame))
+            swaps = rng.randint(0, 3)
+            asg = rng.choice([(0, 1, 2, 0, 0), (0, 4, 3, 0, 0)])
+            vector = dm if asg == (0, 1, 2, 0, 0) else (0,) + dm[:0:-1]
+            if config.w_swaps:
+                vector += (swaps,)
+            records = list(store.get(key, ()))
+            dominated = any(all(map(operator.le, r_vector, vector)) for r_vector, _ in records)
+            evicted = [] if dominated else [r for r_vector, r in records
+                                            if all(map(operator.le, vector, r_vector))]
+            node = self.offer(search, store, stats, dm, swaps=swaps, assignment=asg,
+                              symmetric=True)
+            assert (node is None) == dominated
+            for _, r in records:
+                assert r.removed == any(r is e for e in evicted)
+            if dominated:
+                assert store[key] == records
+            else:
+                assert store[key] == [record for record in records
+                                      if not any(record[1] is e for e in evicted)] + [(vector, node)]
+            pruned += dominated
+            replaced += bool(evicted)
+            assert (stats.nodes_pruned, stats.fronts_replaced) == (pruned, replaced)
+        assert pruned and replaced and len(store[key]) > 1
 
 
 class TestBounds:
@@ -780,10 +818,9 @@ class TestProgressMemos:
 class TestFractionalWeights:
     W_DEPTH, W_SWAPS = Fraction(1, 3), Fraction(5, 2)
 
-    def solve_all(self, graph, scale=1, **kw):
-        config = SolverConfig(w_depth=self.W_DEPTH * scale,
-                              w_swaps=self.W_SWAPS * scale, **kw)
-        return [solve(c, graph, config) for _, c in tiny_instances(4, seed_base=800)]
+    def solve_all(self, graph, scale=1, run=solve):
+        config = SolverConfig(w_depth=self.W_DEPTH * scale, w_swaps=self.W_SWAPS * scale)
+        return [run(c, graph, config) for _, c in tiny_instances(4, seed_base=800)]
 
     def test_objective_is_exact(self, linear4):
         for r in self.solve_all(linear4):
@@ -800,7 +837,8 @@ class TestFractionalWeights:
             assert b.stats.nodes_pruned == a.stats.nodes_pruned
 
     def test_pareto_off_same_optimum(self, linear4):
-        for a, b in zip(self.solve_all(linear4), self.solve_all(linear4, use_pareto=False)):
+        for a, b in zip(self.solve_all(linear4),
+                        self.solve_all(linear4, run=solve_without_store)):
             assert a.objective_value == b.objective_value
 
 
@@ -817,8 +855,7 @@ class TestSwapsObjective:
         # qubits, the (non-layered) oracle's, which bounds layered mode.
         circuit, graph = instance
         a = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s))
-        b = solve(circuit, graph, swaps_config(layered=layered, swap_duration=d_s,
-                                               use_pareto=False))
+        b = solve_without_store(circuit, graph, swaps_config(layered=layered, swap_duration=d_s))
         assert a.status == b.status == "optimal"
         assert a.objective_value == b.objective_value == a.swap_count
         for r in (a, b):
@@ -907,7 +944,7 @@ class TestSymmetry:
         circuit, graph = instance
         config = depth_config if objective == "depth" else swaps_config
         a = solve_both_ways(circuit, graph, objective, layered)
-        b = solve(circuit, graph, config(layered=layered, use_pareto=False))
+        b = solve_without_store(circuit, graph, config(layered=layered))
         assert b.status == "optimal" and validate(b.schedule, circuit, graph).ok
         assert a.objective_value == b.objective_value
 
@@ -1270,7 +1307,7 @@ class TestCollector:
 
     def test_collector_restored_when_the_search_raises(self, example_circuit, linear4,
                                                        monkeypatch):
-        def failing_run(search, beam, t0):
+        def failing_run(search, beam, t0, store):
             assert not gc.isenabled()
             raise RuntimeError("search failed")
 
@@ -1316,8 +1353,7 @@ class TestModesAndProperties:
         for spec, circuit in tiny_instances(4, seed_base=300, depth_params=(3, 4)):
             for layered in (False, True):
                 a = solve(circuit, linear4, depth_config(layered=layered))
-                b = solve(circuit, linear4, depth_config(layered=layered,
-                                                         use_pareto=False))
+                b = solve_without_store(circuit, linear4, depth_config(layered=layered))
                 assert a.objective_value == b.objective_value
 
     def test_beam_returns_valid_upper_bound(self, linear4):
@@ -1332,7 +1368,7 @@ class TestModesAndProperties:
     def test_dead_beam_restarts_at_twice_the_width(self, linear4):
         circuit = gen_random_circuit(InstanceSpec("linear:4", 4, 6, 11))
         # Width 1 empties its open list with no complete node ...
-        assert _run(_Search(circuit, linear4, depth_config()), 1, 0.0) is None
+        assert _run(_Search(circuit, linear4, depth_config()), 1, 0.0, {}) is None
         # ... so `solve` searches again at width 2, and returns that search.
         r = solve(circuit, linear4, depth_config(beam_width=1))
         wide = solve(circuit, linear4, depth_config(beam_width=2))
