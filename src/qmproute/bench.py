@@ -26,6 +26,9 @@ from .solver import SolverConfig, solve
 
 ECR_DURATION = 4
 SINGLE_DURATION = 1
+# An integer in the results CSV or a CLI option: ASCII digits, since int()
+# also takes '١٥', ' 7', '1_0' and '+3'.
+INTEGER = re.compile("-?[0-9]+")
 
 
 class BenchError(ValueError):
@@ -220,7 +223,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         def num(key, optional=False):
             if optional and rec[key] == "":
                 return None
-            if not re.fullmatch("-?[0-9]+", rec[key]):
+            if not INTEGER.fullmatch(rec[key]):
                 raise BenchError(f"{where}: column {key!r} must be an integer, "
                                  f"got {rec[key]!r}")
             return int(rec[key])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,10 @@ EXIT_TIMEOUT = 5
 SOLVE_EXIT = {"optimal": EXIT_OK, "incumbent": EXIT_INCUMBENT, "timeout": EXIT_TIMEOUT}
 
 
+# --time-limit's text: seconds in ASCII digits, with an optional decimal part.
+SECONDS = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
 class _UsageError(Exception):
     pass
 
@@ -47,6 +52,19 @@ def _emit(args, record: dict):
         print(" ".join(f"{k}={v}" for k, v in record.items()))
 
 
+def _number(args, dest: str, rule=bench_mod.INTEGER, convert=int):
+    """A numeric option's value, its text read by an ASCII rule (argparse's
+    int and float also take '١٥', ' 7', '1_0' and '+3').  Read here, not as
+    an argparse type, so a bad number is an `error:` like any bad value."""
+    text = getattr(args, dest)
+    if text is None:
+        return None
+    if not rule.fullmatch(text):
+        raise ValueError(f"--{dest.replace('_', '-')} must match {rule.pattern}, "
+                         f"got {text!r}")
+    return convert(text)
+
+
 def _load_graph(args):
     if args.graph is not None:
         return parse_graph(Path(args.graph).read_text())
@@ -61,9 +79,10 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--w-depth and --w-swaps apply only to --objective combined")
     else:
         w_depth, w_swaps = bench_mod.OBJECTIVE_WEIGHTS[args.objective]
-    config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps,
-                          layered=args.layered, beam_width=args.beam_width,
-                          time_limit=args.time_limit, swap_duration=args.swap_duration)
+    config = SolverConfig(w_depth=w_depth, w_swaps=w_swaps, layered=args.layered,
+                          beam_width=_number(args, "beam_width"),
+                          time_limit=_number(args, "time_limit", SECONDS, float),
+                          swap_duration=_number(args, "swap_duration"))
     circuit = parse_circuit(Path(args.circuit).read_text())
     graph = _load_graph(args)
     result = solve(circuit, graph, config)
@@ -103,9 +122,9 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     graph = _load_graph(args)
-    config = oracle_mod.OracleConfig(max_swaps=args.max_swaps,
+    config = oracle_mod.OracleConfig(max_swaps=_number(args, "max_swaps"),
                                      objective=args.objective,
-                                     swap_duration=args.swap_duration)
+                                     swap_duration=_number(args, "swap_duration"))
     try:
         result = oracle_mod.exhaustive_solve(circuit, graph, config)
     except oracle_mod.CapExhausted as e:
@@ -118,9 +137,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    bench_mod.check_instance(args.topology, args.qubits)
-    spec = bench_mod.InstanceSpec(topology=args.topology, num_qubits=args.qubits,
-                                  depth_param=args.depth_param, seed=args.seed)
+    spec = bench_mod.InstanceSpec(topology=args.topology, num_qubits=_number(args, "qubits"),
+                                  depth_param=_number(args, "depth_param"),
+                                  seed=_number(args, "seed"))
+    bench_mod.check_instance(spec.topology, spec.num_qubits)
     circuit = bench_mod.gen_random_circuit(spec)
     text = circuit_to_json(circuit)
     if args.out:
@@ -181,9 +201,9 @@ def build_parser() -> _Parser:
     p.add_argument("--w-swaps", dest="w_swaps",
                    help="SWAP weight under --objective combined (default 0), read like --w-depth")
     p.add_argument("--layered", action="store_true")
-    p.add_argument("--beam-width", dest="beam_width", type=int, default=None)
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=None)
-    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=DEFAULT_SWAP_DURATION)
+    p.add_argument("--beam-width", dest="beam_width")
+    p.add_argument("--time-limit", dest="time_limit", help="seconds, such as 10 or 0.5")
+    p.add_argument("--swap-duration", dest="swap_duration", default=str(DEFAULT_SWAP_DURATION))
     p.add_argument("--out", help="schedule output file")
     p.add_argument("--stats", help="stats output file")
     p.set_defaults(func=_cmd_solve)
@@ -198,16 +218,16 @@ def build_parser() -> _Parser:
     p.add_argument("--circuit", required=True)
     add_graph_opts(p)
     p.add_argument("--objective", choices=["depth", "swaps"], default="depth")
-    p.add_argument("--max-swaps", dest="max_swaps", type=int, required=True)
-    p.add_argument("--swap-duration", dest="swap_duration", type=int, default=DEFAULT_SWAP_DURATION)
+    p.add_argument("--max-swaps", dest="max_swaps", required=True)
+    p.add_argument("--swap-duration", dest="swap_duration", default=str(DEFAULT_SWAP_DURATION))
     p.add_argument("--out", help="witness schedule output file")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded random circuit")
     p.add_argument("--topology", required=True)
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--depth-param", dest="depth_param", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--qubits", required=True)
+    p.add_argument("--depth-param", dest="depth_param", required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

@@ -2,7 +2,7 @@
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
 all-pairs hop distances, enumeration of minimal (chordless) paths
-between node pairs, cached per ordered pair, and the graph's automorphisms.
+between node pairs, cached per unordered pair, and the graph's automorphisms.
 A path is minimal when no subset of its nodes can be removed and still
 leave a valid path, i.e. no hardware edge joins two non-consecutive path
 nodes.
@@ -87,26 +87,23 @@ class HardwareGraph:
         return dist
 
     def minimal_paths(self, v: int, w: int):
-        """All chordless simple paths from v to w as node tuples.
+        """All chordless simple paths between v and w as node tuples from
+        min(v, w) to max(v, w), in lexicographic order.
 
         Returns None if the enumeration exceeded MAX_PATHS_PER_PAIR; callers
         using the result inside a lower bound must then skip the pair
         (truncating the set would raise the bound and break admissibility).
-        Both orientations are cached, so a repeated call returns the same
-        object and allocates nothing.
+        Each unordered pair is enumerated once and cached, so a repeated call
+        in either order returns the same object and allocates nothing.
         """
+        key = (v, w) if v < w else (w, v)
         try:
-            return self._path_cache[v, w]
+            return self._path_cache[key]
         except KeyError:
-            pass
-        if v == w:
-            raise HardwareError("minimal_paths requires distinct endpoints")
-        lo, hi = min(v, w), max(v, w)
-        paths = self._enumerate_chordless(lo, hi)
-        self._path_cache[lo, hi] = paths
-        self._path_cache[hi, lo] = (None if paths is None
-                                    else [tuple(reversed(p)) for p in paths])
-        return self._path_cache[v, w]
+            if v == w:
+                raise HardwareError("minimal_paths requires distinct endpoints") from None
+        paths = self._path_cache[key] = self._enumerate_chordless(*key)
+        return paths
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Non-identity node permutations that preserve every hop distance,
@@ -174,7 +171,8 @@ class HardwareGraph:
         u: a neighbour x of the last node extends the path without a chord
         exactly when touch[x] == 1 and x is off the path.  The path being
         chordless, the only path node next to the last is the one before it,
-        whose count is 2 unless it is v."""
+        whose count is 2 unless it is v.  Over sorted adjacency lists, with no
+        path run past w, the paths come out in lexicographic order."""
         adj = self._adj
         results: list[tuple[int, ...]] = []
         path = [v]
@@ -201,7 +199,6 @@ class HardwareGraph:
                 x = path.pop()
                 for y in adj[x]:
                     touch[y] -= 1
-        results.sort()
         return results
 
 

@@ -147,7 +147,11 @@ def exhaustive_solve(circuit: Circuit, graph: HardwareGraph,
             if ov:
                 placed[ov] = v
 
-    recurse(0, 0)
+    try:
+        recurse(0, 0)
+    except RecursionError:      # one frame per op: gates plus SWAPs
+        raise ValueError(f"{len(gates)} gates with up to {config.max_swaps} SWAPs nest "
+                         f"too deep for the brute-force oracle") from None
     if best_value[0] is None:
         if cap_hit[0]:
             raise CapExhausted(f"no solution within {config.max_swaps} SWAPs")

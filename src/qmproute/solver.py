@@ -35,6 +35,7 @@ import gc
 import heapq
 import math
 import operator
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,12 @@ from fractions import Fraction
 from .circuit import Circuit, PrecedenceInfo, analyze, minimal_unscheduled
 from .hardware import HardwareGraph
 from .schedule import DEFAULT_SWAP_DURATION, SWAP, Schedule, ScheduledOp
+
+
+# A weight given as text: ASCII digits with an optional decimal part or a
+# nonzero denominator.  Fraction alone also takes '١/٣', ' 1/3 ', '1_0' and
+# '1e3', and expands '1e999999999' into an integer of a billion digits.
+WEIGHT = re.compile(r"[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?")
 
 
 class SolverError(ValueError):
@@ -62,13 +69,11 @@ class SolverConfig:
             # A float is refused: 0.1 is 3602879701896397 / 2**55, and that
             # denominator would scale every heap key.
             weight = getattr(self, name)
-            try:
-                if isinstance(weight, (bool, float)):
-                    raise TypeError
-                setattr(self, name, Fraction(weight))
-            except (TypeError, ValueError):
-                raise SolverError(f"{name} must be an int, a Fraction or a decimal string, "
-                                  f"got {weight!r}") from None
+            if not (WEIGHT.fullmatch(weight) if isinstance(weight, str)
+                    else isinstance(weight, (int, Fraction)) and not isinstance(weight, bool)):
+                raise SolverError(f"{name} must be an int, a Fraction or a decimal string "
+                                  f"such as 2, 0.1 or 1/3, got {weight!r}")
+            setattr(self, name, Fraction(weight))
         if self.w_depth < 0 or self.w_swaps < 0 or self.w_depth + self.w_swaps == 0:
             raise SolverError("weights must be nonnegative with positive sum")
         # `type(x) is int`: a bool is an int subclass, but not a width.
@@ -160,6 +165,8 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
             continue  # enumeration capped; skipping keeps the bound admissible
         # Each wire's depth plus its circuit work before `first`.
         start_p, start_q = dm[ap] + work_p, dm[aq] + work_q
+        if ap > aq:         # paths run from the lower node; the meet is symmetric
+            start_p, start_q = start_q, start_p
         bar = h - delta_first       # the term raises h only above this
         best = None
         for path in paths:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -228,9 +229,16 @@ class TestUsageErrors:
         (None, ["--topology", "linear:4", "--time-limit", "nan"]),
         (None, ["--topology", "linear:4", "--objective", "combined", "--w-depth", "abc"]),
         (None, ["--topology", "linear:\u0664"]),
+        (None, ["--topology", "linear:4", "--objective", "combined", "--w-depth", "1/0"]),
+        (None, ["--topology", "linear:4", "--swap-duration", "\u0661\u0665"]),
+        (None, ["--topology", "linear:4", "--beam-width", " 7"]),
+        (None, ["--topology", "linear:4", "--time-limit", "\u0661\u0660"]),
+        (None, ["--topology", "linear:4", "--time-limit", "1e3"]),
     ], ids=["negative-swap-duration", "zero-beam-width", "one-node-topology",
             "missing-file", "malformed-json", "zero-time-limit", "negative-time-limit",
-            "nan-time-limit", "non-number-weight", "non-ascii-digit-topology"])
+            "nan-time-limit", "non-number-weight", "non-ascii-digit-topology",
+            "zero-denominator-weight", "non-ascii-swap-duration", "padded-beam-width",
+            "non-ascii-time-limit", "exponent-time-limit"])
     def test_bad_input_is_a_usage_error(self, example_files, capsys, circuit, flags):
         tmp_path, circuit_file = example_files
         (tmp_path / "malformed.json").write_text("{not json")
@@ -258,6 +266,17 @@ class TestUsageErrors:
         assert dispatch(["gen", "--topology", topology, "--qubits", qubits,
                          "--depth-param", "3", "--seed", "0", "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--qubits", "\u0664"), ("--depth-param", "1_0"), ("--seed", "+3"),
+    ], ids=["non-ascii-qubits", "underscore-depth-param", "signed-seed"])
+    def test_gen_reads_ascii_integers(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c.json"
+        options = {"--qubits": "4", "--depth-param": "3", "--seed": "0", flag: value}
+        assert dispatch(["gen", "--topology", "linear:4",
+                         *(x for item in options.items() for x in item), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {flag} must match -?[0-9]+, got {value!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -367,6 +386,16 @@ class TestPipeline:
         assert dispatch(["oracle", "--circuit", str(circuit), "--topology", "linear:3",
                          "--max-swaps", "0"]) == 2
         assert capsys.readouterr().out.startswith("status=cap-exhausted ")
+
+    def test_oracle_too_deep_exit_4(self, tmp_path, capsys):
+        # One recursion frame per scheduled op: past the interpreter's limit
+        # the oracle refuses the instance instead of ending in a traceback.
+        circuit = tmp_path / "long.json"
+        circuit.write_text(json.dumps({"num_qubits": 2,
+                                       "gates": [{"q": [1, 2]}] * (sys.getrecursionlimit() + 100)}))
+        assert dispatch(["oracle", "--circuit", str(circuit), "--topology", "linear:2",
+                         "--max-swaps", "0"]) == 4
+        assert "too deep for the brute-force oracle" in capsys.readouterr().err
 
     def test_bench_and_report(self, tmp_path, capsys):
         matrix_file = tmp_path / "matrix.json"

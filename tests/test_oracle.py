@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -38,6 +39,13 @@ class TestExhaustiveSolve:
             {"q": [1, 3], "d": 4}, {"q": [2, 4], "d": 4}]}))
         with pytest.raises(CapExhausted):
             exhaustive_solve(c, linear4, OracleConfig(max_swaps=0))
+
+    def test_too_deep_is_a_value_error(self):
+        # Each op scheduled is one recursion frame.
+        c = parse_circuit(json.dumps({"num_qubits": 2,
+                                      "gates": [{"q": [1, 2]}] * (sys.getrecursionlimit() + 100)}))
+        with pytest.raises(ValueError, match="too deep for the brute-force oracle"):
+            exhaustive_solve(c, parse_topology("linear:2"), OracleConfig(max_swaps=0))
 
     def test_automorphism_invariance(self, example_circuit):
         forward = parse_topology("linear:4")

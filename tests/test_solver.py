@@ -92,6 +92,7 @@ def reference_bound_depth(node, circuit, graph, swap_duration):
             continue
         best = None
         for path in paths:
+            path = path if path[0] == ap else path[::-1]    # read from ap's node
             n_pi = len(path)
             for j in range(1, n_pi):
                 terms = [dqp + lam_p + (j - 1) * d_s,
@@ -289,9 +290,20 @@ class TestSolveBasics:
         ({"time_limit": "5"}, "time limit"),
         ({"w_depth": True}, "w_depth must be an int, a Fraction or a decimal string"),
         ({"w_swaps": 0.1}, "w_swaps must be an int, a Fraction or a decimal string"),
+        ({"w_depth": "1/0"}, "w_depth must be an int, a Fraction or a decimal string"),
+        ({"w_swaps": "1e3"}, "w_swaps must be an int, a Fraction or a decimal string"),
+        ({"w_depth": "\u0661/\u0663"}, "w_depth must be an int, a Fraction or a decimal string"),
+        ({"w_swaps": "1_0"}, "w_swaps must be an int, a Fraction or a decimal string"),
+        ({"w_depth": " 1/3 "}, "w_depth must be an int, a Fraction or a decimal string"),
+        ({"w_swaps": "+1"}, "w_swaps must be an int, a Fraction or a decimal string"),
+        ({"w_depth": ".5"}, "w_depth must be an int, a Fraction or a decimal string"),
+        ({"w_swaps": "1."}, "w_swaps must be an int, a Fraction or a decimal string"),
     ], ids=["float-swap-duration", "bool-swap-duration", "float-beam-width",
             "bool-beam-width", "int-layered", "str-layered", "bool-time-limit",
-            "str-time-limit", "bool-w-depth", "float-w-swaps"])
+            "str-time-limit", "bool-w-depth", "float-w-swaps", "zero-denominator-w-depth",
+            "exponent-w-swaps", "non-ascii-w-depth", "underscore-w-swaps",
+            "padded-w-depth", "signed-w-swaps", "no-integer-part-w-depth",
+            "no-fraction-digits-w-swaps"])
     def test_bad_types_rejected(self, kw, match):
         # Not a raw TypeError from a comparison, a bool is not read as 1,
         # and a float weight is not taken at its binary value.
@@ -301,6 +313,8 @@ class TestSolveBasics:
     def test_exact_weights_accepted(self):
         config = SolverConfig(w_depth="0.1", w_swaps=Fraction(1, 3), time_limit=5)
         assert (config.w_depth, config.w_swaps) == (Fraction(1, 10), Fraction(1, 3))
+        config = SolverConfig(w_depth="2/06", w_swaps="12345678901234567891")
+        assert (config.w_depth, config.w_swaps) == (Fraction(1, 3), 12345678901234567891)
 
     def test_no_schedule_in_time_is_a_timeout(self, example_circuit, linear4):
         # The limit has passed before the root is popped.
@@ -693,6 +707,24 @@ class TestBounds:
         h_d = bound_depth(root, search.info, linear4, config.swap_duration)
         h_s = bound_swaps(root, search.info, linear4)
         assert search.bound(root) == h_d + 10 * h_s
+
+    def test_path_cache_keys_each_pair_once(self, monkeypatch):
+        # The depth bound asks for pairs in both orders; the cache keeps one
+        # entry per unordered pair, keyed from its lower node.
+        graph = parse_topology("grid:3x3")
+        asked = set()
+        minimal_paths = HardwareGraph.minimal_paths
+
+        def recording(g, v, w):
+            asked.add((v, w))
+            return minimal_paths(g, v, w)
+
+        monkeypatch.setattr(HardwareGraph, "minimal_paths", recording)
+        circuit = gen_random_circuit(InstanceSpec("grid:3x3", 6, 8, 0))
+        assert solve(circuit, graph, depth_config()).status == "optimal"
+        assert any(v > w for v, w in asked) and any(v < w for v, w in asked)
+        assert set(graph._path_cache) == {(min(k), max(k)) for k in asked}
+        assert all(lo < hi for lo, hi in graph._path_cache)
 
     @given(walks(), PATH_CAPS)
     @settings(max_examples=150, deadline=None)
