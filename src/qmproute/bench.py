@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, TextIO
 
 from . import jsonfile
 from .circuit import Circuit, GateSpec
-from .hardware import HardwareError, parse_topology
+from .hardware import HardwareError, parse_topology, topology_edges
 from .schedule import DEFAULT_SWAP_DURATION, compute_metrics
 from .solver import SolverConfig, solve
 
@@ -100,7 +100,8 @@ DEFAULT_TIME_LIMIT = 30.0
 def parse_matrix(text: str) -> dict:
     """Matrix file: JSON with `instances` (list of {topology, qubits,
     depth_param, seeds}), `modes`, `objectives`, and optional `time_limit`
-    (seconds) and `swap_duration`.  Everything is checked before a solve."""
+    (seconds) and `swap_duration`.  Everything is checked before a solve,
+    and each run (topology, qubits, depth_param, seed) is listed once."""
     data = jsonfile.record(jsonfile.load(text, BenchError, "matrix"), BenchError,
                            "matrix file", ("instances", "modes", "objectives"),
                            ("time_limit", "swap_duration"))
@@ -116,6 +117,7 @@ def parse_matrix(text: str) -> dict:
         raise BenchError(f"'swap_duration' must be a nonnegative integer, got {d!r}")
     if not isinstance(data["instances"], list):
         raise BenchError("'instances' must be a list")
+    runs = set()
     for i, entry in enumerate(data["instances"]):
         where = f"instance {i}"
         jsonfile.record(entry, BenchError, where, ("topology", "qubits", "depth_param", "seeds"))
@@ -131,13 +133,19 @@ def parse_matrix(text: str) -> dict:
             check_instance(entry["topology"], entry["qubits"])
         except BenchError as e:
             raise BenchError(f"{where}: {e}") from e
+        for seed in entry["seeds"]:
+            run = InstanceSpec(entry["topology"], entry["qubits"], entry["depth_param"], seed)
+            if run in runs:
+                raise BenchError(f"{where}: run {run.instance_id} is listed twice")
+            runs.add(run)
     return data
 
 
 def check_instance(topology: str, num_qubits: int) -> None:
-    """Raise BenchError unless `topology` parses and `num_qubits` fit its nodes."""
+    """Raise BenchError unless `topology` parses and `num_qubits` fit its
+    nodes; no graph is built."""
     try:
-        nodes = parse_topology(topology).num_nodes
+        nodes = topology_edges(topology)[0]
     except HardwareError as e:
         raise BenchError(str(e)) from e
     if num_qubits > nodes:
@@ -198,13 +206,14 @@ def rows_to_csv(rows: Iterable[ResultRow]) -> str:
 def rows_from_csv(text: str) -> list[ResultRow]:
     """Rows of a results CSV; BenchError unless it has exactly the
     CSV_COLUMNS header, a field for every column, a known status, mode and
-    objective, metrics set exactly when the status has a schedule, and an
-    integer, written as -?[0-9]+, wherever ResultRow holds one."""
+    objective, metrics set exactly when the status has a schedule, an
+    integer, written as -?[0-9]+, wherever ResultRow holds one, and one row
+    per run (instance_id, objective, mode)."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != CSV_COLUMNS:
         raise BenchError(f"results CSV must have the columns {','.join(CSV_COLUMNS)}, "
                          f"got {','.join(reader.fieldnames or [])}")
-    rows = []
+    rows, runs = [], set()
     for rec in reader:
         where = f"results CSV line {reader.line_num}"
         if None in rec or None in rec.values():
@@ -232,6 +241,10 @@ def rows_from_csv(text: str) -> list[ResultRow]:
                               rec["objective"], num("depth", True), num("swaps", True),
                               num("unweighted_depth", True), rec["status"],
                               num("wall_time_ms")))
+        run = (rec["instance_id"], rec["objective"], rec["mode"])
+        if run in runs:
+            raise BenchError(f"{where}: a second row for the run {','.join(run)}")
+        runs.add(run)
     return rows
 
 

@@ -5,14 +5,14 @@ on the same qubit are totally ordered by their position in the list, which
 induces a partial order over all gates.  The analysis pass computes, per
 gate, the layer index used by the layered search mode and the tail time
 delta (minimum time from its start to circuit completion on ideal
-hardware); what the search reads at a progress vector comes from one pass
-over the gate list.
+hardware); everything the search reads at a progress vector comes from one
+pass over the gate list, `minimal_unscheduled`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import jsonfile
 
@@ -95,50 +95,10 @@ class PrecedenceInfo:
     """The precedence facts the search reads, by gate id (entry 0 unused):
     layer[i] is gate i's recursive layer index (0 for a gate with no
     predecessor), delta[i] the minimum time from its start to circuit
-    completion on ideal hardware.
-
-    A progress vector, a tuple over qubits 0..n of each qubit's number of
-    scheduled gates, is a per-qubit prefix of `gates`.  One pass over the
-    gates in order, counting each qubit's gates passed so far, reads it: a
-    gate is unscheduled once that count reaches its qubits' progress, and
-    next on a qubit when the two are equal.  `bound_rows` makes that pass
-    once per vector: each info is built for one search, and memoises the
-    vector's rows in `rows`.
-    """
+    completion on ideal hardware."""
     gates: tuple[GateSpec, ...]
     layer: list[int]
     delta: list[int]
-    rows: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def bound_rows(self, progress: tuple) -> tuple:
-        """(heads, pairs) at `progress`, derived on the first request and
-        kept in `rows`.  heads[q] is delta of q's next gate (0 for q = 0 and
-        once q is done).  pairs has a row (p, q, delta[first], work_p,
-        work_q) per qubit pair with a gate still to run, in the order of
-        `first`, the pair's first unscheduled gate, whose qubits are (p, q);
-        a qubit's work is the total duration of its gates from its progress
-        up to `first`."""
-        rows = self.rows.get(progress)
-        if rows is None:
-            delta, seen, met, pairs = self.delta, [0] * len(progress), set(), []
-            heads, work = [0] * len(progress), [0] * len(progress)
-            for g in self.gates:
-                p, q = g.qubits
-                if seen[p] >= progress[p]:
-                    if seen[p] == progress[p]:
-                        heads[p] = delta[g.id]
-                    if seen[q] == progress[q]:
-                        heads[q] = delta[g.id]
-                    pair = (p, q) if p < q else (q, p)
-                    if pair not in met:
-                        met.add(pair)
-                        pairs.append((p, q, delta[g.id], work[p], work[q]))
-                    work[p] += g.duration
-                    work[q] += g.duration
-                seen[p] += 1
-                seen[q] += 1
-            rows = self.rows[progress] = (tuple(heads), tuple(pairs))
-        return rows
 
 
 def analyze(circuit: Circuit) -> PrecedenceInfo:
@@ -158,15 +118,36 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
     return PrecedenceInfo(gates=circuit.gates, layer=layer, delta=delta)
 
 
-def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> list[int]:
-    """Gate ids, ascending, that are the next gate on both of their qubits
-    at `progress` (a downward-closed set of gates is exactly a per-qubit
-    prefix), from one pass over the gates as `PrecedenceInfo` describes."""
-    seen, result = [0] * len(progress), []
+def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> tuple:
+    """(gates, heads, pairs) at `progress`, each qubit's number of scheduled
+    gates (a downward-closed set of gates is exactly such a per-qubit
+    prefix), from one pass over the gates in order counting each qubit's
+    gates passed so far: a gate is unscheduled once that count reaches its
+    qubits' progress, and next on a qubit when the two are equal.  gates are
+    the ids, ascending, of the gates next on both their qubits; heads[q] is
+    delta of q's next gate (0 for q = 0 and once q is done); pairs has a row
+    (p, q, delta[first], work_p, work_q) per qubit pair with a gate still to
+    run, in the order of `first`, the pair's first unscheduled gate, whose
+    qubits are (p, q), and a qubit's work is the total duration of its gates
+    from its progress up to `first`."""
+    delta, seen, met, gates, pairs = info.delta, [0] * len(progress), set(), [], []
+    heads, work = [0] * len(progress), [0] * len(progress)
     for g in info.gates:
         p, q = g.qubits
-        if seen[p] == progress[p] and seen[q] == progress[q]:
-            result.append(g.id)
+        if seen[p] >= progress[p]:
+            if seen[p] == progress[p]:
+                heads[p] = delta[g.id]
+                if seen[q] == progress[q]:
+                    heads[q] = delta[g.id]
+                    gates.append(g.id)
+            elif seen[q] == progress[q]:
+                heads[q] = delta[g.id]
+            pair = (p, q) if p < q else (q, p)
+            if pair not in met:
+                met.add(pair)
+                pairs.append((p, q, delta[g.id], work[p], work[q]))
+            work[p] += g.duration
+            work[q] += g.duration
         seen[p] += 1
         seen[q] += 1
-    return result
+    return gates, tuple(heads), tuple(pairs)

@@ -205,8 +205,8 @@ class HardwareGraph:
 _TOPOLOGY_RE = re.compile(r"(linear|grid|y):([0-9]+)(?:x([0-9]+))?")
 
 
-def parse_topology(spec: str) -> HardwareGraph:
-    """Parse a topology descriptor into one of the standard topologies.
+def topology_edges(spec: str) -> tuple[int, list[tuple[int, int]]]:
+    """(num_nodes, edges) of a descriptor of one of the standard topologies.
 
     linear:n, n >= 2: path graph 1-2-...-n.
     grid:RxC: 4-neighbor lattice, row-major node ids.
@@ -224,34 +224,26 @@ def parse_topology(spec: str) -> HardwareGraph:
         rows, cols = n, int(b)
         if rows < 1 or cols < 1:
             raise HardwareError("grid dimensions must be positive")
-        def node(r, c):
-            return r * cols + c + 1
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((node(r, c), node(r, c + 1)))
-                if r + 1 < rows:
-                    edges.append((node(r, c), node(r + 1, c)))
-        return HardwareGraph(rows * cols, edges)
+        # Row-major ids: v has a right neighbour unless it ends a row, and a
+        # lower one unless it is in the last row.
+        edges = [(v, v + 1) for v in range(1, rows * cols + 1) if v % cols]
+        edges += [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)]
+        return rows * cols, edges
     if b is not None:
         raise HardwareError(f"{kind} spec takes a single size")
     if kind == "linear":
         if n < 2:
             raise HardwareError("linear topology needs n >= 2")
-        return HardwareGraph(n, [(i, i + 1) for i in range(1, n)])
+        return n, [(i, i + 1) for i in range(1, n)]
     if n < 4:
         raise HardwareError("y topology needs n >= 4")
-    arms: list[list[int]] = [[], [], []]
-    for i, v in enumerate(range(2, n + 1)):
-        arms[i % 3].append(v)
-    edges = []
-    for arm in arms:
-        prev = 1
-        for v in arm:
-            edges.append((prev, v))
-            prev = v
-    return HardwareGraph(n, edges)
+    # Node v >= 2 is on arm (v - 2) % 3, after v - 3 on that arm or the center.
+    return n, [(max(v - 3, 1), v) for v in range(2, n + 1)]
+
+
+def parse_topology(spec: str) -> HardwareGraph:
+    """The graph of a topology descriptor (`topology_edges`)."""
+    return HardwareGraph(*topology_edges(spec))
 
 
 def parse_graph(text: str) -> HardwareGraph:

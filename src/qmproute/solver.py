@@ -18,9 +18,9 @@ class keeps one record, the node with its lowest SWAP count.
 `_Search.children` lists a node's children in one pass, each as its state
 in plain tuples, and `_Search.keep` probes the store with each and builds
 a node only for a child the store keeps.  What a progress vector alone
-decides is derived once per solve, the first time a node needs it: its
-moves (`_Search.moves`) and its bound rows (`PrecedenceInfo.bound_rows`),
-so the many nodes that share a progress vector share them.  Two
+decides is derived once per solve, from one pass over the gate list the
+first time a node needs it, and kept in one memo (`_Rows`), so the many
+nodes that share a progress vector share its moves and bound rows.  Two
 dominance rules drop children before they are listed: no SWAP undoes its
 parent's SWAP, and with no weight on depth a gate that can run where its
 qubits stand is the only child.  An admissible lower bound drives the
@@ -130,7 +130,7 @@ class SolveResult:
     swap_count: int | None = None
 
 
-def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
+def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
                 swap_duration: int) -> int:
     """Admissible lower bound on the achievable makespan from this node.
 
@@ -139,7 +139,7 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
     `first` plus the earliest time that gate can start, once each qubit has
     done its work before `first` and the two have met on an edge of some
     minimal path between their nodes.  Every circuit fact in the terms is
-    a row of the node's progress vector (`info.bound_rows`).
+    in `row`, the node's progress vector's entry in `_Rows`.
 
     A pair on adjacent nodes is skipped: its term is delta[first] +
     max(start_p, start_q), which is at most the larger of the two qubits'
@@ -148,7 +148,7 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
     no longer exceed the running maximum.
     """
     dm, asg = node.depth_map, node.assignment
-    heads, pairs = info.bound_rows(node.progress)
+    _, heads, pairs = row
     h = 0
     for a, head in zip(asg, heads):
         t = dm[a] + head                # dm[0] == 0: an unplaced qubit's node
@@ -203,16 +203,47 @@ def bound_depth(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph,
     return h
 
 
-def bound_swaps(node: SearchNode, info: PrecedenceInfo, graph: HardwareGraph) -> int:
+def bound_swaps(node: SearchNode, row: tuple, graph: HardwareGraph) -> int:
     """Admissible lower bound on the total SWAP count from this node: the
-    SWAPs made so far plus, over placed pairs with a gate still to run,
-    the largest distance less one."""
+    SWAPs made so far plus, over placed pairs with a gate still to run (the
+    pairs of `row`, as `bound_depth` reads it), the largest distance less
+    one."""
     asg, dist, worst = node.assignment, graph.dist, 0
-    for row in info.bound_rows(node.progress)[1]:
-        ap, aq = asg[row[0]], asg[row[1]]
+    for pair in row[2]:
+        ap, aq = asg[pair[0]], asg[pair[1]]
         if ap and aq and dist[ap][aq] - 1 > worst:
             worst = dist[ap][aq] - 1
     return node.swap_count + worst
+
+
+class _Rows(dict):
+    """Per progress vector, derived from one `minimal_unscheduled` pass on
+    its first request, by `children` or the bound: (moves, heads, pairs).
+    moves are its minimal gates, each as (gate id, p, q, duration, progress
+    after it); layered mode keeps those in the lowest unfinished layer, the
+    lowest layer among minimal gates, since all predecessors of its gates
+    are scheduled.  A dict, so a request for a known vector is one lookup."""
+
+    def __init__(self, info: PrecedenceInfo, layered: bool):
+        super().__init__()
+        self.info, self.layered = info, layered
+
+    def __missing__(self, progress: tuple) -> tuple:
+        gates, heads, pairs = minimal_unscheduled(self.info, progress)
+        if self.layered and gates:
+            layer = self.info.layer
+            low = min(layer[i] for i in gates)
+            gates = [i for i in gates if layer[i] == low]
+        moves = []
+        for i in gates:
+            gate = self.info.gates[i - 1]
+            p, q = gate.qubits
+            done = list(progress)
+            done[p] += 1
+            done[q] += 1
+            moves.append((i, p, q, gate.duration, tuple(done)))
+        row = self[progress] = (tuple(moves), heads, pairs)
+        return row
 
 
 class _Search:
@@ -239,11 +270,8 @@ class _Search:
         # node ever are): read at a node's assignment, it gives the SWAP
         # child's assignment.
         self.transpositions = [None] * len(graph.edges)
-        # Per progress vector, built the first time a node with it is
-        # expanded: its minimal gates after the layered filter, each as
-        # (gate id, p, q, duration, progress after it).
-        self.moves: dict[tuple, tuple] = {}
-        self.bound = _bound(self.info, graph, config.swap_duration, self.w_depth, self.w_swaps)
+        self.rows = _Rows(self.info, config.layered)
+        self.bound = _bound(self.rows, graph, config.swap_duration, self.w_depth, self.w_swaps)
 
     def root(self) -> SearchNode:
         """The empty schedule.  Nodes carry a depth map only when depth has
@@ -261,11 +289,9 @@ class _Search:
         minimal unscheduled gate, then a SWAP on each edge with an occupied
         end, whose assignment is one getter of the node's assignment read
         at the edge's transposition (`transpositions`).  The minimal gates
-        and the progress after each are the node's progress vector's
-        `moves`, derived on its first expansion.  Layered mode keeps the
-        gates in the lowest unfinished layer: the lowest layer among
-        minimal gates, since all predecessors of its gates are scheduled.
-        Two kinds that some kept child dominates are left out:
+        and the progress after each are the moves of the node's progress
+        vector in `rows`.  Two kinds that some kept child dominates are left
+        out:
 
         - With no weight on depth, a gate whose qubits are both placed (so
           on adjacent nodes) is the only child.  A gate moves no qubit, so
@@ -277,22 +303,7 @@ class _Search:
           grandparent's state, a depth vector no lower and two more SWAPs.
         """
         asg, prog, dm = node.assignment, node.progress, node.depth_map
-        moves = self.moves.get(prog)
-        if moves is None:
-            gates = minimal_unscheduled(self.info, prog)
-            if self.config.layered and gates:
-                layer = self.info.layer
-                low = min(layer[i] for i in gates)
-                gates = [i for i in gates if layer[i] == low]
-            moves = []
-            for i in gates:
-                gate = self.circuit.gates[i - 1]
-                p, q = gate.qubits
-                done = list(prog)
-                done[p] += 1
-                done[q] += 1
-                moves.append((i, p, q, gate.duration, tuple(done)))
-            moves = self.moves[prog] = tuple(moves)
+        moves = self.rows[prog][0]
         graph = self.graph
         swaps, scheduled = node.swap_count, node.num_scheduled
         busy = set(asg)     # occupied nodes (plus 0, never a node)
@@ -425,18 +436,16 @@ class _Search:
         return kept
 
 
-def _bound(info: PrecedenceInfo, graph: HardwareGraph, swap_duration: int,
-           w_depth: int, w_swaps: int):
+def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):
     """The search's lower bound on the objective, times its scale, as a
     function of a node: the weighted bounds for the objective's positive
-    weights.  It refers to no `_Search`, so a search holding it makes no
-    reference cycle."""
-    if not w_swaps:
-        return lambda node: w_depth * bound_depth(node, info, graph, swap_duration)
-    if not w_depth:
-        return lambda node: w_swaps * bound_swaps(node, info, graph)
-    return lambda node: (w_depth * bound_depth(node, info, graph, swap_duration)
-                         + w_swaps * bound_swaps(node, info, graph))
+    weights, both read from the node's one row in `rows`.  It refers to no
+    `_Search`, so a search holding it makes no reference cycle."""
+    def bound(node):
+        row = rows[node.progress]
+        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration))
+                + (w_swaps and w_swaps * bound_swaps(node, row, graph)))
+    return bound
 
 
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:

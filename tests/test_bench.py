@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qmproute import bench
+from qmproute import bench, hardware
 from qmproute.bench import (CSV_COLUMNS, BenchError, InstanceSpec, ResultRow, _pairs,
                             gen_random_circuit, parity_export, parse_matrix, rmd,
                             rows_from_csv, rows_to_csv, run_matrix)
@@ -211,11 +211,13 @@ class TestMatrix:
          "line 2: column 'depth' must be empty for status timeout"),
         (CSV_HEADER + "\n" + CSV_ROW.replace(",10,0,10,optimal,", ",,0,,error,"),
          "line 2: column 'swaps' must be empty for status error"),
+        (CSV_HEADER + "\n" + CSV_ROW + "\n" + CSV_ROW.replace("10,0,10,optimal", "11,0,11,optimal"),
+         "line 3: a second row for the run a,depth,layered"),
     ], ids=["missing-column", "empty", "unknown-status", "short-row", "long-row",
             "unknown-mode", "unknown-objective", "non-integer-depth", "float-seed",
             "empty-wall-time", "arabic-indic-depth", "underscore-depth", "spaced-seed",
             "plus-seed", "optimal-without-depth", "incumbent-without-unweighted",
-            "timeout-with-metrics", "error-with-swaps"])
+            "timeout-with-metrics", "error-with-swaps", "repeated-run"])
     def test_rows_from_csv_rejects(self, text, message):
         assert rows_from_csv(CSV_HEADER + "\n" + CSV_ROW + "\n")
         with pytest.raises(BenchError, match=message):
@@ -276,6 +278,31 @@ class TestMatrix:
         (key,) = change
         with pytest.raises(BenchError, match=f"'{key}' must be"):
             parse_matrix(json.dumps({**self.matrix(), **change}))
+
+    @pytest.mark.parametrize("instances, message", [
+        ([{"seeds": [1, 1]}], "instance 0: run linear:4-q4-d3-s1 is listed twice"),
+        ([{"seeds": [1, 2]}, {"seeds": [3, 2]}],
+         "instance 1: run linear:4-q4-d3-s2 is listed twice"),
+    ], ids=["seed-twice", "seed-in-two-entries"])
+    def test_parse_matrix_rejects_a_repeated_run(self, instances, message):
+        # A run solved twice would leave `report` two rows to choose from.
+        entry = self.matrix()["instances"][0]
+        matrix = {**self.matrix(), "instances": [{**entry, **i} for i in instances]}
+        with pytest.raises(BenchError, match=message):
+            parse_matrix(json.dumps(matrix))
+        # The same seeds under another depth parameter are other runs.
+        matrix = {**self.matrix(), "instances": [entry, {**entry, "depth_param": 4}]}
+        assert parse_matrix(json.dumps(matrix)) == matrix
+
+    def test_check_instance_builds_no_graph(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a HardwareGraph was built")
+        monkeypatch.setattr(hardware.HardwareGraph, "__init__", build)
+        bench.check_instance("linear:3000", 4)
+        with pytest.raises(BenchError, match="3001 qubits exceed 3000 nodes"):
+            bench.check_instance("linear:3000", 3001)
+        with pytest.raises(BenchError, match="linear topology needs n >= 2"):
+            bench.check_instance("linear:1", 2)
 
     def test_parse_matrix_rejects_unknown(self):
         with pytest.raises(BenchError):

@@ -141,17 +141,23 @@ class TestRemainingTime:
 
 
 class TestMinimalUnscheduled:
+    """One pass gives the minimal gates, each qubit's head (delta of its
+    next gate) and one row (p, q, delta[first], work_p, work_q) per qubit
+    pair with a gate still to run."""
+
     def test_root_frontier(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 0, 0, 0, 0)) == [1, 2]
+        assert minimal_unscheduled(info, (0, 0, 0, 0, 0)) == (
+            [1, 2], (0, 3, 3, 4, 4), ((1, 2, 3, 0, 0), (3, 4, 4, 0, 0), (4, 1, 1, 3, 2)))
 
     def test_after_g1_g2(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 1, 1, 1, 1)) == [3]
+        assert minimal_unscheduled(info, (0, 1, 1, 1, 1)) == (
+            [3], (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),))
 
     def test_all_scheduled(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 2, 1, 1, 2)) == []
+        assert minimal_unscheduled(info, (0, 2, 1, 1, 2)) == ([], (0, 0, 0, 0, 0), ())
 
 
 def random_small_circuit(rng, n_qubits, n_gates):
@@ -272,7 +278,7 @@ class TestProperties:
             # Schedule greedily through minimal gates in every DFS order,
             # checking the scheduled set stays downward-closed.
             def explore(progress, scheduled):
-                frontier = minimal_unscheduled(info, progress)
+                frontier = minimal_unscheduled(info, progress)[0]
                 for i in frontier:
                     assert preds[i] <= scheduled
                 for i in frontier[:2]:

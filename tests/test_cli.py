@@ -294,8 +294,14 @@ class TestUsageErrors:
          "line 2: column 'depth' must be set for status optimal"),
         (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,layered,depth,8,0,3,timeout,5\n",
          "line 2: column 'depth' must be empty for status timeout"),
+        # Read last-row-wins, the timeout would turn the report's N=1 into N=0.
+        (",".join(CSV_COLUMNS) + "\ni,linear:4,4,3,1,non-layered,depth,8,0,3,optimal,5"
+                                 "\ni,linear:4,4,3,1,layered,depth,8,0,3,optimal,5"
+                                 "\ni,linear:4,4,3,1,non-layered,depth,,,,timeout,5\n",
+         "line 4: a second row for the run i,depth,non-layered"),
     ], ids=["wrong-columns", "unknown-status", "unknown-mode", "unknown-objective",
-            "non-integer-field", "optimal-without-metrics", "timeout-with-metrics"])
+            "non-integer-field", "optimal-without-metrics", "timeout-with-metrics",
+            "repeated-run"])
     def test_report_checks_csv(self, tmp_path, capsys, text, message):
         path = tmp_path / "results.csv"
         path.write_text(text)
@@ -352,7 +358,9 @@ class TestUsageErrors:
         {"topology": "linear:4", "qubits": True, "depth_param": 3, "seeds": [1]},
         {"topology": "linear:4", "qubits": 4, "depth_param": 3, "seeds": ["1"]},
         {"topology": "linear:4", "qubits": 5, "depth_param": 3, "seeds": [1]},
-    ], ids=["missing-seeds", "bool-qubits", "str-seed", "more-qubits-than-nodes"])
+        {"topology": "linear:4", "qubits": 4, "depth_param": 3, "seeds": [1, 1]},
+    ], ids=["missing-seeds", "bool-qubits", "str-seed", "more-qubits-than-nodes",
+            "repeated-seed"])
     def test_bad_matrix_entry_is_a_usage_error(self, tmp_path, capsys, entry):
         matrix_file = tmp_path / "matrix.json"
         matrix_file.write_text(json.dumps({"instances": [entry], "modes": ["layered"],

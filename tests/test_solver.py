@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from qmproute import hardware, solver
 from qmproute.bench import InstanceSpec, gen_random_circuit
-from qmproute.circuit import Circuit, GateSpec, minimal_unscheduled, parse_circuit
+from qmproute.circuit import (Circuit, GateSpec, PrecedenceInfo, minimal_unscheduled,
+                              parse_circuit)
 from qmproute.hardware import HardwareGraph, parse_topology
 from qmproute.oracle import OracleConfig, exhaustive_solve, oracle_fixpoint
 from qmproute.schedule import SWAP, ScheduledOp, compute_metrics, validate
@@ -667,7 +668,7 @@ class TestBounds:
     def test_root_depth_bound(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         root = search.root()
-        assert bound_depth(root, search.info, linear4, 15) == 4
+        assert bound_depth(root, search.rows[root.progress], linear4, 15) == 4
 
     def test_adjacent_pair_no_swap_needed(self, linear4):
         c = parse_circuit(json.dumps({"num_qubits": 2,
@@ -676,18 +677,19 @@ class TestBounds:
         search = _Search(c, linear4, depth_config())
         node = child(search, search.root(), 1, (1, 2))
         # Second gate adjacent at depth 4: bound is 4 + delta(2) = 8.
-        assert bound_depth(node, search.info, linear4, 15) == 8
+        assert bound_depth(node, search.rows[node.progress], linear4, 15) == 8
 
     def test_after_g1_bound(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, depth_config())
         node = child(search, search.root(), 1, (1, 2))
-        h = bound_depth(node, search.info, linear4, 15)
+        h = bound_depth(node, search.rows[node.progress], linear4, 15)
         assert h >= 2 + reference_delta(example_circuit)[3]
         assert h >= 4   # still at least the root bound for unscheduled g2
 
     def test_swap_bound_root(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
-        assert bound_swaps(search.root(), search.info, linear4) == 0
+        root = search.root()
+        assert bound_swaps(root, search.rows[root.progress], linear4) == 0
 
     def test_swap_bound_distance(self, linear4):
         c = parse_circuit(json.dumps({"num_qubits": 4,
@@ -698,14 +700,15 @@ class TestBounds:
         node = child(search, search.root(), 1, (1, 2))
         node = child(search, node, 2, (3, 4))
         # Virtual 1 at node 1, virtual 4 at node 4: distance 3 -> 2 SWAPs.
-        assert bound_swaps(node, search.info, linear4) == 2
+        assert bound_swaps(node, search.rows[node.progress], linear4) == 2
 
     def test_weighted_bound(self, example_circuit, linear4):
         config = SolverConfig(w_depth=1, w_swaps=10)
         search = _Search(example_circuit, linear4, config)
         root = search.root()
-        h_d = bound_depth(root, search.info, linear4, config.swap_duration)
-        h_s = bound_swaps(root, search.info, linear4)
+        row = search.rows[root.progress]
+        h_d = bound_depth(root, row, linear4, config.swap_duration)
+        h_s = bound_swaps(root, row, linear4)
         assert search.bound(root) == h_d + 10 * h_s
 
     def test_path_cache_keys_each_pair_once(self, monkeypatch):
@@ -731,14 +734,15 @@ class TestBounds:
     def test_depth_bound_matches_reference(self, walk, cap):
         search, nodes = walk
         d_s = search.config.swap_duration
-        info, graph, circuit = search.info, search.graph, search.circuit
+        rows, graph, circuit = search.rows, search.graph, search.circuit
         pos = gate_positions(circuit)
         with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
             for node in nodes:
-                assert (bound_depth(node, info, graph, d_s)
+                row = rows[node.progress]
+                assert (bound_depth(node, row, graph, d_s)
                         == reference_bound_depth(node, circuit, graph, d_s))
                 # bound_swaps: the worst distance over every unscheduled gate.
-                assert bound_swaps(node, info, graph) == node.swap_count + max(
+                assert bound_swaps(node, row, graph) == node.swap_count + max(
                     (graph.dist[node.assignment[p]][node.assignment[q]] - 1
                      for g in circuit.gates for p, q in [g.qubits]
                      if pos[g.id][p] >= node.progress[p]
@@ -751,9 +755,10 @@ class TestBounds:
         search, nodes = walk
         info, graph, circuit = search.info, search.graph, search.circuit
         for node in nodes:
-            assert (minimal_unscheduled(info, node.progress)
+            assert (minimal_unscheduled(info, node.progress)[0]
                     == reference_minimal_unscheduled(circuit, node.progress))
-            assert bound_swaps(node, info, graph) == reference_bound_swaps(node, circuit, graph)
+            assert (bound_swaps(node, search.rows[node.progress], graph)
+                    == reference_bound_swaps(node, circuit, graph))
 
     def test_admissibility_at_root(self, linear4, y4):
         for graph in (linear4, y4):
@@ -768,9 +773,9 @@ class TestBounds:
 
 
 class TestProgressMemos:
-    """What a progress vector alone decides is derived once per search:
-    its moves (`_Search.moves`) and its bound rows
-    (`PrecedenceInfo.bound_rows`)."""
+    """What a progress vector alone decides is derived once per search,
+    from one pass over the gate list, and kept in one memo (`_Search.rows`):
+    its moves, heads and pair rows."""
 
     @given(walks(objectives=tuple(CONFIGS)))
     @settings(max_examples=150, deadline=None)
@@ -794,12 +799,13 @@ class TestProgressMemos:
                 for q in gate.qubits:
                     after[q] += 1
                 moves.append((i, *gate.qubits, gate.duration, tuple(after)))
-            assert search.moves[prog] == tuple(moves)
+            row = search.rows[prog]
+            assert row[0] == tuple(moves)
 
             def work(q, to):            # q's gate durations from its progress to position `to`
                 return sum(circuit.gates[i - 1].duration for i in per_qubit[q][prog[q]:to])
 
-            heads, pairs = info.bound_rows(prog)
+            _, heads, pairs = row
             assert heads == (0, *(delta[seq[prog[q]]] if prog[q] < len(seq) else 0
                                   for q, seq in per_qubit.items()))
             # One row per qubit pair with a gate still to run, in the order
@@ -1189,12 +1195,15 @@ class TestSearchPinned:
     def test_traced_names_are_called(self, monkeypatch, topology, qubits, objective, layered):
         # perfbench times the search's layers by wrapping these module
         # globals; a search that bypassed one would empty its metric.  The
-        # minimal gates are derived once per progress vector expanded.
-        calls, expanded_progress = Counter(), []
+        # minimal gates are derived once per distinct progress vector of a
+        # bounded node; every expanded node was bounded first.
+        calls, expanded_progress, bounded_progress = Counter(), [], set()
 
         def counting(name, fn):
             def wrapper(*args):
                 calls[name] += 1
+                if name != "minimal_unscheduled":
+                    bounded_progress.add(args[0].progress)
                 return fn(*args)
             return wrapper
 
@@ -1209,9 +1218,39 @@ class TestSearchPinned:
         config = CONFIGS[objective](layered=layered)
         _, _, (expanded, inserted, _, _) = pinned_solve(topology, qubits, config)
         assert len(expanded_progress) == expanded
-        assert calls == Counter({"minimal_unscheduled": len(set(expanded_progress)),
+        assert set(expanded_progress) <= bounded_progress
+        assert calls == Counter({"minimal_unscheduled": len(bounded_progress),
                                  "bound_depth": inserted if config.w_depth else 0,
                                  "bound_swaps": inserted if config.w_swaps else 0})
+
+    @pytest.mark.parametrize("objective", ["depth", "swaps", "combined"])
+    def test_one_pass_over_the_gates_per_vector(self, monkeypatch, objective):
+        # A solve iterates over the gate list once per distinct progress
+        # vector of a bounded node (every expanded node was bounded first),
+        # whichever of the bound and the child listing asks for it first.
+        passes, vectors = [0], set()
+
+        class CountedGates(tuple):
+            def __iter__(self):
+                passes[0] += 1
+                return super().__iter__()
+
+        def counted(circuit):
+            info = analyze(circuit)
+            return PrecedenceInfo(CountedGates(info.gates), info.layer, info.delta)
+
+        def recording(fn):
+            def wrapper(node, *args):
+                vectors.add(node.progress)
+                return fn(node, *args)
+            return wrapper
+
+        analyze = solver.analyze
+        monkeypatch.setattr(solver, "analyze", counted)
+        for name in ("bound_depth", "bound_swaps"):
+            monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
+        assert pinned_solve("grid:2x3", 6, CONFIGS[objective]())[0] == "optimal"
+        assert passes[0] == len(vectors) > 1
 
 
 def reference_ops(node):
