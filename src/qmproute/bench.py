@@ -248,13 +248,17 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     return rows
 
 
+# A report metric's name, and the ResultRow column it reads.
+METRIC_COLUMNS = {"depth": "depth", "swaps": "swaps", "unweighted": "unweighted_depth"}
+
+
 def _pairs(rows: list[ResultRow], metric: str):
     """Per-run (instance id, non-layered value, layered value) pairs where
     both runs are proven optimal, sorted by instance id then objective.  A
     run is paired only with the layered run of its own objective."""
-    attr = {"depth": "depth", "swaps": "swaps", "unweighted": "unweighted_depth"}
-    if metric not in attr:
+    if metric not in METRIC_COLUMNS:
         raise BenchError(f"unknown metric {metric!r}")
+    column = METRIC_COLUMNS[metric]
     by_run: dict[tuple[str, str], dict[str, ResultRow]] = {}
     for row in rows:
         by_run.setdefault((row.instance_id, row.objective), {})[row.mode] = row
@@ -266,7 +270,7 @@ def _pairs(rows: list[ResultRow], metric: str):
             continue
         if nl.status != "optimal" or lay.status != "optimal":
             continue
-        pairs.append((iid, getattr(nl, attr[metric]), getattr(lay, attr[metric])))
+        pairs.append((iid, getattr(nl, column), getattr(lay, column)))
     return pairs
 
 

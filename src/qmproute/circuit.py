@@ -5,8 +5,8 @@ on the same qubit are totally ordered by their position in the list, which
 induces a partial order over all gates.  The analysis pass computes, per
 gate, the layer index used by the layered search mode and the tail time
 delta (minimum time from its start to circuit completion on ideal
-hardware); everything the search reads at a progress vector comes from one
-pass over the gate list, `minimal_unscheduled`.
+hardware); the search's whole row at a progress vector, layered rule
+included, comes from one pass over the gate list, `minimal_unscheduled`.
 """
 
 from __future__ import annotations
@@ -118,19 +118,21 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
     return PrecedenceInfo(gates=circuit.gates, layer=layer, delta=delta)
 
 
-def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> tuple:
-    """(gates, heads, pairs) at `progress`, each qubit's number of scheduled
-    gates (a downward-closed set of gates is exactly such a per-qubit
-    prefix), from one pass over the gates in order counting each qubit's
-    gates passed so far: a gate is unscheduled once that count reaches its
-    qubits' progress, and next on a qubit when the two are equal.  gates are
-    the ids, ascending, of the gates next on both their qubits; heads[q] is
-    delta of q's next gate (0 for q = 0 and once q is done); pairs has a row
-    (p, q, delta[first], work_p, work_q) per qubit pair with a gate still to
-    run, in the order of `first`, the pair's first unscheduled gate, whose
-    qubits are (p, q), and a qubit's work is the total duration of its gates
-    from its progress up to `first`."""
-    delta, seen, met, gates, pairs = info.delta, [0] * len(progress), set(), [], []
+def minimal_unscheduled(info: PrecedenceInfo, progress: tuple, layered: bool) -> tuple:
+    """The row (moves, heads, pairs) the search reads at `progress`, each
+    qubit's number of scheduled gates (a downward-closed set of gates is
+    exactly such a per-qubit prefix), from one pass over the gates in order
+    counting each qubit's gates passed so far: a gate is unscheduled once
+    that count reaches its qubits' progress, and next on a qubit when the
+    two are equal.  moves has (gate id, p, q, duration, progress after it)
+    per gate next on both its qubits (p, q), by id; `layered` keeps those in
+    the lowest unfinished layer, the lowest among them, since every
+    predecessor of a gate in that layer is scheduled.  heads[q] is delta of
+    q's next gate (0 for q = 0 and once q is done); pairs has a row (p, q,
+    delta[first], work_p, work_q) per qubit pair with a gate still to run,
+    by `first`, the pair's first unscheduled gate, on qubits (p, q), and a
+    qubit's work is its gates' duration from its progress up to `first`."""
+    delta, seen, met, moves, pairs = info.delta, [0] * len(progress), set(), [], []
     heads, work = [0] * len(progress), [0] * len(progress)
     for g in info.gates:
         p, q = g.qubits
@@ -139,7 +141,9 @@ def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> tuple:
                 heads[p] = delta[g.id]
                 if seen[q] == progress[q]:
                     heads[q] = delta[g.id]
-                    gates.append(g.id)
+                    done = list(progress)
+                    done[p], done[q] = done[p] + 1, done[q] + 1
+                    moves.append((g.id, p, q, g.duration, tuple(done)))
             elif seen[q] == progress[q]:
                 heads[q] = delta[g.id]
             pair = (p, q) if p < q else (q, p)
@@ -150,4 +154,7 @@ def minimal_unscheduled(info: PrecedenceInfo, progress: tuple) -> tuple:
             work[q] += g.duration
         seen[p] += 1
         seen[q] += 1
-    return gates, tuple(heads), tuple(pairs)
+    if layered and moves:
+        low = min(info.layer[move[0]] for move in moves)
+        moves = [move for move in moves if info.layer[move[0]] == low]
+    return tuple(moves), tuple(heads), tuple(pairs)

@@ -194,7 +194,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the branch-and-bound solver")
     p.add_argument("--circuit", required=True)
     add_graph_opts(p)
-    p.add_argument("--objective", choices=["depth", "swaps", "combined"], default="depth")
+    p.add_argument("--objective", choices=[*bench_mod.OBJECTIVE_WEIGHTS, "combined"],
+                   default="depth")
     p.add_argument("--w-depth", dest="w_depth",
                    help="depth weight under --objective combined (default 1): an "
                         "integer, decimal or fraction such as 1/3, read exactly")
@@ -217,7 +218,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="brute-force reference solver")
     p.add_argument("--circuit", required=True)
     add_graph_opts(p)
-    p.add_argument("--objective", choices=["depth", "swaps"], default="depth")
+    p.add_argument("--objective", choices=[oracle_mod.DEPTH, oracle_mod.SWAPS],
+                   default=oracle_mod.DEPTH)
     p.add_argument("--max-swaps", dest="max_swaps", required=True)
     p.add_argument("--swap-duration", dest="swap_duration", default=str(DEFAULT_SWAP_DURATION))
     p.add_argument("--out", help="witness schedule output file")
@@ -238,8 +240,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="aggregate a results CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--metric", choices=["depth", "swaps", "unweighted"], default="depth")
-    p.add_argument("--objective", choices=["depth", "swaps"], default=None)
+    p.add_argument("--metric", choices=list(bench_mod.METRIC_COLUMNS), default="depth")
+    p.add_argument("--objective", choices=list(bench_mod.OBJECTIVE_WEIGHTS), default=None)
     p.add_argument("--rmd", action="store_true")
     p.add_argument("--parity", help="parity CSV output file")
     p.set_defaults(func=_cmd_report)

@@ -10,7 +10,9 @@ nodes.
 
 from __future__ import annotations
 
+import itertools
 import re
+from typing import Iterator
 
 from . import jsonfile
 
@@ -205,8 +207,8 @@ class HardwareGraph:
 _TOPOLOGY_RE = re.compile(r"(linear|grid|y):([0-9]+)(?:x([0-9]+))?")
 
 
-def topology_edges(spec: str) -> tuple[int, list[tuple[int, int]]]:
-    """(num_nodes, edges) of a descriptor of one of the standard topologies.
+def topology_edges(spec: str) -> tuple[int, Iterator[tuple[int, int]]]:
+    """(num_nodes, edges) of a standard topology's descriptor, the edges made lazily.
 
     linear:n, n >= 2: path graph 1-2-...-n.
     grid:RxC: 4-neighbor lattice, row-major node ids.
@@ -226,19 +228,19 @@ def topology_edges(spec: str) -> tuple[int, list[tuple[int, int]]]:
             raise HardwareError("grid dimensions must be positive")
         # Row-major ids: v has a right neighbour unless it ends a row, and a
         # lower one unless it is in the last row.
-        edges = [(v, v + 1) for v in range(1, rows * cols + 1) if v % cols]
-        edges += [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)]
-        return rows * cols, edges
+        return rows * cols, itertools.chain(
+            ((v, v + 1) for v in range(1, rows * cols + 1) if v % cols),
+            ((v, v + cols) for v in range(1, (rows - 1) * cols + 1)))
     if b is not None:
         raise HardwareError(f"{kind} spec takes a single size")
     if kind == "linear":
         if n < 2:
             raise HardwareError("linear topology needs n >= 2")
-        return n, [(i, i + 1) for i in range(1, n)]
+        return n, ((i, i + 1) for i in range(1, n))
     if n < 4:
         raise HardwareError("y topology needs n >= 4")
     # Node v >= 2 is on arm (v - 2) % 3, after v - 3 on that arm or the center.
-    return n, [(max(v - 3, 1), v) for v in range(2, n + 1)]
+    return n, ((max(v - 3, 1), v) for v in range(2, n + 1))
 
 
 def parse_topology(spec: str) -> HardwareGraph:

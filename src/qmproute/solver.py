@@ -18,9 +18,9 @@ class keeps one record, the node with its lowest SWAP count.
 `_Search.children` lists a node's children in one pass, each as its state
 in plain tuples, and `_Search.keep` probes the store with each and builds
 a node only for a child the store keeps.  What a progress vector alone
-decides is derived once per solve, from one pass over the gate list the
-first time a node needs it, and kept in one memo (`_Rows`), so the many
-nodes that share a progress vector share its moves and bound rows.  Two
+decides, its row, comes whole from one `minimal_unscheduled` pass over the
+gate list the first time a node needs it, and the memo `_Rows` keeps it,
+so the many nodes that share a progress vector share its row.  Two
 dominance rules drop children before they are listed: no SWAP undoes its
 parent's SWAP, and with no weight on depth a gate that can run where its
 qubits stand is the only child.  An admissible lower bound drives the
@@ -217,32 +217,15 @@ def bound_swaps(node: SearchNode, row: tuple, graph: HardwareGraph) -> int:
 
 
 class _Rows(dict):
-    """Per progress vector, derived from one `minimal_unscheduled` pass on
-    its first request, by `children` or the bound: (moves, heads, pairs).
-    moves are its minimal gates, each as (gate id, p, q, duration, progress
-    after it); layered mode keeps those in the lowest unfinished layer, the
-    lowest layer among minimal gates, since all predecessors of its gates
-    are scheduled.  A dict, so a request for a known vector is one lookup."""
+    """Per progress vector, its `minimal_unscheduled` row, made on its first
+    request, by `children` or the bound; a known vector is one lookup."""
 
     def __init__(self, info: PrecedenceInfo, layered: bool):
         super().__init__()
         self.info, self.layered = info, layered
 
     def __missing__(self, progress: tuple) -> tuple:
-        gates, heads, pairs = minimal_unscheduled(self.info, progress)
-        if self.layered and gates:
-            layer = self.info.layer
-            low = min(layer[i] for i in gates)
-            gates = [i for i in gates if layer[i] == low]
-        moves = []
-        for i in gates:
-            gate = self.info.gates[i - 1]
-            p, q = gate.qubits
-            done = list(progress)
-            done[p] += 1
-            done[q] += 1
-            moves.append((i, p, q, gate.duration, tuple(done)))
-        row = self[progress] = (tuple(moves), heads, pairs)
+        row = self[progress] = minimal_unscheduled(self.info, progress, self.layered)
         return row
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -303,6 +305,21 @@ class TestMatrix:
             bench.check_instance("linear:3000", 3001)
         with pytest.raises(BenchError, match="linear topology needs n >= 2"):
             bench.check_instance("linear:1", 2)
+
+    @pytest.mark.parametrize("topology", ["grid:100000x100000", "linear:300000000",
+                                          "y:1000000000"])
+    def test_check_instance_on_a_huge_topology(self, topology):
+        # A node count makes no edge: the check takes no time or memory
+        # that grows with the graph.
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            bench.check_instance(topology, 4)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1_000_000
 
     def test_parse_matrix_rejects_unknown(self):
         with pytest.raises(BenchError):

@@ -141,23 +141,37 @@ class TestRemainingTime:
 
 
 class TestMinimalUnscheduled:
-    """One pass gives the minimal gates, each qubit's head (delta of its
-    next gate) and one row (p, q, delta[first], work_p, work_q) per qubit
-    pair with a gate still to run."""
+    """One pass gives the row the search reads: the minimal gates, each as
+    (gate id, p, q, duration, progress after it), each qubit's head (delta
+    of its next gate) and one row (p, q, delta[first], work_p, work_q) per
+    qubit pair with a gate still to run."""
 
     def test_root_frontier(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 0, 0, 0, 0)) == (
-            [1, 2], (0, 3, 3, 4, 4), ((1, 2, 3, 0, 0), (3, 4, 4, 0, 0), (4, 1, 1, 3, 2)))
+        assert minimal_unscheduled(info, (0, 0, 0, 0, 0), False) == (
+            ((1, 1, 2, 2, (0, 1, 1, 0, 0)), (2, 3, 4, 3, (0, 0, 0, 1, 1))),
+            (0, 3, 3, 4, 4), ((1, 2, 3, 0, 0), (3, 4, 4, 0, 0), (4, 1, 1, 3, 2)))
 
     def test_after_g1_g2(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 1, 1, 1, 1)) == (
-            [3], (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),))
+        assert minimal_unscheduled(info, (0, 1, 1, 1, 1), False) == (
+            ((3, 4, 1, 1, (0, 2, 1, 1, 2)),), (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),))
 
     def test_all_scheduled(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 2, 1, 1, 2)) == ([], (0, 0, 0, 0, 0), ())
+        assert minimal_unscheduled(info, (0, 2, 1, 1, 2), False) == ((), (0, 0, 0, 0, 0), ())
+
+    def test_layered_keeps_the_lowest_layer(self):
+        # After g1, g2 (layer 1, after g1) and g3 (layer 0) are both
+        # minimal; the layered row keeps g3 alone, and its heads and pairs
+        # are the plain row's.
+        info = analyze(make_circuit(5, [(1, 2, 2), (2, 3, 3), (4, 5, 1)]))
+        assert info.layer[1:] == [0, 1, 0]
+        g2, g3 = (2, 2, 3, 3, (0, 1, 2, 1, 0, 0)), (3, 4, 5, 1, (0, 1, 1, 0, 1, 1))
+        heads, pairs = (0, 0, 3, 3, 1, 1), ((2, 3, 3, 0, 0), (4, 5, 1, 0, 0))
+        progress = (0, 1, 1, 0, 0, 0)
+        assert minimal_unscheduled(info, progress, False) == ((g2, g3), heads, pairs)
+        assert minimal_unscheduled(info, progress, True) == ((g3,), heads, pairs)
 
 
 def random_small_circuit(rng, n_qubits, n_gates):
@@ -276,15 +290,21 @@ class TestProperties:
             info = analyze(c)
             preds = immediate_preds(c)
             # Schedule greedily through minimal gates in every DFS order,
-            # checking the scheduled set stays downward-closed.
+            # checking the scheduled set stays downward-closed and each
+            # move names its gate and the progress after it.
             def explore(progress, scheduled):
-                frontier = minimal_unscheduled(info, progress)[0]
-                for i in frontier:
+                moves = minimal_unscheduled(info, progress, False)[0]
+                for i, p, q, d, after in moves:
                     assert preds[i] <= scheduled
-                for i in frontier[:2]:
-                    p, q = c.gates[i - 1].qubits
+                    assert ((p, q), d) == (c.gates[i - 1].qubits, c.gates[i - 1].duration)
                     np_ = list(progress)
                     np_[p] += 1
                     np_[q] += 1
-                    explore(tuple(np_), scheduled | {i})
+                    assert after == tuple(np_)
+                # The layered moves are the plain ones of the lowest layer.
+                low = min((info.layer[m[0]] for m in moves), default=None)
+                assert minimal_unscheduled(info, progress, True)[0] == tuple(
+                    m for m in moves if info.layer[m[0]] == low)
+                for i, p, q, d, after in moves[:2]:
+                    explore(after, scheduled | {i})
             explore((0,) * 5, set())

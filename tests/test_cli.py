@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmproute import bench, cli
+from qmproute import bench, cli, oracle
 from qmproute.bench import CSV_COLUMNS, rows_from_csv, rows_to_csv, run_matrix
 from qmproute.cli import dispatch
 from qmproute.solver import SolveResult, SolveStats, solve
@@ -267,6 +267,24 @@ class TestUsageErrors:
                          "--depth-param", "3", "--seed", "0", "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    def test_gen_on_a_huge_topology(self, tmp_path):
+        # gen needs only the node count, so the graph's size costs nothing.
+        out = tmp_path / "c.json"
+        assert dispatch(["gen", "--topology", "grid:100000x100000", "--qubits", "4",
+                         "--depth-param", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["num_qubits"] == 4
+
+    def test_choices_are_the_modules_names(self):
+        # The parser's name lists are the tables the modules act on.
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        choices = {(command, action.dest): action.choices
+                   for command, parser in commands.items()
+                   for action in parser._actions if action.choices is not None}
+        assert choices[("report", "objective")] == list(bench.OBJECTIVE_WEIGHTS)
+        assert choices[("report", "metric")] == list(bench.METRIC_COLUMNS)
+        assert choices[("oracle", "objective")] == [oracle.DEPTH, oracle.SWAPS]
+        assert choices[("solve", "objective")] == [*bench.OBJECTIVE_WEIGHTS, "combined"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--qubits", "\u0664"), ("--depth-param", "1_0"), ("--seed", "+3"),

@@ -63,6 +63,22 @@ class TestTopologies:
         with pytest.raises(HardwareError):
             parse_topology("y:3")
 
+    def test_edges_match_their_definitions(self):
+        # Row-major grid neighbours; a line; y's three arms, each a chain
+        # off the center holding every third node from 2, 3 and 4 on.
+        def arms(n):
+            for start in (2, 3, 4):
+                chain = [1, *range(start, n + 1, 3)]
+                yield from zip(chain, chain[1:])
+        specs = [(f"linear:{n}", [(i, i + 1) for i in range(1, n)]) for n in range(2, 40)]
+        specs += [(f"y:{n}", arms(n)) for n in range(4, 40)]
+        specs += [(f"grid:{r}x{c}", [(r_ * c + k, r_ * c + k + 1) for r_ in range(r)
+                                     for k in range(1, c)]
+                   + [(v, v + c) for v in range(1, (r - 1) * c + 1)])
+                  for r in range(1, 9) for c in range(1, 9) if r * c > 1]
+        for spec, edges in specs:
+            assert parse_topology(spec).edges == tuple(sorted(edges)), spec
+
     def test_parse_topology(self):
         assert parse_topology("linear:4").num_nodes == 4
         assert parse_topology("grid:2x3").num_nodes == 6

@@ -755,7 +755,7 @@ class TestBounds:
         search, nodes = walk
         info, graph, circuit = search.info, search.graph, search.circuit
         for node in nodes:
-            assert (minimal_unscheduled(info, node.progress)[0]
+            assert ([move[0] for move in minimal_unscheduled(info, node.progress, False)[0]]
                     == reference_minimal_unscheduled(circuit, node.progress))
             assert (bound_swaps(node, search.rows[node.progress], graph)
                     == reference_bound_swaps(node, circuit, graph))
