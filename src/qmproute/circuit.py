@@ -118,14 +118,15 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
     return PrecedenceInfo(gates=circuit.gates, layer=layer, delta=delta)
 
 
-def minimal_unscheduled(info: PrecedenceInfo, progress: tuple, layered: bool) -> tuple:
+def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
     """The row (moves, heads, pairs) the search reads at `progress`, each
     qubit's number of scheduled gates (a downward-closed set of gates is
     exactly such a per-qubit prefix), from one pass over the gates in order
     counting each qubit's gates passed so far: a gate is unscheduled once
     that count reaches its qubits' progress, and next on a qubit when the
     two are equal.  moves has (gate id, p, q, duration, progress after it)
-    per gate next on both its qubits (p, q), by id; `layered` keeps those in
+    per gate next on both its qubits (p, q), by id, the progress after it
+    of the type of `progress` (a tuple or `bytes`); `layered` keeps those in
     the lowest unfinished layer, the lowest among them, since every
     predecessor of a gate in that layer is scheduled.  heads[q] is delta of
     q's next gate (0 for q = 0 and once q is done); pairs has a row (p, q,
@@ -143,7 +144,7 @@ def minimal_unscheduled(info: PrecedenceInfo, progress: tuple, layered: bool) ->
                     heads[q] = delta[g.id]
                     done = list(progress)
                     done[p], done[q] = done[p] + 1, done[q] + 1
-                    moves.append((g.id, p, q, g.duration, tuple(done)))
+                    moves.append((g.id, p, q, g.duration, type(progress)(done)))
             elif seen[q] == progress[q]:
                 heads[q] = delta[g.id]
             pair = (p, q) if p < q else (q, p)

@@ -15,9 +15,11 @@ justified by one of them; `HardwareGraph.automorphisms` caps the set,
 which only limits how much is merged.  An unweighted coordinate can never
 make a node's best completion worse; when minimizing SWAPs alone each
 class keeps one record, the node with its lowest SWAP count.
-`_Search.children` lists a node's children in one pass, each as its state
-in plain tuples, and `_Search.keep` probes the store with each and builds
-a node only for a child the store keeps.  What a progress vector alone
+`_Search.children` lists a node's children in one pass, each as its state,
+the assignment and progress packed into `bytes` when every entry fits in a
+byte (a SWAP child and each automorphism image is one `bytes.translate`),
+and `_Search.keep` probes the store with each, under one key object, and
+builds a node only for a child the store keeps.  What a progress vector alone
 decides, its row, comes whole from one `minimal_unscheduled` pass over the
 gate list the first time a node needs it, and the memo `_Rows` keeps it,
 so the many nodes that share a progress vector share its row.  Two
@@ -37,6 +39,7 @@ import math
 import operator
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,6 +52,11 @@ from .schedule import DEFAULT_SWAP_DURATION, SWAP, Schedule, ScheduledOp
 # nonzero denominator.  Fraction alone also takes '١/٣', ' 1/3 ', '1_0' and
 # '1e3', and expands '1e999999999' into an integer of a billion digits.
 WEIGHT = re.compile(r"[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?")
+
+
+# The largest entry a packed state holds: a state is `bytes` when no node
+# number and no qubit's gate count exceeds it, and tuples otherwise.
+BYTE_MAX = 255
 
 
 class SolverError(ValueError):
@@ -104,8 +112,10 @@ class SearchNode:
         self.edge = edge
         # Tuple over nodes 1..|V| (index 0 stays 0); None when depth has no weight.
         self.depth_map = depth_map
-        self.assignment = assignment        # tuple over qubits 1..n, 0 = unassigned
-        self.progress = progress            # tuple over qubits 1..n
+        # Over qubits 1..n (index 0 stays 0), in the search's representation:
+        # `bytes` when every entry fits in a byte, else a tuple (`_Search.pack`).
+        self.assignment = assignment        # node per qubit, 0 = unassigned
+        self.progress = progress            # gates scheduled per qubit
         self.swap_count = swap_count
         self.num_scheduled = num_scheduled
         self.removed = False
@@ -224,7 +234,7 @@ class _Rows(dict):
         super().__init__()
         self.info, self.layered = info, layered
 
-    def __missing__(self, progress: tuple) -> tuple:
+    def __missing__(self, progress) -> tuple:
         row = self[progress] = minimal_unscheduled(self.info, progress, self.layered)
         return row
 
@@ -242,16 +252,27 @@ class _Search:
         self.scale = math.lcm(config.w_depth.denominator, config.w_swaps.denominator)
         self.w_depth = int(config.w_depth * self.scale)
         self.w_swaps = int(config.w_swaps * self.scale)
-        # The graph's automorphisms, and for each sigma the getter of its
-        # inverse (the nodes sorted by image), which reads a depth map into
-        # sigma's frame: frame[u] = depth_map[sigma^-1[u]].
-        self.automorphisms = graph.automorphisms()
+        # A state's assignment and progress are `bytes` when every entry
+        # fits in a byte, else tuples: `pack` builds one from its entries,
+        # and `permute(asg, table)` reads each entry a of `asg` at table[a],
+        # one `bytes.translate` when packed.  A node table spans 0..|V|,
+        # and every byte value when packed, as `translate` needs.
+        most = max(Counter(q for g in circuit.gates for q in g.qubits).values(), default=0)
+        if graph.num_nodes <= BYTE_MAX and most <= BYTE_MAX:
+            self.pack, self.permute, self.width = bytes, bytes.translate, 256
+        else:
+            self.pack, self.permute, self.width = tuple, _permute, graph.num_nodes + 1
+        # The graph's automorphisms as node tables, and for each sigma the
+        # getter of its inverse (the nodes sorted by image), which reads a
+        # depth map into sigma's frame: frame[u] = depth_map[sigma^-1[u]].
+        automorphisms = graph.automorphisms()
+        self.automorphisms = [self.pack(sigma + tuple(range(len(sigma), self.width)))
+                              for sigma in automorphisms]
         self.frame_of = [operator.itemgetter(*sorted(range(len(sigma)), key=sigma.__getitem__))
-                         for sigma in self.automorphisms]
-        # Per edge, its transposition of the nodes 0..|V|, built the first
-        # time the edge's SWAP is listed (only edges next to an occupied
-        # node ever are): read at a node's assignment, it gives the SWAP
-        # child's assignment.
+                         for sigma in automorphisms]
+        # Per edge, its transposition as a node table, built the first time
+        # the edge's SWAP is listed (only edges next to an occupied node
+        # ever are): a node's assignment permuted by it is the SWAP child's.
         self.transpositions = [None] * len(graph.edges)
         self.rows = _Rows(self.info, config.layered)
         self.bound = _bound(self.rows, graph, config.swap_duration, self.w_depth, self.w_swaps)
@@ -259,19 +280,19 @@ class _Search:
     def root(self) -> SearchNode:
         """The empty schedule.  Nodes carry a depth map only when depth has
         a weight: nothing else reads it, and `_result` replays the times."""
-        n = self.circuit.num_virtual_qubits
+        zeros = self.pack([0] * (self.circuit.num_virtual_qubits + 1))
         return SearchNode(parent=None, gate_index=None, edge=None,
                           depth_map=(0,) * (self.graph.num_nodes + 1) if self.w_depth else None,
-                          assignment=(0,) * (n + 1), progress=(0,) * (n + 1),
-                          swap_count=0, num_scheduled=0)
+                          assignment=zeros, progress=zeros, swap_count=0, num_scheduled=0)
 
     def children(self, node: SearchNode) -> list:
         """The children the search expands, in one pass, each as its state:
         (gate_index, edge, depth_map, assignment, progress, swap_count,
-        num_scheduled) as tuples and ints.  They are each placement of each
-        minimal unscheduled gate, then a SWAP on each edge with an occupied
-        end, whose assignment is one getter of the node's assignment read
-        at the edge's transposition (`transpositions`).  The minimal gates
+        num_scheduled), the assignment and progress in the search's
+        representation (`pack`) and the depth map a tuple.  They are each
+        placement of each minimal unscheduled gate, then a SWAP on each edge
+        with an occupied end, whose assignment is the node's permuted by the
+        edge's transposition (`transpositions`).  The minimal gates
         and the progress after each are the moves of the node's progress
         vector in `rows`.  Two kinds that some kept child dominates are left
         out:
@@ -287,7 +308,7 @@ class _Search:
         """
         asg, prog, dm = node.assignment, node.progress, node.depth_map
         moves = self.rows[prog][0]
-        graph = self.graph
+        graph, pack = self.graph, self.pack
         swaps, scheduled = node.swap_count, node.num_scheduled
         busy = set(asg)     # occupied nodes (plus 0, never a node)
         children = []
@@ -316,25 +337,24 @@ class _Search:
                 else:
                     moved = list(asg)
                     moved[p], moved[q] = v, w
-                    moved = tuple(moved)
+                    moved = pack(moved)
                 children.append((i, edge, deeper, moved, done, swaps, scheduled + 1))
         undo = node.edge if node.gate_index == SWAP else None
-        d_s, taus = self.config.swap_duration, self.transpositions
-        swapped = operator.itemgetter(*asg)     # tau -> tau . assignment
+        d_s, taus, permute = self.config.swap_duration, self.transpositions, self.permute
         for index, edge in enumerate(graph.edges):
             v, w = edge
             if (v in busy or w in busy) and edge != undo:
                 tau = taus[index]
                 if tau is None:
-                    tau = list(range(graph.num_nodes + 1))
+                    tau = list(range(self.width))
                     tau[v], tau[w] = w, v
-                    tau = taus[index] = tuple(tau)
+                    tau = taus[index] = pack(tau)
                 deeper = dm
                 if dm is not None:
                     deeper = list(dm)
                     deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + d_s
                     deeper = tuple(deeper)
-                children.append((SWAP, edge, deeper, swapped(tau), prog, swaps + 1, scheduled))
+                children.append((SWAP, edge, deeper, permute(asg, tau), prog, swaps + 1, scheduled))
         return children
 
     def keep(self, node: SearchNode, children, store: dict | None, stats: SolveStats) -> list:
@@ -343,8 +363,10 @@ class _Search:
         one when `store` is None.  No node is built for a pruned child.
 
         The store maps a class key to the class's non-dominated records.  A
-        state's class key is the lexicographic minimum of (sigma .
-        assignment, progress) over the identity and the automorphisms.
+        state's class key is one object, `best + progress`: `best` is the
+        lexicographic minimum of sigma . assignment over the identity and
+        the automorphisms (`bytes` order the packed images as the tuples of
+        their entries), and every assignment of a search has one length.
         Under a depth weight a class holds a list of records `(vector,
         node)`: the depth map read into the frame of the first sigma
         attaining the key (`frame[sigma[v]] == depth_map[v]`), the identity
@@ -367,18 +389,18 @@ class _Search:
         """
         if store is None:
             return [SearchNode(node, *child) for child in children]
-        automorphisms, frame_of = self.automorphisms, self.frame_of
+        automorphisms, frame_of, permute = self.automorphisms, self.frame_of, self.permute
         w_swaps, le = self.w_swaps, operator.le
         kept = []
         for child in children:
             _, _, dm, asg, prog, swaps, _ = child
-            images = map(operator.itemgetter(*asg), automorphisms)
             if dm is None:
                 best = asg
-                for image in images:
+                for table in automorphisms:
+                    image = permute(asg, table)
                     if image < best:
                         best = image
-                key = (best, prog)
+                key = best + prog
                 record = store.get(key)
                 if record is not None:
                     if record.swap_count <= swaps:
@@ -392,13 +414,14 @@ class _Search:
             # The key's least image, and the getter of the first sigma
             # attaining it (None: the identity).
             best, to_frame = asg, None
-            for image, getter in zip(images, frame_of):
+            for table, getter in zip(automorphisms, frame_of):
+                image = permute(asg, table)
                 if image < best:
                     best, to_frame = image, getter
             vector = dm if to_frame is None else to_frame(dm)
             if w_swaps:
                 vector += (swaps,)
-            key = (best, prog)
+            key = best + prog
             records = store.get(key, ())
             survivors = []
             for record in records:
@@ -417,6 +440,11 @@ class _Search:
                 store[key] = survivors
                 kept.append(child)
         return kept
+
+
+def _permute(state: tuple, table: tuple) -> tuple:
+    """`bytes.translate` for a tuple state: each entry a read at table[a]."""
+    return tuple(map(table.__getitem__, state))
 
 
 def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):

@@ -144,18 +144,22 @@ class TestMinimalUnscheduled:
     """One pass gives the row the search reads: the minimal gates, each as
     (gate id, p, q, duration, progress after it), each qubit's head (delta
     of its next gate) and one row (p, q, delta[first], work_p, work_q) per
-    qubit pair with a gate still to run."""
+    qubit pair with a gate still to run.  A progress vector is a tuple or
+    `bytes`, as the search packs it, and each move's progress after it has
+    the same type."""
 
     def test_root_frontier(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 0, 0, 0, 0), False) == (
-            ((1, 1, 2, 2, (0, 1, 1, 0, 0)), (2, 3, 4, 3, (0, 0, 0, 1, 1))),
-            (0, 3, 3, 4, 4), ((1, 2, 3, 0, 0), (3, 4, 4, 0, 0), (4, 1, 1, 3, 2)))
+        for pack in (tuple, bytes):
+            assert minimal_unscheduled(info, pack((0, 0, 0, 0, 0)), False) == (
+                ((1, 1, 2, 2, pack((0, 1, 1, 0, 0))), (2, 3, 4, 3, pack((0, 0, 0, 1, 1)))),
+                (0, 3, 3, 4, 4), ((1, 2, 3, 0, 0), (3, 4, 4, 0, 0), (4, 1, 1, 3, 2)))
 
     def test_after_g1_g2(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 1, 1, 1, 1), False) == (
-            ((3, 4, 1, 1, (0, 2, 1, 1, 2)),), (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),))
+        for pack in (tuple, bytes):
+            assert minimal_unscheduled(info, pack((0, 1, 1, 1, 1)), False) == (
+                ((3, 4, 1, 1, pack((0, 2, 1, 1, 2))),), (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),))
 
     def test_all_scheduled(self, example_circuit):
         info = analyze(example_circuit)
@@ -167,11 +171,13 @@ class TestMinimalUnscheduled:
         # are the plain row's.
         info = analyze(make_circuit(5, [(1, 2, 2), (2, 3, 3), (4, 5, 1)]))
         assert info.layer[1:] == [0, 1, 0]
-        g2, g3 = (2, 2, 3, 3, (0, 1, 2, 1, 0, 0)), (3, 4, 5, 1, (0, 1, 1, 0, 1, 1))
         heads, pairs = (0, 0, 3, 3, 1, 1), ((2, 3, 3, 0, 0), (4, 5, 1, 0, 0))
-        progress = (0, 1, 1, 0, 0, 0)
-        assert minimal_unscheduled(info, progress, False) == ((g2, g3), heads, pairs)
-        assert minimal_unscheduled(info, progress, True) == ((g3,), heads, pairs)
+        for pack in (tuple, bytes):
+            g2 = (2, 2, 3, 3, pack((0, 1, 2, 1, 0, 0)))
+            g3 = (3, 4, 5, 1, pack((0, 1, 1, 0, 1, 1)))
+            progress = pack((0, 1, 1, 0, 0, 0))
+            assert minimal_unscheduled(info, progress, False) == ((g2, g3), heads, pairs)
+            assert minimal_unscheduled(info, progress, True) == ((g3,), heads, pairs)
 
 
 def random_small_circuit(rng, n_qubits, n_gates):
@@ -291,7 +297,8 @@ class TestProperties:
             preds = immediate_preds(c)
             # Schedule greedily through minimal gates in every DFS order,
             # checking the scheduled set stays downward-closed and each
-            # move names its gate and the progress after it.
+            # move names its gate and the progress after it, of the type
+            # (tuple or bytes) of the progress before it.
             def explore(progress, scheduled):
                 moves = minimal_unscheduled(info, progress, False)[0]
                 for i, p, q, d, after in moves:
@@ -300,7 +307,7 @@ class TestProperties:
                     np_ = list(progress)
                     np_[p] += 1
                     np_[q] += 1
-                    assert after == tuple(np_)
+                    assert after == type(progress)(np_)
                 # The layered moves are the plain ones of the lowest layer.
                 low = min((info.layer[m[0]] for m in moves), default=None)
                 assert minimal_unscheduled(info, progress, True)[0] == tuple(
@@ -308,3 +315,4 @@ class TestProperties:
                 for i, p, q, d, after in moves[:2]:
                     explore(after, scheduled | {i})
             explore((0,) * 5, set())
+            explore(bytes(5), set())

@@ -416,15 +416,17 @@ class TestExpand:
     @settings(max_examples=150, deadline=None)
     def test_derived_state(self, walk):
         # No two qubits share a node, and a SWAP exchanges whatever its two
-        # nodes hold.
+        # nodes hold.  Every state is in the search's representation.
         search, nodes = walk
         for node in nodes:
+            assert type(node.assignment) is type(node.progress) is search.pack
             placed = {a for a in node.assignment[1:] if a}
             assert len(placed) == sum(1 for a in node.assignment[1:] if a)
             if node.gate_index == SWAP:
                 v, w = node.edge
                 moved = {v: w, w: v}
-                assert node.assignment == tuple(moved.get(a, a) for a in node.parent.assignment)
+                assert node.assignment == search.pack(
+                    moved.get(a, a) for a in node.parent.assignment)
 
     @given(walks())
     @settings(max_examples=100, deadline=None)
@@ -433,9 +435,9 @@ class TestExpand:
         # exchanges whatever its two nodes hold, a gate puts its qubits on
         # the edge's ends and advances both; the op's nodes end at the later
         # of their depths plus its duration.  `keep` builds the node from
-        # exactly that state.
+        # exactly that state, in the search's representation.
         search, nodes = walk
-        circuit, d_s = search.circuit, search.config.swap_duration
+        circuit, d_s, pack = search.circuit, search.config.swap_duration, search.pack
         for node in nodes:
             states = search.children(node)
             for state, kept in zip(states, search.keep(node, states, None, SolveStats()),
@@ -443,7 +445,7 @@ class TestExpand:
                 gate_index, (v, w), dm, asg, prog, swaps, done = state
                 if gate_index == SWAP:
                     moved = {v: w, w: v}
-                    expected = (tuple(moved.get(a, a) for a in node.assignment), node.progress,
+                    expected = (pack(moved.get(a, a) for a in node.assignment), node.progress,
                                 node.swap_count + 1, node.num_scheduled)
                     duration = d_s
                 else:
@@ -452,12 +454,13 @@ class TestExpand:
                     for qubit, at in zip(gate.qubits, (v, w)):
                         placed[qubit] = at
                         advanced[qubit] += 1
-                    expected = (tuple(placed), tuple(advanced), node.swap_count,
+                    expected = (pack(placed), pack(advanced), node.swap_count,
                                 node.num_scheduled + 1)
                     duration = gate.duration
                 depths = list(node.depth_map)
                 depths[v] = depths[w] = max(depths[v], depths[w]) + duration
                 assert (asg, prog, swaps, done) == expected
+                assert type(asg) is type(prog) is pack
                 assert dm == tuple(depths)
                 assert (kept.parent, kept.gate_index, kept.edge, kept.depth_map, kept.assignment,
                         kept.progress, kept.swap_count, kept.num_scheduled) == (
@@ -472,9 +475,10 @@ class TestTryInsert:
         """Offer `store` a child of the root in this state, listed as
         `_Search.children` lists one, keyed under the graph's automorphisms
         when `symmetric` and under none otherwise: the node built for it,
-        or None if the store prunes it."""
+        or None if the store prunes it.  `assignment` is given as a tuple
+        and packed as the search packs states."""
         root = search.root()
-        asg = root.assignment if assignment is None else assignment
+        asg = root.assignment if assignment is None else search.pack(assignment)
         state = (1, (1, 2), depth_map, asg, root.progress, swaps, 1)
         kept = (search if symmetric else asymmetric(search)).keep(root, [state], store, stats)
         return kept[0] if kept else None
@@ -576,7 +580,8 @@ class TestTryInsert:
         # frame equals the stored one (two permutations of one depth map
         # are ordered only when equal).  A node is offered as the state
         # its parent's children list; the root, which is no child, as its
-        # own state.
+        # own state.  The key is the least image and the progress as one
+        # object, packed as the search packs states.
         search, nodes = walk
         graph = search.graph
         group = [tuple(range(graph.num_nodes + 1))] + graph.automorphisms()
@@ -601,9 +606,10 @@ class TestTryInsert:
             store = {}
             [kept] = search.keep(parent, [state], store, SolveStats())
             assert (kept.assignment, kept.depth_map) == (node.assignment, node.depth_map)
-            assert store == {(best, node.progress): [(stored, kept)]}
+            key = search.pack(best) + node.progress
+            assert store == {key: [(stored, kept)]}
             for frame in frames:
-                store = {(best, node.progress): [(frame, search.root())]}
+                store = {key: [(frame, search.root())]}
                 assert bool(search.keep(parent, [state], store, SolveStats())) == (
                     frame != stored)
 
@@ -631,10 +637,11 @@ class TestTryInsert:
         # definition decides it in two.  First: is some record no worse
         # than the child?  Then, if not, which records is the child no
         # worse than?  (0,1,2,0,0) and its mirror (0,4,3,0,0) are one
-        # class, keyed by the first; the mirror's depths are read reversed.
+        # class, keyed by the first and the progress; the mirror's depths
+        # are read reversed.
         search = _Search(example_circuit, linear4, config)
         store, stats = {}, SolveStats()
-        key = ((0, 1, 2, 0, 0), search.root().progress)
+        key = search.pack((0, 1, 2, 0, 0)) + search.root().progress
         rng = random.Random(21)
         pruned = replaced = 0
         for _ in range(300):
@@ -798,7 +805,7 @@ class TestProgressMemos:
                 gate, after = circuit.gates[i - 1], list(prog)
                 for q in gate.qubits:
                     after[q] += 1
-                moves.append((i, *gate.qubits, gate.duration, tuple(after)))
+                moves.append((i, *gate.qubits, gate.duration, search.pack(after)))
             row = search.rows[prog]
             assert row[0] == tuple(moves)
 
@@ -1071,6 +1078,26 @@ def pinned_solve(topology, qubits, config):
             (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned, s.fronts_replaced))
 
 
+# The exact pinned rows: (topology, qubits, objective, layered, optimum,
+# (expanded, inserted, pruned, replaced)).
+EXACT_ROWS = [
+    ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
+    ("linear:5", 5, "depth", True, 53, (39, 140, 33, 10)),
+    ("linear:5", 5, "swaps", False, 1, (35, 76, 14, 2)),
+    ("linear:5", 5, "swaps", True, 1, (27, 67, 13, 2)),
+    ("grid:2x3", 6, "depth", False, 45, (158, 889, 402, 9)),
+    ("grid:2x3", 6, "depth", True, 45, (118, 660, 262, 21)),
+    ("grid:2x3", 6, "swaps", False, 1, (36, 204, 88, 1)),
+    ("grid:2x3", 6, "swaps", True, 1, (18, 66, 72, 0)),
+    ("y:6", 6, "depth", False, 64, (626, 2009, 1527, 49)),
+    ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
+    ("y:6", 6, "swaps", False, 2, (134, 455, 247, 7)),
+    ("y:6", 6, "swaps", True, 2, (55, 183, 78, 4)),
+    ("linear:5", 5, "combined", False, 63, (62, 204, 79, 5)),
+    ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
+]
+
+
 class TestSearchPinned:
     """The search itself, not only its answers: a change that only makes
     the search faster must expand, insert, prune and replace exactly these
@@ -1081,25 +1108,25 @@ class TestSearchPinned:
     sequence of heap entries pushed, so that a reordering with equal counts
     fails too."""
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", [
-        ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
-        ("linear:5", 5, "depth", True, 53, (39, 140, 33, 10)),
-        ("linear:5", 5, "swaps", False, 1, (35, 76, 14, 2)),
-        ("linear:5", 5, "swaps", True, 1, (27, 67, 13, 2)),
-        ("grid:2x3", 6, "depth", False, 45, (158, 889, 402, 9)),
-        ("grid:2x3", 6, "depth", True, 45, (118, 660, 262, 21)),
-        ("grid:2x3", 6, "swaps", False, 1, (36, 204, 88, 1)),
-        ("grid:2x3", 6, "swaps", True, 1, (18, 66, 72, 0)),
-        ("y:6", 6, "depth", False, 64, (626, 2009, 1527, 49)),
-        ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
-        ("y:6", 6, "swaps", False, 2, (134, 455, 247, 7)),
-        ("y:6", 6, "swaps", True, 2, (55, 183, 78, 4)),
-        ("linear:5", 5, "combined", False, 63, (62, 204, 79, 5)),
-        ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
-    ])
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", EXACT_ROWS)
     def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts):
         digest = heap_digest(monkeypatch)
         config = CONFIGS[objective](layered=layered)
+        assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
+        assert digest() == HEAP_DIGESTS[topology, objective, layered]
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", EXACT_ROWS)
+    def test_tuple_states_search_alike(self, monkeypatch, topology, qubits, objective, layered,
+                                       value, counts):
+        # These instances pack their states into bytes; with the byte limit
+        # at 0 none fits, and the search keeps tuples.  Both must run the
+        # same search: the same counts and the same heap entries.
+        config = CONFIGS[objective](layered=layered)
+        circuit, graph = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0)), parse_topology(topology)
+        assert _Search(circuit, graph, config).pack is bytes
+        monkeypatch.setattr(solver, "BYTE_MAX", 0)
+        assert _Search(circuit, graph, config).pack is tuple
+        digest = heap_digest(monkeypatch)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
         assert digest() == HEAP_DIGESTS[topology, objective, layered]
 
@@ -1313,6 +1340,34 @@ class TestReplayedTimes:
             assert r.objective_value == r.swap_count
         else:
             assert r.objective_value == r.makespan + 10 * r.swap_count
+
+
+class TestWideStates:
+    """Inputs whose states do not fit in bytes, more than 255 nodes or more
+    than 255 gates on one qubit, are searched with tuple states."""
+
+    def check(self, circuit, graph, config, makespan, swaps):
+        assert _Search(circuit, graph, config).pack is tuple
+        r = solve(circuit, graph, config)
+        assert (r.status, r.makespan, r.swap_count) == ("optimal", makespan, swaps)
+        assert validate(r.schedule, circuit, graph).ok
+        m = compute_metrics(r.schedule)
+        assert (m.depth, m.swaps) == (makespan, swaps)
+
+    @pytest.mark.parametrize("config", [depth_config(), depth_config(layered=True),
+                                        swaps_config()], ids=["depth", "layered", "swaps"])
+    def test_more_than_255_nodes(self, config):
+        # Qubits 2, 1, 3, 4 on four nodes in a row run the three gates in
+        # two steps of 4 with no SWAP, and gate 3 waits for gates 1 and 2.
+        circuit = parse_circuit(json.dumps({"num_qubits": 4, "gates": [
+            {"q": [1, 2]}, {"q": [3, 4]}, {"q": [1, 3]}]}))
+        self.check(circuit, parse_topology("linear:300"), config, 8, 0)
+
+    def test_more_than_255_gates_on_a_qubit(self):
+        # One pair's gates run one after another: the makespan is the sum
+        # of their durations.
+        circuit = Circuit(2, tuple(GateSpec(i, (1, 2), 4) for i in range(1, 301)))
+        self.check(circuit, parse_topology("linear:2"), depth_config(), 1200, 0)
 
 
 class TestCompleteNodes:
