@@ -119,21 +119,26 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
 
 
 def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
-    """The row (moves, heads, pairs) the search reads at `progress`, each
-    qubit's number of scheduled gates (a downward-closed set of gates is
-    exactly such a per-qubit prefix), from one pass over the gates in order
-    counting each qubit's gates passed so far: a gate is unscheduled once
-    that count reaches its qubits' progress, and next on a qubit when the
-    two are equal.  moves has (gate id, p, q, duration, progress after it)
-    per gate next on both its qubits (p, q), by id, the progress after it
-    of the type of `progress` (a tuple or `bytes`); `layered` keeps those in
-    the lowest unfinished layer, the lowest among them, since every
+    """The row (moves, heads, pairs, holes) the search reads at `progress`,
+    each qubit's number of scheduled gates (a downward-closed set of gates
+    is exactly such a per-qubit prefix), from one pass over the gates in
+    order counting each qubit's gates passed so far: a gate is unscheduled
+    once that count reaches its qubits' progress, and next on a qubit when
+    the two are equal.  moves has (gate id, p, q, duration, progress after
+    it) per gate next on both its qubits (p, q), by id, the progress after
+    it of the type of `progress` (a tuple or `bytes`); `layered` keeps those
+    in the lowest unfinished layer, the lowest among them, since every
     predecessor of a gate in that layer is scheduled.  heads[q] is delta of
-    q's next gate (0 for q = 0 and once q is done); pairs has a row (p, q,
-    delta[first], work_p, work_q) per qubit pair with a gate still to run,
-    by `first`, the pair's first unscheduled gate, on qubits (p, q), and a
-    qubit's work is its gates' duration from its progress up to `first`."""
-    delta, seen, met, moves, pairs = info.delta, [0] * len(progress), set(), [], []
+    q's next gate (0 for q = 0 and once q is done).
+
+    A qubit is placed by its first gate and never unplaced, so it is placed
+    exactly when its progress is positive, and the row knows it.  pairs has
+    a row (p, q, delta[first], work_p, work_q) per pair of placed qubits
+    with a gate still to run, by `first`, the pair's first unscheduled gate,
+    on qubits (p, q), and a qubit's work is its gates' duration from its
+    progress up to `first`.  holes lists once each, by the first such gate,
+    the placed qubits with a gate still to run whose partner is unplaced."""
+    delta, seen, met, moves, pairs, holes = info.delta, [0] * len(progress), set(), [], [], {}
     heads, work = [0] * len(progress), [0] * len(progress)
     for g in info.gates:
         p, q = g.qubits
@@ -150,7 +155,10 @@ def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
             pair = (p, q) if p < q else (q, p)
             if pair not in met:
                 met.add(pair)
-                pairs.append((p, q, delta[g.id], work[p], work[q]))
+                if progress[p] and progress[q]:
+                    pairs.append((p, q, delta[g.id], work[p], work[q]))
+                elif progress[p] or progress[q]:
+                    holes[p if progress[p] else q] = None
             work[p] += g.duration
             work[q] += g.duration
         seen[p] += 1
@@ -158,4 +166,4 @@ def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
     if layered and moves:
         low = min(info.layer[move[0]] for move in moves)
         moves = [move for move in moves if info.layer[move[0]] == low]
-    return tuple(moves), tuple(heads), tuple(pairs)
+    return tuple(moves), tuple(heads), tuple(pairs), tuple(holes)

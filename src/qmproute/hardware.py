@@ -1,8 +1,9 @@
 """Hardware connectivity graphs.
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
-all-pairs hop distances, enumeration of minimal (chordless) paths
-between node pairs, cached per unordered pair, and the graph's automorphisms.
+all-pairs hop distances, each node's nodes nearest first, enumeration of
+minimal (chordless) paths between node pairs, cached per unordered pair,
+and the graph's automorphisms.
 A path is minimal when no subset of its nodes can be removed and still
 leave a valid path, i.e. no hardware edge joins two non-consecutive path
 nodes.
@@ -31,8 +32,8 @@ class HardwareError(ValueError):
 class HardwareGraph:
     """Undirected connected graph over nodes 1..num_nodes.
 
-    Immutable after construction except the minimal-path and automorphism
-    caches, which are filled lazily and idempotently.
+    Immutable after construction except the nearest-first, minimal-path and
+    automorphism caches, which are filled lazily and idempotently.
     """
 
     def __init__(self, num_nodes: int, edges):
@@ -56,6 +57,7 @@ class HardwareGraph:
         for v in self._adj:
             self._adj[v].sort()
         self.dist = self._all_pairs_distance()
+        self._nearest: dict[int, tuple[int, ...]] = {}
         self._path_cache: dict[tuple[int, int], list[tuple[int, ...]] | None] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
 
@@ -87,6 +89,17 @@ class HardwareGraph:
                 raise HardwareError("hardware graph must be connected")
             dist.append(d)
         return dist
+
+    def nearest_first(self, v: int) -> tuple[int, ...]:
+        """The nodes other than v by hop distance from v, nearest first, ties
+        by number.  Sorted on the first call for v and cached, so a node no
+        search reaches costs nothing."""
+        try:
+            return self._nearest[v]
+        except KeyError:
+            order = sorted(range(1, self.num_nodes + 1), key=self.dist[v].__getitem__)
+        order = self._nearest[v] = tuple(order[1:])     # v itself, the one at distance 0
+        return order
 
     def minimal_paths(self, v: int, w: int):
         """All chordless simple paths between v and w as node tuples from

@@ -149,7 +149,8 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
     `first` plus the earliest time that gate can start, once each qubit has
     done its work before `first` and the two have met on an edge of some
     minimal path between their nodes.  Every circuit fact in the terms is
-    in `row`, the node's progress vector's entry in `_Rows`.
+    in `row`, the node's progress vector's entry in `_Rows`, whose pairs
+    are the placed ones only.
 
     A pair on adjacent nodes is skipped: its term is delta[first] +
     max(start_p, start_q), which is at most the larger of the two qubits'
@@ -158,7 +159,7 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
     no longer exceed the running maximum.
     """
     dm, asg = node.depth_map, node.assignment
-    _, heads, pairs = row
+    heads, pairs = row[1], row[2]
     h = 0
     for a, head in zip(asg, heads):
         t = dm[a] + head                # dm[0] == 0: an unplaced qubit's node
@@ -168,7 +169,7 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
     d_s, dist = swap_duration, graph.dist
     for p, q, delta_first, work_p, work_q in pairs:
         ap, aq = asg[p], asg[q]
-        if not ap or not aq or dist[ap][aq] == 1:
+        if dist[ap][aq] == 1:
             continue
         paths = graph.minimal_paths(ap, aq)
         if paths is None:
@@ -215,14 +216,35 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
 
 def bound_swaps(node: SearchNode, row: tuple, graph: HardwareGraph) -> int:
     """Admissible lower bound on the total SWAP count from this node: the
-    SWAPs made so far plus, over placed pairs with a gate still to run (the
-    pairs of `row`, as `bound_depth` reads it), the largest distance less
-    one."""
+    SWAPs made so far plus the largest of two kinds of term, each a distance
+    less one.  A placed pair's with a gate still to run (the pairs of `row`,
+    as `bound_depth` reads them): the distance between its nodes.  A hole's,
+    a placed qubit p with a gate still to run with an unplaced qubit q (the
+    holes of `row`): the distance from p's node to the nearest free node.
+
+    The hole term is admissible: take as potential the distance from p's
+    node to q's once q is placed, and to the nearest free node before.  A
+    SWAP moves p, or another qubit and with it possibly a free node, one hop
+    (a SWAP of p onto a free node leaves the potential at 1), so it lowers
+    the potential by at most 1.  Placing a qubit only takes free nodes, and
+    q is placed on a node free at that moment, so no placement lowers it.
+    The gate needs distance 1, so at least the potential less one SWAPs
+    remain.  A free node exists while q is unplaced, since `_Search`
+    refuses more qubits than nodes.
+    """
     asg, dist, worst = node.assignment, graph.dist, 0
     for pair in row[2]:
-        ap, aq = asg[pair[0]], asg[pair[1]]
-        if ap and aq and dist[ap][aq] - 1 > worst:
-            worst = dist[ap][aq] - 1
+        d = dist[asg[pair[0]]][asg[pair[1]]] - 1
+        if d > worst:
+            worst = d
+    for p in row[3]:
+        a = asg[p]
+        for h in graph.nearest_first(a):
+            if h not in asg:    # a free node: `in` scans a `bytes` or tuple state in C
+                break
+        d = dist[a][h] - 1
+        if d > worst:
+            worst = d
     return node.swap_count + worst
 
 

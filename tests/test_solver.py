@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmproute import hardware, solver
@@ -118,9 +119,32 @@ def reference_minimal_unscheduled(circuit, progress):
             if all(pos[g.id][q] == progress[q] for q in g.qubits)]
 
 
+def nearest_free_distance(graph, assignment, v):
+    """The hop distance from node v to the nearest node no qubit holds, by
+    breadth-first search from v."""
+    occupied, level, seen, d = set(assignment), [v], {v}, 0
+    while all(u in occupied for u in level):
+        level = [w for u in level for w in graph.neighbors(u) if w not in seen and not seen.add(w)]
+        d += 1
+    return d
+
+
+def reference_gate_swaps(node, graph, p, q):
+    """A lower bound on the SWAPs before a gate on qubits p and q can run,
+    read off the node's assignment: their distance less one once both are
+    placed, the distance less one from the placed one's node to the nearest
+    free node when one is, and 0 when neither is."""
+    ap, aq = node.assignment[p], node.assignment[q]
+    if ap and aq:
+        return graph.dist[ap][aq] - 1
+    if ap or aq:
+        return nearest_free_distance(graph, node.assignment, ap or aq) - 1
+    return 0
+
+
 def reference_bound_swaps(node, circuit, graph):
     """bound_swaps as a scan over qubit pairs: the SWAPs so far plus the
-    largest distance less one over placed pairs with a gate still to run."""
+    largest `reference_gate_swaps` over pairs with a gate still to run."""
     pos = gate_positions(circuit)
     pair_gates = {}
     for g in circuit.gates:
@@ -130,9 +154,7 @@ def reference_bound_swaps(node, circuit, graph):
         p, q = gates[0].qubits
         if pos[gates[-1].id][p] < node.progress[p]:
             continue    # every gate of the pair already scheduled
-        ap, aq = node.assignment[p], node.assignment[q]
-        if ap and aq:
-            worst = max(worst, graph.dist[ap][aq] - 1)
+        worst = max(worst, reference_gate_swaps(node, graph, p, q))
     return node.swap_count + worst
 
 
@@ -748,12 +770,11 @@ class TestBounds:
                 row = rows[node.progress]
                 assert (bound_depth(node, row, graph, d_s)
                         == reference_bound_depth(node, circuit, graph, d_s))
-                # bound_swaps: the worst distance over every unscheduled gate.
+                # bound_swaps: the worst term over every unscheduled gate.
                 assert bound_swaps(node, row, graph) == node.swap_count + max(
-                    (graph.dist[node.assignment[p]][node.assignment[q]] - 1
+                    (reference_gate_swaps(node, graph, p, q)
                      for g in circuit.gates for p, q in [g.qubits]
-                     if pos[g.id][p] >= node.progress[p]
-                     and node.assignment[p] and node.assignment[q]), default=0)
+                     if pos[g.id][p] >= node.progress[p]), default=0)
 
     @given(walks())
     @settings(max_examples=150, deadline=None)
@@ -778,11 +799,49 @@ class TestBounds:
                     assert r.status == "optimal"
                     assert root_h <= r.objective_value
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_swaps_bound_admissible_inside(self, data):
+        # Inside the tree, where the hole term applies: a node with a qubit
+        # still unplaced and a gate on it left, on a path, cycle, star,
+        # complete graph or random tree with free nodes to spare.  Its bound is at most the SWAP count of the best
+        # completion of it, from the store-less search rooted there.  A
+        # 3-node graph is left out: with fewer qubits than nodes its one
+        # qubit pair is placed by the first gate.
+        n = data.draw(st.integers(4, 5))
+        line = [(v - 1, v) for v in range(2, n + 1)]
+        edges = data.draw(st.sampled_from([
+            line, line + [(n, 1)], [(1, v) for v in range(2, n + 1)],
+            list(itertools.combinations(range(1, n + 1), 2)), None]))
+        if edges is None:       # a random tree
+            edges = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        graph = HardwareGraph(n, edges)
+        k = data.draw(st.integers(3, n - 1))
+        gates = data.draw(st.lists(st.sampled_from(list(itertools.permutations(range(1, k + 1), 2))),
+                                   min_size=2, max_size=6))
+        circuit = Circuit(k, tuple(GateSpec(i, pq, 4) for i, pq in enumerate(gates, 1)))
+        search = _Search(circuit, graph, swaps_config(layered=data.draw(st.booleans())))
+        node, inside = search.root(), []
+        for pick in data.draw(st.lists(st.integers(0, 10 ** 6), max_size=8)):
+            children = built(search, node)
+            if not children:
+                break
+            node = children[pick % len(children)]
+            if node.num_scheduled < len(gates) and any(
+                    not node.progress[q] for g in gates for q in g):
+                inside.append(node)
+        assume(inside)
+        node = data.draw(st.sampled_from(inside))
+        search.root = lambda: node
+        best = _run(search, None, time.monotonic(), None)
+        assert best.status == "optimal"
+        assert bound_swaps(node, search.rows[node.progress], graph) <= best.swap_count
+
 
 class TestProgressMemos:
     """What a progress vector alone decides is derived once per search,
     from one pass over the gate list, and kept in one memo (`_Search.rows`):
-    its moves, heads and pair rows."""
+    its moves, heads, pair rows and holes."""
 
     @given(walks(objectives=tuple(CONFIGS)))
     @settings(max_examples=150, deadline=None)
@@ -812,22 +871,35 @@ class TestProgressMemos:
             def work(q, to):            # q's gate durations from its progress to position `to`
                 return sum(circuit.gates[i - 1].duration for i in per_qubit[q][prog[q]:to])
 
-            _, heads, pairs = row
+            _, heads, pairs, holes = row
             assert heads == (0, *(delta[seq[prog[q]]] if prog[q] < len(seq) else 0
                                   for q, seq in per_qubit.items()))
+            # A qubit is placed exactly when it has run a gate.
+            assert [a > 0 for a in node.assignment] == [k > 0 for k in prog]
             # One row per qubit pair with a gate still to run, in the order
             # of `first`, the pair's first unscheduled gate, with (p, q) the
-            # qubit order of `first`.
+            # qubit order of `first`; the row keeps the placed pairs.  The
+            # holes are the placed qubits of the pairs with one qubit
+            # placed, once each, in the same order.
             firsts = {}                 # unordered pair -> its first unscheduled gate
             for g in circuit.gates:
                 if pos[g.id][g.qubits[0]] >= prog[g.qubits[0]]:
                     firsts.setdefault(frozenset(g.qubits), g.id)
-            expected = []
+            expected, expected_holes = [], {}
             for first in sorted(firsts.values()):
                 p, q = circuit.gates[first - 1].qubits
-                expected.append((p, q, delta[first], work(p, pos[first][p]),
-                                 work(q, pos[first][q])))
+                if prog[p] and prog[q]:
+                    expected.append((p, q, delta[first], work(p, pos[first][p]),
+                                     work(q, pos[first][q])))
+                elif prog[p] or prog[q]:
+                    expected_holes[p if prog[p] else q] = None
             assert pairs == tuple(expected)
+            assert holes == tuple(expected_holes)
+            # No pair row holds an unplaced qubit, and the holes are exactly
+            # the placed qubits with an unscheduled gate on an unplaced one.
+            assert all(prog[p] and prog[q] for p, q, *_ in pairs)
+            assert set(holes) == {p for g in circuit.gates for p, q in (g.qubits, g.qubits[::-1])
+                                  if pos[g.id][p] >= prog[p] and prog[p] and not prog[q]}
 
     @given(walks(objectives=tuple(CONFIGS)))
     @settings(max_examples=100, deadline=None)
@@ -1020,12 +1092,13 @@ class TestSymmetry:
     def test_asymmetric_graph_counts_unchanged(self):
         # A graph with no automorphism but the identity searches exactly
         # the nodes it searched before the store merged automorphic states
-        # (counts measured then).
+        # (counts measured then; the swaps counts re-recorded when the swaps
+        # bound gained its hole term, which changes the search).
         graph = HardwareGraph(7, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 7), (3, 6),
                                   (4, 5), (5, 6)])
         circuit = gen_random_circuit(InstanceSpec("linear:7", 6, 10, 0))
         for config, counts in ((depth_config(), (864, 5208, 2522, 114)),
-                               (swaps_config(), (188, 1406, 230, 35))):
+                               (swaps_config(), (101, 778, 114, 15))):
             s = solve(circuit, graph, config).stats
             assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
                     s.fronts_replaced) == counts
@@ -1047,22 +1120,23 @@ def heap_digest(monkeypatch):
 
 
 # The sha256 of each exact pinned row's pushed heap entries (`heap_digest`),
-# recorded before children were built and probed in one pass.
+# recorded before children were built and probed in one pass (the swaps
+# and combined rows when the swaps bound gained its hole term).
 HEAP_DIGESTS = {
     ("linear:5", "depth", False): "865883d2324818c4b9256a6f09a9d1296655a65caf3ca220bd8405b8f16a5c02",
     ("linear:5", "depth", True): "860ef3471d5b418aae2f281546a508869bce4b356b73c4782c3524c8620a0d9b",
-    ("linear:5", "swaps", False): "402f4e0835b9bc0e3a1944d34bd62c59a70d55ce8c87fbf8ea1f853023606e75",
-    ("linear:5", "swaps", True): "781b3e3c4fafdac1664292f0db621cdfdd7b521272c89c90397eacf157260415",
+    ("linear:5", "swaps", False): "2336f4e9d6cbe004d7b86488c692e96691dd458f19c2b55f0c879d6d876385a6",
+    ("linear:5", "swaps", True): "d711bfabe2c9b386ac4302471b168c93b9054a7fef05829d298e6f9e33ce6051",
     ("grid:2x3", "depth", False): "a9e71d3f073e2da6704c71646fae3aa7a161c6bd20cde9dacb403fb23be4373f",
     ("grid:2x3", "depth", True): "2c1461e8ac9106204f42cdfa57f66e0abe1c57db3e073d72527de4ae17b56939",
-    ("grid:2x3", "swaps", False): "48cc653187dcaf4d5459110ccef34520bb3958567613e807424f731acc5e3b4c",
-    ("grid:2x3", "swaps", True): "8814210fcd81e1b7a0b4b0ba6b11a1a4606cde85a14bfefd45418ffe124c78f2",
+    ("grid:2x3", "swaps", False): "3649d525dd26fbc1db406f4afb686551997283c247944916175f031ecc00f186",
+    ("grid:2x3", "swaps", True): "696869bb5786ec2d9d1479e305047ada0e636ccab35cf1365c3b7523879586da",
     ("y:6", "depth", False): "7a3291c2fbeb3d5afc7becfddc1b04c07bcb5733cf81e742a3a2b0557ea5f6b9",
     ("y:6", "depth", True): "651b6c9a0425209dc3bdf45dafa43bc00fef55cdb26aed4018f245ec34a46267",
-    ("y:6", "swaps", False): "91a47157e46e5ea6fd491ade36f03cf38f2c112841ba7000c269ae475c4b7e2f",
-    ("y:6", "swaps", True): "84915563710470f16652e18c73dc8a141d61c69353f39f084541d9406f4637ca",
-    ("linear:5", "combined", False): "1e80e8042a0e819aae52d315af13fefb2c45a9e3165c3b3e51373b3ac15bd3a3",
-    ("linear:5", "combined", True): "2a90f63bad30d420b57393856967c1a8d9ce62b57b52913bc63652f3cbc41fe1",
+    ("y:6", "swaps", False): "a56bda8bb024185e1cb65b6fae7e3d6559691dfbb1f3d2093b2f17094e696d3b",
+    ("y:6", "swaps", True): "04eb2deedd8a78144fa12fed99b855a1730ae40755c1fdde6a9b1806c57ff5d2",
+    ("linear:5", "combined", False): "d2c77ec3089cf0201bd258c5c4971273391c92aac9a0b843815e26cb00a8a830",
+    ("linear:5", "combined", True): "69593dd1c0e583582798a42b688e642e9d4a9bebe6d126e2b6f904fce14cd287",
 }
 
 STAR_HEAP_DIGEST = "cfe17efe248253ccedde8633ebc933baf179493c9c944089f5a649643ed298e0"
@@ -1083,18 +1157,18 @@ def pinned_solve(topology, qubits, config):
 EXACT_ROWS = [
     ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
     ("linear:5", 5, "depth", True, 53, (39, 140, 33, 10)),
-    ("linear:5", 5, "swaps", False, 1, (35, 76, 14, 2)),
-    ("linear:5", 5, "swaps", True, 1, (27, 67, 13, 2)),
+    ("linear:5", 5, "swaps", False, 1, (16, 39, 6, 1)),
+    ("linear:5", 5, "swaps", True, 1, (14, 37, 6, 1)),
     ("grid:2x3", 6, "depth", False, 45, (158, 889, 402, 9)),
     ("grid:2x3", 6, "depth", True, 45, (118, 660, 262, 21)),
-    ("grid:2x3", 6, "swaps", False, 1, (36, 204, 88, 1)),
+    ("grid:2x3", 6, "swaps", False, 1, (27, 149, 61, 1)),
     ("grid:2x3", 6, "swaps", True, 1, (18, 66, 72, 0)),
     ("y:6", 6, "depth", False, 64, (626, 2009, 1527, 49)),
     ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
-    ("y:6", 6, "swaps", False, 2, (134, 455, 247, 7)),
-    ("y:6", 6, "swaps", True, 2, (55, 183, 78, 4)),
-    ("linear:5", 5, "combined", False, 63, (62, 204, 79, 5)),
-    ("linear:5", 5, "combined", True, 63, (39, 132, 41, 2)),
+    ("y:6", 6, "swaps", False, 2, (60, 250, 96, 12)),
+    ("y:6", 6, "swaps", True, 2, (38, 129, 79, 6)),
+    ("linear:5", 5, "combined", False, 63, (44, 169, 50, 4)),
+    ("linear:5", 5, "combined", True, 63, (30, 113, 29, 3)),
 ]
 
 
@@ -1104,7 +1178,9 @@ class TestSearchPinned:
     nodes (counts recorded before the table-driven bounds and the flat
     expansion loop; the combined rows before nodes dropped the depth map
     under the swaps objective; the beam and time-limited rows before the
-    incumbent was ranked by its heap key).  The exact rows also pin the
+    incumbent was ranked by its heap key; every swaps and combined row
+    again when the swaps bound gained its hole term, a better bound that
+    changes the search but no optimum).  The exact rows also pin the
     sequence of heap entries pushed, so that a reordering with equal counts
     fails too."""
 
@@ -1150,36 +1226,36 @@ class TestSearchPinned:
         ("linear:5", 5, "depth", True, 1, 183, (23, 77, 14, 0)),
         ("linear:5", 5, "depth", True, 2, 74, (22, 80, 15, 0)),
         ("linear:5", 5, "depth", True, 8, 53, (39, 140, 33, 10)),
-        ("linear:5", 5, "swaps", False, 1, 4, (14, 32, 5, 0)),
-        ("linear:5", 5, "swaps", False, 2, 5, (24, 52, 9, 1)),
-        ("linear:5", 5, "swaps", False, 8, 1, (35, 76, 14, 2)),
-        ("linear:5", 5, "swaps", True, 1, 5, (15, 34, 5, 0)),
-        ("linear:5", 5, "swaps", True, 2, 5, (24, 55, 6, 1)),
-        ("linear:5", 5, "swaps", True, 8, 1, (27, 67, 13, 2)),
-        ("linear:5", 5, "combined", False, 1, 320, (23, 73, 13, 0)),
-        ("linear:5", 5, "combined", False, 2, 181, (28, 95, 12, 1)),
-        ("linear:5", 5, "combined", False, 8, 79, (47, 164, 31, 2)),
-        ("linear:5", 5, "combined", True, 1, 278, (21, 72, 11, 0)),
-        ("linear:5", 5, "combined", True, 2, 208, (28, 91, 13, 1)),
-        ("linear:5", 5, "combined", True, 8, 63, (33, 119, 22, 2)),
+        ("linear:5", 5, "swaps", False, 1, 5, (15, 42, 7, 0)),
+        ("linear:5", 5, "swaps", False, 2, 1, (16, 39, 6, 1)),
+        ("linear:5", 5, "swaps", False, 8, 1, (16, 39, 6, 1)),
+        ("linear:5", 5, "swaps", True, 1, 11, (21, 62, 6, 0)),
+        ("linear:5", 5, "swaps", True, 2, 1, (14, 37, 6, 1)),
+        ("linear:5", 5, "swaps", True, 8, 1, (14, 37, 6, 1)),
+        ("linear:5", 5, "combined", False, 1, 200, (17, 68, 10, 0)),
+        ("linear:5", 5, "combined", False, 2, 79, (19, 83, 10, 1)),
+        ("linear:5", 5, "combined", False, 8, 69, (29, 121, 20, 1)),
+        ("linear:5", 5, "combined", True, 1, 168, (16, 63, 10, 0)),
+        ("linear:5", 5, "combined", True, 2, 79, (17, 72, 10, 1)),
+        ("linear:5", 5, "combined", True, 8, 63, (28, 109, 27, 2)),
         ("grid:2x3", 6, "depth", False, 1, 45, (12, 103, 24, 0)),
         ("grid:2x3", 6, "depth", False, 2, 59, (20, 159, 30, 1)),
         ("grid:2x3", 6, "depth", False, 8, 45, (54, 396, 99, 3)),
         ("grid:2x3", 6, "depth", True, 1, 137, (25, 159, 38, 0)),
         ("grid:2x3", 6, "depth", True, 2, 85, (30, 197, 45, 0)),
         ("grid:2x3", 6, "depth", True, 8, 50, (54, 330, 115, 2)),
-        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 22, 0)),
-        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 58, 24, 0)),
-        ("grid:2x3", 6, "swaps", False, 8, 1, (33, 187, 75, 1)),
+        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 21, 0)),
+        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 59, 23, 0)),
+        ("grid:2x3", 6, "swaps", False, 8, 1, (26, 147, 54, 1)),
         ("grid:2x3", 6, "swaps", True, 1, 1, (11, 46, 22, 0)),
         ("grid:2x3", 6, "swaps", True, 2, 1, (12, 53, 25, 0)),
         ("grid:2x3", 6, "swaps", True, 8, 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 1, 59, (11, 98, 22, 0)),
-        ("grid:2x3", 6, "combined", False, 2, 59, (15, 129, 23, 0)),
-        ("grid:2x3", 6, "combined", False, 8, 59, (43, 348, 67, 1)),
+        ("grid:2x3", 6, "combined", False, 1, 59, (11, 97, 22, 0)),
+        ("grid:2x3", 6, "combined", False, 2, 59, (16, 137, 23, 0)),
+        ("grid:2x3", 6, "combined", False, 8, 59, (34, 267, 76, 1)),
         ("grid:2x3", 6, "combined", True, 1, 59, (11, 88, 22, 0)),
-        ("grid:2x3", 6, "combined", True, 2, 59, (15, 114, 27, 1)),
-        ("grid:2x3", 6, "combined", True, 8, 59, (32, 202, 83, 1)),
+        ("grid:2x3", 6, "combined", True, 2, 59, (14, 108, 27, 1)),
+        ("grid:2x3", 6, "combined", True, 8, 59, (28, 176, 82, 1)),
     ])
     def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
         config = CONFIGS[objective](layered=layered, beam_width=width)
@@ -1189,22 +1265,22 @@ class TestSearchPinned:
                              "counts", [
         ("linear:5", 5, "depth", False, 62, "incumbent", 53, (62, 222, 61, 23)),
         ("linear:5", 5, "depth", True, 39, "incumbent", 53, (39, 140, 33, 10)),
-        ("linear:5", 5, "swaps", False, 35, "incumbent", 1, (35, 76, 14, 2)),
-        ("linear:5", 5, "swaps", True, 27, "incumbent", 1, (27, 67, 13, 2)),
-        ("linear:5", 5, "combined", False, 62, "incumbent", 63, (62, 204, 79, 5)),
-        ("linear:5", 5, "combined", True, 39, "incumbent", 63, (39, 132, 41, 2)),
+        ("linear:5", 5, "swaps", False, 16, "incumbent", 1, (16, 39, 6, 1)),
+        ("linear:5", 5, "swaps", True, 14, "incumbent", 1, (14, 37, 6, 1)),
+        ("linear:5", 5, "combined", False, 44, "incumbent", 63, (44, 169, 50, 4)),
+        ("linear:5", 5, "combined", True, 30, "incumbent", 63, (30, 113, 29, 3)),
         ("grid:2x3", 6, "depth", False, 158, "incumbent", 45, (158, 889, 402, 9)),
         ("grid:2x3", 6, "depth", True, 118, "incumbent", 45, (118, 660, 262, 21)),
-        ("grid:2x3", 6, "swaps", False, 36, "incumbent", 1, (36, 204, 88, 1)),
+        ("grid:2x3", 6, "swaps", False, 27, "incumbent", 1, (27, 149, 61, 1)),
         ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 158, "incumbent", 59, (158, 870, 460, 8)),
-        ("grid:2x3", 6, "combined", True, 91, "incumbent", 59, (91, 514, 203, 12)),
+        ("grid:2x3", 6, "combined", False, 116, "incumbent", 59, (116, 681, 355, 1)),
+        ("grid:2x3", 6, "combined", True, 64, "incumbent", 59, (64, 380, 151, 8)),
         ("y:6", 6, "depth", False, 626, "timeout", None, (621, 1982, 1524, 49)),
         ("y:6", 6, "depth", True, 346, "timeout", None, (322, 1037, 678, 45)),
-        ("y:6", 6, "swaps", False, 134, "timeout", None, (131, 452, 247, 7)),
-        ("y:6", 6, "swaps", True, 55, "incumbent", 2, (55, 183, 78, 4)),
-        ("y:6", 6, "combined", False, 361, "timeout", None, (358, 1248, 841, 34)),
-        ("y:6", 6, "combined", True, 166, "incumbent", 84, (166, 646, 285, 32)),
+        ("y:6", 6, "swaps", False, 60, "timeout", None, (59, 249, 96, 12)),
+        ("y:6", 6, "swaps", True, 38, "incumbent", 2, (38, 129, 79, 6)),
+        ("y:6", 6, "combined", False, 278, "timeout", None, (275, 953, 711, 10)),
+        ("y:6", 6, "combined", True, 120, "incumbent", 84, (120, 470, 219, 17)),
     ])
     def test_time_limited_incumbent(self, monkeypatch, topology, qubits, objective, layered,
                                     limit, status, value, counts):
