@@ -1142,6 +1142,14 @@ HEAP_DIGESTS = {
 STAR_HEAP_DIGEST = "cfe17efe248253ccedde8633ebc933baf179493c9c944089f5a649643ed298e0"
 
 
+def without_holes(monkeypatch):
+    """Take bound_swaps' hole term out of the search: the bound reads each
+    row with no holes, which leaves the swaps bound it had before the term."""
+    bound = solver.bound_swaps
+    monkeypatch.setattr(solver, "bound_swaps",
+                        lambda node, row, graph: bound(node, row[:3] + ((),), graph))
+
+
 def pinned_solve(topology, qubits, config):
     """(status, objective value, (expanded, inserted, pruned, replaced)) of
     a solve of the seed-0 random circuit with depth parameter 10."""
@@ -1178,9 +1186,11 @@ class TestSearchPinned:
     nodes (counts recorded before the table-driven bounds and the flat
     expansion loop; the combined rows before nodes dropped the depth map
     under the swaps objective; the beam and time-limited rows before the
-    incumbent was ranked by its heap key; every swaps and combined row
-    again when the swaps bound gained its hole term, a better bound that
-    changes the search but no optimum).  The exact rows also pin the
+    incumbent was ranked by its heap key).  When the swaps bound gained its
+    hole term, a better bound that changes the search but no optimum, the
+    swaps and combined exact rows were recorded again, and the beam and
+    time-limited rows kept, run without the term, beside rows of the search
+    with it.  The exact rows also pin the
     sequence of heap entries pushed, so that a reordering with equal counts
     fails too."""
 
@@ -1226,6 +1236,80 @@ class TestSearchPinned:
         ("linear:5", 5, "depth", True, 1, 183, (23, 77, 14, 0)),
         ("linear:5", 5, "depth", True, 2, 74, (22, 80, 15, 0)),
         ("linear:5", 5, "depth", True, 8, 53, (39, 140, 33, 10)),
+        ("linear:5", 5, "swaps", False, 1, 4, (14, 32, 5, 0)),
+        ("linear:5", 5, "swaps", False, 2, 5, (24, 52, 9, 1)),
+        ("linear:5", 5, "swaps", False, 8, 1, (35, 76, 14, 2)),
+        ("linear:5", 5, "swaps", True, 1, 5, (15, 34, 5, 0)),
+        ("linear:5", 5, "swaps", True, 2, 5, (24, 55, 6, 1)),
+        ("linear:5", 5, "swaps", True, 8, 1, (27, 67, 13, 2)),
+        ("linear:5", 5, "combined", False, 1, 320, (23, 73, 13, 0)),
+        ("linear:5", 5, "combined", False, 2, 181, (28, 95, 12, 1)),
+        ("linear:5", 5, "combined", False, 8, 79, (47, 164, 31, 2)),
+        ("linear:5", 5, "combined", True, 1, 278, (21, 72, 11, 0)),
+        ("linear:5", 5, "combined", True, 2, 208, (28, 91, 13, 1)),
+        ("linear:5", 5, "combined", True, 8, 63, (33, 119, 22, 2)),
+        ("grid:2x3", 6, "depth", False, 1, 45, (12, 103, 24, 0)),
+        ("grid:2x3", 6, "depth", False, 2, 59, (20, 159, 30, 1)),
+        ("grid:2x3", 6, "depth", False, 8, 45, (54, 396, 99, 3)),
+        ("grid:2x3", 6, "depth", True, 1, 137, (25, 159, 38, 0)),
+        ("grid:2x3", 6, "depth", True, 2, 85, (30, 197, 45, 0)),
+        ("grid:2x3", 6, "depth", True, 8, 50, (54, 330, 115, 2)),
+        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 22, 0)),
+        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 58, 24, 0)),
+        ("grid:2x3", 6, "swaps", False, 8, 1, (33, 187, 75, 1)),
+        ("grid:2x3", 6, "swaps", True, 1, 1, (11, 46, 22, 0)),
+        ("grid:2x3", 6, "swaps", True, 2, 1, (12, 53, 25, 0)),
+        ("grid:2x3", 6, "swaps", True, 8, 1, (18, 66, 72, 0)),
+        ("grid:2x3", 6, "combined", False, 1, 59, (11, 98, 22, 0)),
+        ("grid:2x3", 6, "combined", False, 2, 59, (15, 129, 23, 0)),
+        ("grid:2x3", 6, "combined", False, 8, 59, (43, 348, 67, 1)),
+        ("grid:2x3", 6, "combined", True, 1, 59, (11, 88, 22, 0)),
+        ("grid:2x3", 6, "combined", True, 2, 59, (15, 114, 27, 1)),
+        ("grid:2x3", 6, "combined", True, 8, 59, (32, 202, 83, 1)),
+    ])
+    def test_beam_counts(self, monkeypatch, topology, qubits, objective, layered, width, value,
+                         counts):
+        # Recorded before the swaps bound had its hole term: with the term
+        # taken out the search is that search exactly, so the placement-aware
+        # rows change no search by themselves.  A depth row never calls
+        # bound_swaps.
+        without_holes(monkeypatch)
+        config = CONFIGS[objective](layered=layered, beam_width=width)
+        assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, limit, status, value, "
+                             "counts", [
+        ("linear:5", 5, "depth", False, 62, "incumbent", 53, (62, 222, 61, 23)),
+        ("linear:5", 5, "depth", True, 39, "incumbent", 53, (39, 140, 33, 10)),
+        ("linear:5", 5, "swaps", False, 35, "incumbent", 1, (35, 76, 14, 2)),
+        ("linear:5", 5, "swaps", True, 27, "incumbent", 1, (27, 67, 13, 2)),
+        ("linear:5", 5, "combined", False, 62, "incumbent", 63, (62, 204, 79, 5)),
+        ("linear:5", 5, "combined", True, 39, "incumbent", 63, (39, 132, 41, 2)),
+        ("grid:2x3", 6, "depth", False, 158, "incumbent", 45, (158, 889, 402, 9)),
+        ("grid:2x3", 6, "depth", True, 118, "incumbent", 45, (118, 660, 262, 21)),
+        ("grid:2x3", 6, "swaps", False, 36, "incumbent", 1, (36, 204, 88, 1)),
+        ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
+        ("grid:2x3", 6, "combined", False, 158, "incumbent", 59, (158, 870, 460, 8)),
+        ("grid:2x3", 6, "combined", True, 91, "incumbent", 59, (91, 514, 203, 12)),
+        ("y:6", 6, "depth", False, 626, "timeout", None, (621, 1982, 1524, 49)),
+        ("y:6", 6, "depth", True, 346, "timeout", None, (322, 1037, 678, 45)),
+        ("y:6", 6, "swaps", False, 134, "timeout", None, (131, 452, 247, 7)),
+        ("y:6", 6, "swaps", True, 55, "incumbent", 2, (55, 183, 78, 4)),
+        ("y:6", 6, "combined", False, 361, "timeout", None, (358, 1248, 841, 34)),
+        ("y:6", 6, "combined", True, 166, "incumbent", 84, (166, 646, 285, 32)),
+    ])
+    def test_time_limited_incumbent(self, monkeypatch, topology, qubits, objective, layered,
+                                    limit, status, value, counts):
+        # A clock that ticks once per reading stops the search after `limit`
+        # turns of its loop, the full run's expansions: the run ends on the
+        # incumbent it holds, or on no schedule at all.  Recorded, like the
+        # beam rows, before the hole term, and run without it.
+        without_holes(monkeypatch)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=itertools.count().__next__))
+        config = CONFIGS[objective](layered=layered, time_limit=limit)
+        assert pinned_solve(topology, qubits, config) == (status, value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
         ("linear:5", 5, "swaps", False, 1, 5, (15, 42, 7, 0)),
         ("linear:5", 5, "swaps", False, 2, 1, (16, 39, 6, 1)),
         ("linear:5", 5, "swaps", False, 8, 1, (16, 39, 6, 1)),
@@ -1238,12 +1322,6 @@ class TestSearchPinned:
         ("linear:5", 5, "combined", True, 1, 168, (16, 63, 10, 0)),
         ("linear:5", 5, "combined", True, 2, 79, (17, 72, 10, 1)),
         ("linear:5", 5, "combined", True, 8, 63, (28, 109, 27, 2)),
-        ("grid:2x3", 6, "depth", False, 1, 45, (12, 103, 24, 0)),
-        ("grid:2x3", 6, "depth", False, 2, 59, (20, 159, 30, 1)),
-        ("grid:2x3", 6, "depth", False, 8, 45, (54, 396, 99, 3)),
-        ("grid:2x3", 6, "depth", True, 1, 137, (25, 159, 38, 0)),
-        ("grid:2x3", 6, "depth", True, 2, 85, (30, 197, 45, 0)),
-        ("grid:2x3", 6, "depth", True, 8, 50, (54, 330, 115, 2)),
         ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 21, 0)),
         ("grid:2x3", 6, "swaps", False, 2, 1, (12, 59, 23, 0)),
         ("grid:2x3", 6, "swaps", False, 8, 1, (26, 147, 54, 1)),
@@ -1257,36 +1335,32 @@ class TestSearchPinned:
         ("grid:2x3", 6, "combined", True, 2, 59, (14, 108, 27, 1)),
         ("grid:2x3", 6, "combined", True, 8, 59, (28, 176, 82, 1)),
     ])
-    def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
+    def test_beam_counts_with_holes(self, topology, qubits, objective, layered, width, value,
+                                    counts):
+        # The swaps and combined beam rows of the search itself, hole term
+        # and all (the depth rows are those of test_beam_counts).
         config = CONFIGS[objective](layered=layered, beam_width=width)
         assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, limit, status, value, "
                              "counts", [
-        ("linear:5", 5, "depth", False, 62, "incumbent", 53, (62, 222, 61, 23)),
-        ("linear:5", 5, "depth", True, 39, "incumbent", 53, (39, 140, 33, 10)),
         ("linear:5", 5, "swaps", False, 16, "incumbent", 1, (16, 39, 6, 1)),
         ("linear:5", 5, "swaps", True, 14, "incumbent", 1, (14, 37, 6, 1)),
         ("linear:5", 5, "combined", False, 44, "incumbent", 63, (44, 169, 50, 4)),
         ("linear:5", 5, "combined", True, 30, "incumbent", 63, (30, 113, 29, 3)),
-        ("grid:2x3", 6, "depth", False, 158, "incumbent", 45, (158, 889, 402, 9)),
-        ("grid:2x3", 6, "depth", True, 118, "incumbent", 45, (118, 660, 262, 21)),
         ("grid:2x3", 6, "swaps", False, 27, "incumbent", 1, (27, 149, 61, 1)),
         ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
         ("grid:2x3", 6, "combined", False, 116, "incumbent", 59, (116, 681, 355, 1)),
         ("grid:2x3", 6, "combined", True, 64, "incumbent", 59, (64, 380, 151, 8)),
-        ("y:6", 6, "depth", False, 626, "timeout", None, (621, 1982, 1524, 49)),
-        ("y:6", 6, "depth", True, 346, "timeout", None, (322, 1037, 678, 45)),
         ("y:6", 6, "swaps", False, 60, "timeout", None, (59, 249, 96, 12)),
         ("y:6", 6, "swaps", True, 38, "incumbent", 2, (38, 129, 79, 6)),
         ("y:6", 6, "combined", False, 278, "timeout", None, (275, 953, 711, 10)),
         ("y:6", 6, "combined", True, 120, "incumbent", 84, (120, 470, 219, 17)),
     ])
-    def test_time_limited_incumbent(self, monkeypatch, topology, qubits, objective, layered,
-                                    limit, status, value, counts):
-        # A clock that ticks once per reading stops the search after `limit`
-        # turns of its loop, the full run's expansions: the run ends on the
-        # incumbent it holds, or on no schedule at all.
+    def test_time_limited_incumbent_with_holes(self, monkeypatch, topology, qubits, objective,
+                                               layered, limit, status, value, counts):
+        # As test_time_limited_incumbent, on the search itself, hole term and
+        # all; `limit` is this search's full-run expansions.
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=itertools.count().__next__))
         config = CONFIGS[objective](layered=layered, time_limit=limit)
         assert pinned_solve(topology, qubits, config) == (status, value, counts)
