@@ -1,7 +1,7 @@
 """Hardware connectivity graphs.
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
-all-pairs hop distances, each node's nodes nearest first, enumeration of
+hop distances, each node's nodes nearest first, enumeration of
 minimal (chordless) paths between node pairs, cached per unordered pair,
 and the graph's automorphisms.
 A path is minimal when no subset of its nodes can be removed and still
@@ -11,6 +11,7 @@ nodes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Iterator
@@ -32,8 +33,9 @@ class HardwareError(ValueError):
 class HardwareGraph:
     """Undirected connected graph over nodes 1..num_nodes.
 
-    Immutable after construction except the nearest-first, minimal-path and
-    automorphism caches, which are filled lazily and idempotently.
+    Immutable after construction except the distance table and the
+    nearest-first, minimal-path and automorphism caches, which are filled
+    lazily and idempotently.
     """
 
     def __init__(self, num_nodes: int, edges):
@@ -51,12 +53,12 @@ class HardwareGraph:
             raise HardwareError("hardware graph must be connected")
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
         self._adj: dict[int, list[int]] = {v: [] for v in range(1, num_nodes + 1)}
-        for v, w in self.edges:
+        for v, w in self.edges:         # sorted, so every list comes out sorted
             self._adj[v].append(w)
             self._adj[w].append(v)
-        for v in self._adj:
-            self._adj[v].sort()
-        self.dist = self._all_pairs_distance()
+        self._hops = list(range(num_nodes + 1))
+        if len(self._bfs(1)[0]) != num_nodes:
+            raise HardwareError("hardware graph must be connected")
         self._nearest: dict[int, tuple[int, ...]] = {}
         self._path_cache: dict[tuple[int, int], list[tuple[int, ...]] | None] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
@@ -65,40 +67,41 @@ class HardwareGraph:
         return self._adj[v]
 
     def has_edge(self, v: int, w: int) -> bool:
-        n = self.num_nodes      # range first: a schedule's -1 must not read dist[-1]
-        return 1 <= v <= n and 1 <= w <= n and self.dist[v][w] == 1
+        return w in self._adj.get(v, ())
 
-    def _all_pairs_distance(self) -> list[list[int]]:
-        """Hop distances by BFS from every node: `dist[v][w]` for nodes v, w
-        (row and column 0 unused).  One list per row, each entry one of the
-        shared ints in `hops`, keeps a long line's table at a pointer an entry."""
-        n, adj = self.num_nodes, self._adj
-        hops = list(range(n + 1))
-        dist: list[list[int]] = [[]]
-        for s in range(1, n + 1):
-            d = [-1] * (n + 1)
-            d[s] = 0
-            queue = [s]
-            for v in queue:             # the queue grows while it is read
-                dw = hops[d[v] + 1]
-                for w in adj[v]:
-                    if d[w] < 0:
-                        d[w] = dw
-                        queue.append(w)
-            if len(queue) != n:
-                raise HardwareError("hardware graph must be connected")
-            dist.append(d)
-        return dist
+    def _bfs(self, s: int) -> tuple[list[int], list[int]]:
+        """The nodes in BFS order from s over the sorted adjacency lists, and
+        the row of hop distances from s (-1 at index 0).  Each entry is one of
+        the shared ints in `_hops`, so a long line's table costs a pointer an
+        entry."""
+        adj, hops = self._adj, self._hops
+        d = [-1] * (self.num_nodes + 1)
+        d[s] = 0
+        order = [s]
+        for v in order:                 # the queue grows while it is read
+            dw = hops[d[v] + 1]
+            for w in adj[v]:
+                if d[w] < 0:
+                    d[w] = dw
+                    order.append(w)
+        return order, d
+
+    @functools.cached_property
+    def dist(self) -> list[list[int]]:
+        """Hop distances: `dist[v][w]` for nodes v, w (row 0 empty, column 0
+        -1).  Built on the first read, one BFS per node; only the search's
+        bounds read it, so building, validating against or generating for a
+        graph costs no O(n^2) table."""
+        return [[]] + [self._bfs(s)[1] for s in range(1, self.num_nodes + 1)]
 
     def nearest_first(self, v: int) -> tuple[int, ...]:
-        """The nodes other than v by hop distance from v, nearest first, ties
-        by number.  Sorted on the first call for v and cached, so a node no
-        search reaches costs nothing."""
+        """The nodes other than v in BFS order from v, so nearest first.
+        Found on the first call for v and cached, so a node no search reaches
+        costs nothing."""
         try:
             return self._nearest[v]
         except KeyError:
-            order = sorted(range(1, self.num_nodes + 1), key=self.dist[v].__getitem__)
-        order = self._nearest[v] = tuple(order[1:])     # v itself, the one at distance 0
+            order = self._nearest[v] = tuple(self._bfs(v)[0][1:])
         return order
 
     def minimal_paths(self, v: int, w: int):
@@ -121,41 +124,37 @@ class HardwareGraph:
         return paths
 
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """Non-identity node permutations that preserve every hop distance,
-        at most AUTOMORPHISM_CAP of them, in a fixed order.
+        """Non-identity node permutations that preserve adjacency, at most
+        AUTOMORPHISM_CAP of them, in a fixed order.
 
         Each is a tuple `sigma` over 0..num_nodes with `sigma[v]` the image of
         node v and `sigma[0] == 0`, so `sigma[a]` maps an assignment entry
         (0 = unassigned) too.  Found by backtracking over the nodes in BFS
         order from node 1: a node's candidate images are the unused nodes of
-        its degree, adjacent to its BFS parent's image, whose distances to
-        every node mapped so far agree.  Computed on the first call, cached.
+        its degree whose used neighbours are exactly the images of its mapped
+        neighbours, tried in increasing order.  So a complete map preserves
+        every edge and non-edge, and the maps come out in lexicographic order
+        of their images along the BFS order.  Computed on the first call,
+        cached.
         """
         if self._automorphisms is None:
             self._automorphisms = self._find_automorphisms()
         return self._automorphisms
 
     def _find_automorphisms(self) -> list[tuple[int, ...]]:
-        n, dist, adj = self.num_nodes, self.dist, self._adj
-        order, parent = [1], {1: 0}     # BFS order from node 1, BFS tree parents
-        for v in order:
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        image = [0] * (n + 1)
-        used = [False] * (n + 1)
+        n, adj = self.num_nodes, self._adj
+        order = self._bfs(1)[0]
+        image, used = [0] * (n + 1), [False] * (n + 1)
         identity = tuple(range(n + 1))
         found: list[tuple[int, ...]] = []
 
-        def candidates(k):
+        def candidates(k):          # runs on the first `next`, with order[:k] mapped
             v = order[k]
-            dv, mapped = dist[v], order[:k]
-            pool = range(1, n + 1) if k == 0 else adj[image[parent[v]]]
-            for u in pool:
-                du = dist[u]
-                if (not used[u] and len(adj[u]) == len(adj[v])
-                        and all(du[image[m]] == dv[m] for m in mapped)):
+            deg, images = len(adj[v]), sorted(image[m] for m in adj[v] if image[m])
+            # Past node 1 v's BFS parent is mapped; a candidate neighbours each image.
+            for u in (adj[images[0]] if images else range(1, n + 1)):
+                au = adj[u]
+                if not used[u] and len(au) == deg and [x for x in au if used[x]] == images:
                     yield u
 
         # Iterative depth-first search: levels[k] yields order[k]'s images.

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from qmproute import hardware
+from qmproute.circuit import Circuit, GateSpec
 from qmproute.hardware import (AUTOMORPHISM_CAP, HardwareError, HardwareGraph,
                                parse_graph, parse_topology)
+from qmproute.schedule import Schedule, ScheduledOp, validate
 
 from conftest import UNDECODABLE
 
@@ -122,6 +124,26 @@ class TestDistances:
         with pytest.raises(HardwareError, match="connected"):
             HardwareGraph(4, [(1, 2), (3, 4)])
 
+    def test_no_table_until_a_bound_reads_it(self):
+        # Edges, validation and automorphisms read adjacency only: on a
+        # 3,000-node line the table would hold 9 million entries.
+        circuit = Circuit(4, (GateSpec(1, (1, 2), 4), GateSpec(2, (3, 4), 4),
+                              GateSpec(3, (1, 3), 4)))
+        schedule = Schedule(ops=(ScheduledOp(1, (2, 1), 0, 4), ScheduledOp(2, (3, 4), 0, 4),
+                                 ScheduledOp(3, (2, 3), 4, 4)), swap_duration=1)
+        tracemalloc.start()
+        try:
+            g = parse_topology("linear:3000")
+            assert all(g.has_edge(v, w) and g.has_edge(w, v) for v, w in g.edges)
+            assert validate(schedule, circuit, g).ok
+            assert g.automorphisms() == [(0,) + tuple(range(3000, 0, -1))]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000     # mostly the automorphism search's 3,000 levels
+        assert "dist" not in vars(g)
+        assert g.dist is g.dist and g.dist[1][3000] == 2999
+
 
 class TestHasEdge:
     @pytest.mark.parametrize("spec", ["linear:4", "grid:2x3", "y:6"])
@@ -148,6 +170,27 @@ def small_connected_graphs(draw):
     if pairs:
         edges += draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
     return HardwareGraph(n, edges)
+
+
+def assert_nearest_first(g):
+    """nearest_first(v) lists every node but v once, in nondecreasing hop
+    distance from v (by networkx), and is cached."""
+    for v in range(1, g.num_nodes + 1):
+        order, d = g.nearest_first(v), nx.single_source_shortest_path_length(as_nx(g), v)
+        assert sorted(order) == [w for w in range(1, g.num_nodes + 1) if w != v]
+        assert all(d[a] <= d[b] for a, b in zip(order, order[1:]))
+        assert g.nearest_first(v) is order
+
+
+class TestNearestFirst:
+    @pytest.mark.parametrize("spec", ["linear:7", "grid:3x4", "grid:1x5", "y:8", "y:4"])
+    def test_standard_topologies(self, spec):
+        assert_nearest_first(parse_topology(spec))
+
+    @given(small_connected_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, g):
+        assert_nearest_first(g)
 
 
 class TestMinimalPaths:

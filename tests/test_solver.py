@@ -837,6 +837,43 @@ class TestBounds:
         assert best.status == "optimal"
         assert bound_swaps(node, search.rows[node.progress], graph) <= best.swap_count
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_depth_and_combined_bounds_admissible_inside(self, data):
+        # As above under a depth weight, alone and with a SWAP weight, with
+        # varied gate and SWAP durations: an interior node's scaled bound is
+        # at most the objective of its best completion.  A SWAP duration of
+        # 0 is left out: a store-less search can then take free SWAPs for a
+        # long time.
+        n = data.draw(st.integers(4, 5))
+        line = [(v - 1, v) for v in range(2, n + 1)]
+        edges = data.draw(st.sampled_from([
+            line, line + [(n, 1)], [(1, v) for v in range(2, n + 1)],
+            list(itertools.combinations(range(1, n + 1), 2)), None]))
+        if edges is None:       # a random tree
+            edges = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        graph = HardwareGraph(n, edges)
+        k = data.draw(st.integers(3, n))
+        pairs = st.sampled_from(list(itertools.permutations(range(1, k + 1), 2)))
+        gates = data.draw(st.lists(st.tuples(pairs, st.integers(1, 5)), min_size=2, max_size=6))
+        circuit = Circuit(k, tuple(GateSpec(i, pq, d) for i, (pq, d) in enumerate(gates, 1)))
+        config = data.draw(st.sampled_from([depth_config, lambda **kw: SolverConfig(
+            w_depth=1, w_swaps=Fraction(1, 2), **kw)]))
+        search = _Search(circuit, graph, config(swap_duration=data.draw(st.integers(1, 6)),
+                                                layered=data.draw(st.booleans())))
+        node, inside = search.root(), []
+        for pick in data.draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8)):
+            children = built(search, node)
+            node = children[pick % len(children)]
+            if node.num_scheduled == len(gates):
+                break
+            inside.append(node)
+        node = data.draw(st.sampled_from(inside))     # the root's children are all inside
+        search.root = lambda: node
+        best = _run(search, None, time.monotonic(), None)
+        assert best.status == "optimal"
+        assert search.bound(node) <= search.scale * best.objective_value
+
 
 class TestProgressMemos:
     """What a progress vector alone decides is derived once per search,
