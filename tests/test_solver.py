@@ -1127,10 +1127,8 @@ class TestSymmetry:
         assert b.objective_value >= a.objective_value
 
     def test_asymmetric_graph_counts_unchanged(self):
-        # A graph with no automorphism but the identity searches exactly
-        # the nodes it searched before the store merged automorphic states
-        # (counts measured then; the swaps counts re-recorded when the swaps
-        # bound gained its hole term, which changes the search).
+        # A graph with no automorphism but the identity, where the store
+        # keys each state by itself: the search with no symmetry to merge.
         graph = HardwareGraph(7, [(1, 4), (1, 5), (2, 3), (2, 4), (2, 7), (3, 6),
                                   (4, 5), (5, 6)])
         circuit = gen_random_circuit(InstanceSpec("linear:7", 6, 10, 0))
@@ -1156,35 +1154,7 @@ def heap_digest(monkeypatch):
     return lambda: hashlib.sha256(repr(pushed).encode()).hexdigest()
 
 
-# The sha256 of each exact pinned row's pushed heap entries (`heap_digest`),
-# recorded before children were built and probed in one pass (the swaps
-# and combined rows when the swaps bound gained its hole term).
-HEAP_DIGESTS = {
-    ("linear:5", "depth", False): "865883d2324818c4b9256a6f09a9d1296655a65caf3ca220bd8405b8f16a5c02",
-    ("linear:5", "depth", True): "860ef3471d5b418aae2f281546a508869bce4b356b73c4782c3524c8620a0d9b",
-    ("linear:5", "swaps", False): "2336f4e9d6cbe004d7b86488c692e96691dd458f19c2b55f0c879d6d876385a6",
-    ("linear:5", "swaps", True): "d711bfabe2c9b386ac4302471b168c93b9054a7fef05829d298e6f9e33ce6051",
-    ("grid:2x3", "depth", False): "a9e71d3f073e2da6704c71646fae3aa7a161c6bd20cde9dacb403fb23be4373f",
-    ("grid:2x3", "depth", True): "2c1461e8ac9106204f42cdfa57f66e0abe1c57db3e073d72527de4ae17b56939",
-    ("grid:2x3", "swaps", False): "3649d525dd26fbc1db406f4afb686551997283c247944916175f031ecc00f186",
-    ("grid:2x3", "swaps", True): "696869bb5786ec2d9d1479e305047ada0e636ccab35cf1365c3b7523879586da",
-    ("y:6", "depth", False): "7a3291c2fbeb3d5afc7becfddc1b04c07bcb5733cf81e742a3a2b0557ea5f6b9",
-    ("y:6", "depth", True): "651b6c9a0425209dc3bdf45dafa43bc00fef55cdb26aed4018f245ec34a46267",
-    ("y:6", "swaps", False): "a56bda8bb024185e1cb65b6fae7e3d6559691dfbb1f3d2093b2f17094e696d3b",
-    ("y:6", "swaps", True): "04eb2deedd8a78144fa12fed99b855a1730ae40755c1fdde6a9b1806c57ff5d2",
-    ("linear:5", "combined", False): "d2c77ec3089cf0201bd258c5c4971273391c92aac9a0b843815e26cb00a8a830",
-    ("linear:5", "combined", True): "69593dd1c0e583582798a42b688e642e9d4a9bebe6d126e2b6f904fce14cd287",
-}
-
 STAR_HEAP_DIGEST = "cfe17efe248253ccedde8633ebc933baf179493c9c944089f5a649643ed298e0"
-
-
-def without_holes(monkeypatch):
-    """Take bound_swaps' hole term out of the search: the bound reads each
-    row with no holes, which leaves the swaps bound it had before the term."""
-    bound = solver.bound_swaps
-    monkeypatch.setattr(solver, "bound_swaps",
-                        lambda node, row, graph: bound(node, row[:3] + ((),), graph))
 
 
 def pinned_solve(topology, qubits, config):
@@ -1197,50 +1167,146 @@ def pinned_solve(topology, qubits, config):
             (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned, s.fronts_replaced))
 
 
-# The exact pinned rows: (topology, qubits, objective, layered, optimum,
-# (expanded, inserted, pruned, replaced)).
-EXACT_ROWS = [
-    ("linear:5", 5, "depth", False, 53, (62, 222, 61, 23)),
-    ("linear:5", 5, "depth", True, 53, (39, 140, 33, 10)),
-    ("linear:5", 5, "swaps", False, 1, (16, 39, 6, 1)),
-    ("linear:5", 5, "swaps", True, 1, (14, 37, 6, 1)),
-    ("grid:2x3", 6, "depth", False, 45, (158, 889, 402, 9)),
-    ("grid:2x3", 6, "depth", True, 45, (118, 660, 262, 21)),
-    ("grid:2x3", 6, "swaps", False, 1, (27, 149, 61, 1)),
-    ("grid:2x3", 6, "swaps", True, 1, (18, 66, 72, 0)),
-    ("y:6", 6, "depth", False, 64, (626, 2009, 1527, 49)),
-    ("y:6", 6, "depth", True, 64, (346, 1121, 718, 45)),
-    ("y:6", 6, "swaps", False, 2, (60, 250, 96, 12)),
-    ("y:6", 6, "swaps", True, 2, (38, 129, 79, 6)),
-    ("linear:5", 5, "combined", False, 63, (44, 169, 50, 4)),
-    ("linear:5", 5, "combined", True, 63, (30, 113, 29, 3)),
-]
+def pinned(table):
+    """A pinned table as pytest params, each its key's inputs and then its
+    expected values, with an id built from the key alone (as in
+    `grid:2x3-6-swaps-layered-8`), so that re-recording a row keeps its id."""
+    params = []
+    for key, expected in table.items():
+        topology, qubits, objective, layered, *width = key
+        name = [topology, str(qubits), objective, "layered" if layered else "plain", *map(str, width)]
+        params.append(pytest.param(*key, *expected, id="-".join(name)))
+    return params
+
+
+# The exact search: (topology, qubits, objective, layered) -> (optimum,
+# (expanded, inserted, pruned, replaced), sha256 of the pushed heap entries
+# as `heap_digest` gives it).
+EXACT_ROWS = {
+    ("linear:5", 5, "depth", False): (
+        53, (62, 222, 61, 23), "865883d2324818c4b9256a6f09a9d1296655a65caf3ca220bd8405b8f16a5c02"),
+    ("linear:5", 5, "depth", True): (
+        53, (39, 140, 33, 10), "860ef3471d5b418aae2f281546a508869bce4b356b73c4782c3524c8620a0d9b"),
+    ("linear:5", 5, "swaps", False): (
+        1, (16, 39, 6, 1), "2336f4e9d6cbe004d7b86488c692e96691dd458f19c2b55f0c879d6d876385a6"),
+    ("linear:5", 5, "swaps", True): (
+        1, (14, 37, 6, 1), "d711bfabe2c9b386ac4302471b168c93b9054a7fef05829d298e6f9e33ce6051"),
+    ("linear:5", 5, "combined", False): (
+        63, (44, 169, 50, 4), "d2c77ec3089cf0201bd258c5c4971273391c92aac9a0b843815e26cb00a8a830"),
+    ("linear:5", 5, "combined", True): (
+        63, (30, 113, 29, 3), "69593dd1c0e583582798a42b688e642e9d4a9bebe6d126e2b6f904fce14cd287"),
+    ("grid:2x3", 6, "depth", False): (
+        45, (158, 889, 402, 9), "a9e71d3f073e2da6704c71646fae3aa7a161c6bd20cde9dacb403fb23be4373f"),
+    ("grid:2x3", 6, "depth", True): (
+        45, (118, 660, 262, 21), "2c1461e8ac9106204f42cdfa57f66e0abe1c57db3e073d72527de4ae17b56939"),
+    ("grid:2x3", 6, "swaps", False): (
+        1, (27, 149, 61, 1), "3649d525dd26fbc1db406f4afb686551997283c247944916175f031ecc00f186"),
+    ("grid:2x3", 6, "swaps", True): (
+        1, (18, 66, 72, 0), "696869bb5786ec2d9d1479e305047ada0e636ccab35cf1365c3b7523879586da"),
+    ("grid:2x3", 6, "combined", False): (
+        59, (116, 681, 355, 1), "f980e3da7269aecef74ffa4cf43ec9e4533317d275da51eb24078d7a4e7138eb"),
+    ("grid:2x3", 6, "combined", True): (
+        59, (64, 380, 151, 8), "f3723f9cd7b83503b22cccc0b0f1495c9fb1d692404226d818f85a96bc61bab8"),
+    ("y:6", 6, "depth", False): (
+        64, (626, 2009, 1527, 49), "7a3291c2fbeb3d5afc7becfddc1b04c07bcb5733cf81e742a3a2b0557ea5f6b9"),
+    ("y:6", 6, "depth", True): (
+        64, (346, 1121, 718, 45), "651b6c9a0425209dc3bdf45dafa43bc00fef55cdb26aed4018f245ec34a46267"),
+    ("y:6", 6, "swaps", False): (
+        2, (60, 250, 96, 12), "a56bda8bb024185e1cb65b6fae7e3d6559691dfbb1f3d2093b2f17094e696d3b"),
+    ("y:6", 6, "swaps", True): (
+        2, (38, 129, 79, 6), "04eb2deedd8a78144fa12fed99b855a1730ae40755c1fdde6a9b1806c57ff5d2"),
+    ("y:6", 6, "combined", False): (
+        84, (278, 972, 711, 10), "85f3f31745a9f35c3e6ff303e836ca276255b11a648e3b37cc150cceb17038ad"),
+    ("y:6", 6, "combined", True): (
+        84, (120, 470, 219, 17), "1d0bc27d60d1bd6291a689b0a0e0ef0f11598a668a3ad399291424dd7fe675e6"),
+}
+
+# The beam search: (topology, qubits, objective, layered, width) ->
+# (incumbent value, (expanded, inserted, pruned, replaced)).
+BEAM_ROWS = {
+    ("linear:5", 5, "depth", False, 1): (205, (22, 70, 13, 0)),
+    ("linear:5", 5, "depth", False, 2): (121, (25, 81, 14, 0)),
+    ("linear:5", 5, "depth", False, 8): (53, (62, 222, 61, 23)),
+    ("linear:5", 5, "depth", True, 1): (183, (23, 77, 14, 0)),
+    ("linear:5", 5, "depth", True, 2): (74, (22, 80, 15, 0)),
+    ("linear:5", 5, "depth", True, 8): (53, (39, 140, 33, 10)),
+    ("linear:5", 5, "swaps", False, 1): (5, (15, 42, 7, 0)),
+    ("linear:5", 5, "swaps", False, 2): (1, (16, 39, 6, 1)),
+    ("linear:5", 5, "swaps", False, 8): (1, (16, 39, 6, 1)),
+    ("linear:5", 5, "swaps", True, 1): (11, (21, 62, 6, 0)),
+    ("linear:5", 5, "swaps", True, 2): (1, (14, 37, 6, 1)),
+    ("linear:5", 5, "swaps", True, 8): (1, (14, 37, 6, 1)),
+    ("linear:5", 5, "combined", False, 1): (200, (17, 68, 10, 0)),
+    ("linear:5", 5, "combined", False, 2): (79, (19, 83, 10, 1)),
+    ("linear:5", 5, "combined", False, 8): (69, (29, 121, 20, 1)),
+    ("linear:5", 5, "combined", True, 1): (168, (16, 63, 10, 0)),
+    ("linear:5", 5, "combined", True, 2): (79, (17, 72, 10, 1)),
+    ("linear:5", 5, "combined", True, 8): (63, (28, 109, 27, 2)),
+    ("grid:2x3", 6, "depth", False, 1): (45, (12, 103, 24, 0)),
+    ("grid:2x3", 6, "depth", False, 2): (59, (20, 159, 30, 1)),
+    ("grid:2x3", 6, "depth", False, 8): (45, (54, 396, 99, 3)),
+    ("grid:2x3", 6, "depth", True, 1): (137, (25, 159, 38, 0)),
+    ("grid:2x3", 6, "depth", True, 2): (85, (30, 197, 45, 0)),
+    ("grid:2x3", 6, "depth", True, 8): (50, (54, 330, 115, 2)),
+    ("grid:2x3", 6, "swaps", False, 1): (1, (11, 52, 21, 0)),
+    ("grid:2x3", 6, "swaps", False, 2): (1, (12, 59, 23, 0)),
+    ("grid:2x3", 6, "swaps", False, 8): (1, (26, 147, 54, 1)),
+    ("grid:2x3", 6, "swaps", True, 1): (1, (11, 46, 22, 0)),
+    ("grid:2x3", 6, "swaps", True, 2): (1, (12, 53, 25, 0)),
+    ("grid:2x3", 6, "swaps", True, 8): (1, (18, 66, 72, 0)),
+    ("grid:2x3", 6, "combined", False, 1): (59, (11, 97, 22, 0)),
+    ("grid:2x3", 6, "combined", False, 2): (59, (16, 137, 23, 0)),
+    ("grid:2x3", 6, "combined", False, 8): (59, (34, 267, 76, 1)),
+    ("grid:2x3", 6, "combined", True, 1): (59, (11, 88, 22, 0)),
+    ("grid:2x3", 6, "combined", True, 2): (59, (14, 108, 27, 1)),
+    ("grid:2x3", 6, "combined", True, 8): (59, (28, 176, 82, 1)),
+}
+
+# The exact search stopped by its clock after as many turns of its loop as
+# the exact row of the same key expands: (topology, qubits, objective,
+# layered) -> (status, incumbent value, (expanded, inserted, pruned, replaced)).
+TIME_LIMITED_ROWS = {
+    ("linear:5", 5, "depth", False): ("incumbent", 53, (62, 222, 61, 23)),
+    ("linear:5", 5, "depth", True): ("incumbent", 53, (39, 140, 33, 10)),
+    ("linear:5", 5, "swaps", False): ("incumbent", 1, (16, 39, 6, 1)),
+    ("linear:5", 5, "swaps", True): ("incumbent", 1, (14, 37, 6, 1)),
+    ("linear:5", 5, "combined", False): ("incumbent", 63, (44, 169, 50, 4)),
+    ("linear:5", 5, "combined", True): ("incumbent", 63, (30, 113, 29, 3)),
+    ("grid:2x3", 6, "depth", False): ("incumbent", 45, (158, 889, 402, 9)),
+    ("grid:2x3", 6, "depth", True): ("incumbent", 45, (118, 660, 262, 21)),
+    ("grid:2x3", 6, "swaps", False): ("incumbent", 1, (27, 149, 61, 1)),
+    ("grid:2x3", 6, "swaps", True): ("incumbent", 1, (18, 66, 72, 0)),
+    ("grid:2x3", 6, "combined", False): ("incumbent", 59, (116, 681, 355, 1)),
+    ("grid:2x3", 6, "combined", True): ("incumbent", 59, (64, 380, 151, 8)),
+    ("y:6", 6, "depth", False): ("timeout", None, (621, 1982, 1524, 49)),
+    ("y:6", 6, "depth", True): ("timeout", None, (322, 1037, 678, 45)),
+    ("y:6", 6, "swaps", False): ("timeout", None, (59, 249, 96, 12)),
+    ("y:6", 6, "swaps", True): ("incumbent", 2, (38, 129, 79, 6)),
+    ("y:6", 6, "combined", False): ("timeout", None, (275, 953, 711, 10)),
+    ("y:6", 6, "combined", True): ("incumbent", 84, (120, 470, 219, 17)),
+}
 
 
 class TestSearchPinned:
     """The search itself, not only its answers: a change that only makes
-    the search faster must expand, insert, prune and replace exactly these
-    nodes (counts recorded before the table-driven bounds and the flat
-    expansion loop; the combined rows before nodes dropped the depth map
-    under the swaps objective; the beam and time-limited rows before the
-    incumbent was ranked by its heap key).  When the swaps bound gained its
-    hole term, a better bound that changes the search but no optimum, the
-    swaps and combined exact rows were recorded again, and the beam and
-    time-limited rows kept, run without the term, beside rows of the search
-    with it.  The exact rows also pin the
-    sequence of heap entries pushed, so that a reordering with equal counts
-    fails too."""
+    the search faster must expand, insert, prune and replace exactly the
+    nodes of these tables, one per kind of search (exact, beam and
+    time-limited).  The exact rows also pin the sequence of heap entries
+    pushed, so that a reordering with equal counts fails too."""
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", EXACT_ROWS)
-    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts):
-        digest = heap_digest(monkeypatch)
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts, digest",
+                             pinned(EXACT_ROWS))
+    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts,
+                    digest):
+        pushed = heap_digest(monkeypatch)
         config = CONFIGS[objective](layered=layered)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert digest() == HEAP_DIGESTS[topology, objective, layered]
+        assert pushed() == digest
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts", EXACT_ROWS)
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts, digest",
+                             pinned(EXACT_ROWS))
     def test_tuple_states_search_alike(self, monkeypatch, topology, qubits, objective, layered,
-                                       value, counts):
+                                       value, counts, digest):
         # These instances pack their states into bytes; with the byte limit
         # at 0 none fits, and the search keeps tuples.  Both must run the
         # same search: the same counts and the same heap entries.
@@ -1249,14 +1315,14 @@ class TestSearchPinned:
         assert _Search(circuit, graph, config).pack is bytes
         monkeypatch.setattr(solver, "BYTE_MAX", 0)
         assert _Search(circuit, graph, config).pack is tuple
-        digest = heap_digest(monkeypatch)
+        pushed = heap_digest(monkeypatch)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert digest() == HEAP_DIGESTS[topology, objective, layered]
+        assert pushed() == digest
 
     def test_symmetric_star_counts(self, monkeypatch):
         # A 6-node star, where a child is often fixed by a nontrivial
         # automorphism: the store compares it in the first frame attaining
-        # its class key only (counts and digest recorded then).
+        # its class key only.
         digest = heap_digest(monkeypatch)
         circuit = gen_random_circuit(InstanceSpec("linear:6", 5, 10, 0))
         r = solve(circuit, HardwareGraph(6, STAR6_EDGES), depth_config())
@@ -1266,138 +1332,20 @@ class TestSearchPinned:
                 s.fronts_replaced) == (486, 1244, 1185, 33)
         assert digest() == STAR_HEAP_DIGEST
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
-        ("linear:5", 5, "depth", False, 1, 205, (22, 70, 13, 0)),
-        ("linear:5", 5, "depth", False, 2, 121, (25, 81, 14, 0)),
-        ("linear:5", 5, "depth", False, 8, 53, (62, 222, 61, 23)),
-        ("linear:5", 5, "depth", True, 1, 183, (23, 77, 14, 0)),
-        ("linear:5", 5, "depth", True, 2, 74, (22, 80, 15, 0)),
-        ("linear:5", 5, "depth", True, 8, 53, (39, 140, 33, 10)),
-        ("linear:5", 5, "swaps", False, 1, 4, (14, 32, 5, 0)),
-        ("linear:5", 5, "swaps", False, 2, 5, (24, 52, 9, 1)),
-        ("linear:5", 5, "swaps", False, 8, 1, (35, 76, 14, 2)),
-        ("linear:5", 5, "swaps", True, 1, 5, (15, 34, 5, 0)),
-        ("linear:5", 5, "swaps", True, 2, 5, (24, 55, 6, 1)),
-        ("linear:5", 5, "swaps", True, 8, 1, (27, 67, 13, 2)),
-        ("linear:5", 5, "combined", False, 1, 320, (23, 73, 13, 0)),
-        ("linear:5", 5, "combined", False, 2, 181, (28, 95, 12, 1)),
-        ("linear:5", 5, "combined", False, 8, 79, (47, 164, 31, 2)),
-        ("linear:5", 5, "combined", True, 1, 278, (21, 72, 11, 0)),
-        ("linear:5", 5, "combined", True, 2, 208, (28, 91, 13, 1)),
-        ("linear:5", 5, "combined", True, 8, 63, (33, 119, 22, 2)),
-        ("grid:2x3", 6, "depth", False, 1, 45, (12, 103, 24, 0)),
-        ("grid:2x3", 6, "depth", False, 2, 59, (20, 159, 30, 1)),
-        ("grid:2x3", 6, "depth", False, 8, 45, (54, 396, 99, 3)),
-        ("grid:2x3", 6, "depth", True, 1, 137, (25, 159, 38, 0)),
-        ("grid:2x3", 6, "depth", True, 2, 85, (30, 197, 45, 0)),
-        ("grid:2x3", 6, "depth", True, 8, 50, (54, 330, 115, 2)),
-        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 22, 0)),
-        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 58, 24, 0)),
-        ("grid:2x3", 6, "swaps", False, 8, 1, (33, 187, 75, 1)),
-        ("grid:2x3", 6, "swaps", True, 1, 1, (11, 46, 22, 0)),
-        ("grid:2x3", 6, "swaps", True, 2, 1, (12, 53, 25, 0)),
-        ("grid:2x3", 6, "swaps", True, 8, 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 1, 59, (11, 98, 22, 0)),
-        ("grid:2x3", 6, "combined", False, 2, 59, (15, 129, 23, 0)),
-        ("grid:2x3", 6, "combined", False, 8, 59, (43, 348, 67, 1)),
-        ("grid:2x3", 6, "combined", True, 1, 59, (11, 88, 22, 0)),
-        ("grid:2x3", 6, "combined", True, 2, 59, (15, 114, 27, 1)),
-        ("grid:2x3", 6, "combined", True, 8, 59, (32, 202, 83, 1)),
-    ])
-    def test_beam_counts(self, monkeypatch, topology, qubits, objective, layered, width, value,
-                         counts):
-        # Recorded before the swaps bound had its hole term: with the term
-        # taken out the search is that search exactly, so the placement-aware
-        # rows change no search by themselves.  A depth row never calls
-        # bound_swaps.
-        without_holes(monkeypatch)
+    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
+                             pinned(BEAM_ROWS))
+    def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
         config = CONFIGS[objective](layered=layered, beam_width=width)
         assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, limit, status, value, "
-                             "counts", [
-        ("linear:5", 5, "depth", False, 62, "incumbent", 53, (62, 222, 61, 23)),
-        ("linear:5", 5, "depth", True, 39, "incumbent", 53, (39, 140, 33, 10)),
-        ("linear:5", 5, "swaps", False, 35, "incumbent", 1, (35, 76, 14, 2)),
-        ("linear:5", 5, "swaps", True, 27, "incumbent", 1, (27, 67, 13, 2)),
-        ("linear:5", 5, "combined", False, 62, "incumbent", 63, (62, 204, 79, 5)),
-        ("linear:5", 5, "combined", True, 39, "incumbent", 63, (39, 132, 41, 2)),
-        ("grid:2x3", 6, "depth", False, 158, "incumbent", 45, (158, 889, 402, 9)),
-        ("grid:2x3", 6, "depth", True, 118, "incumbent", 45, (118, 660, 262, 21)),
-        ("grid:2x3", 6, "swaps", False, 36, "incumbent", 1, (36, 204, 88, 1)),
-        ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 158, "incumbent", 59, (158, 870, 460, 8)),
-        ("grid:2x3", 6, "combined", True, 91, "incumbent", 59, (91, 514, 203, 12)),
-        ("y:6", 6, "depth", False, 626, "timeout", None, (621, 1982, 1524, 49)),
-        ("y:6", 6, "depth", True, 346, "timeout", None, (322, 1037, 678, 45)),
-        ("y:6", 6, "swaps", False, 134, "timeout", None, (131, 452, 247, 7)),
-        ("y:6", 6, "swaps", True, 55, "incumbent", 2, (55, 183, 78, 4)),
-        ("y:6", 6, "combined", False, 361, "timeout", None, (358, 1248, 841, 34)),
-        ("y:6", 6, "combined", True, 166, "incumbent", 84, (166, 646, 285, 32)),
-    ])
+    @pytest.mark.parametrize("topology, qubits, objective, layered, status, value, counts",
+                             pinned(TIME_LIMITED_ROWS))
     def test_time_limited_incumbent(self, monkeypatch, topology, qubits, objective, layered,
-                                    limit, status, value, counts):
-        # A clock that ticks once per reading stops the search after `limit`
-        # turns of its loop, the full run's expansions: the run ends on the
-        # incumbent it holds, or on no schedule at all.  Recorded, like the
-        # beam rows, before the hole term, and run without it.
-        without_holes(monkeypatch)
-        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=itertools.count().__next__))
-        config = CONFIGS[objective](layered=layered, time_limit=limit)
-        assert pinned_solve(topology, qubits, config) == (status, value, counts)
-
-    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts", [
-        ("linear:5", 5, "swaps", False, 1, 5, (15, 42, 7, 0)),
-        ("linear:5", 5, "swaps", False, 2, 1, (16, 39, 6, 1)),
-        ("linear:5", 5, "swaps", False, 8, 1, (16, 39, 6, 1)),
-        ("linear:5", 5, "swaps", True, 1, 11, (21, 62, 6, 0)),
-        ("linear:5", 5, "swaps", True, 2, 1, (14, 37, 6, 1)),
-        ("linear:5", 5, "swaps", True, 8, 1, (14, 37, 6, 1)),
-        ("linear:5", 5, "combined", False, 1, 200, (17, 68, 10, 0)),
-        ("linear:5", 5, "combined", False, 2, 79, (19, 83, 10, 1)),
-        ("linear:5", 5, "combined", False, 8, 69, (29, 121, 20, 1)),
-        ("linear:5", 5, "combined", True, 1, 168, (16, 63, 10, 0)),
-        ("linear:5", 5, "combined", True, 2, 79, (17, 72, 10, 1)),
-        ("linear:5", 5, "combined", True, 8, 63, (28, 109, 27, 2)),
-        ("grid:2x3", 6, "swaps", False, 1, 1, (11, 52, 21, 0)),
-        ("grid:2x3", 6, "swaps", False, 2, 1, (12, 59, 23, 0)),
-        ("grid:2x3", 6, "swaps", False, 8, 1, (26, 147, 54, 1)),
-        ("grid:2x3", 6, "swaps", True, 1, 1, (11, 46, 22, 0)),
-        ("grid:2x3", 6, "swaps", True, 2, 1, (12, 53, 25, 0)),
-        ("grid:2x3", 6, "swaps", True, 8, 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 1, 59, (11, 97, 22, 0)),
-        ("grid:2x3", 6, "combined", False, 2, 59, (16, 137, 23, 0)),
-        ("grid:2x3", 6, "combined", False, 8, 59, (34, 267, 76, 1)),
-        ("grid:2x3", 6, "combined", True, 1, 59, (11, 88, 22, 0)),
-        ("grid:2x3", 6, "combined", True, 2, 59, (14, 108, 27, 1)),
-        ("grid:2x3", 6, "combined", True, 8, 59, (28, 176, 82, 1)),
-    ])
-    def test_beam_counts_with_holes(self, topology, qubits, objective, layered, width, value,
-                                    counts):
-        # The swaps and combined beam rows of the search itself, hole term
-        # and all (the depth rows are those of test_beam_counts).
-        config = CONFIGS[objective](layered=layered, beam_width=width)
-        assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
-
-    @pytest.mark.parametrize("topology, qubits, objective, layered, limit, status, value, "
-                             "counts", [
-        ("linear:5", 5, "swaps", False, 16, "incumbent", 1, (16, 39, 6, 1)),
-        ("linear:5", 5, "swaps", True, 14, "incumbent", 1, (14, 37, 6, 1)),
-        ("linear:5", 5, "combined", False, 44, "incumbent", 63, (44, 169, 50, 4)),
-        ("linear:5", 5, "combined", True, 30, "incumbent", 63, (30, 113, 29, 3)),
-        ("grid:2x3", 6, "swaps", False, 27, "incumbent", 1, (27, 149, 61, 1)),
-        ("grid:2x3", 6, "swaps", True, 18, "incumbent", 1, (18, 66, 72, 0)),
-        ("grid:2x3", 6, "combined", False, 116, "incumbent", 59, (116, 681, 355, 1)),
-        ("grid:2x3", 6, "combined", True, 64, "incumbent", 59, (64, 380, 151, 8)),
-        ("y:6", 6, "swaps", False, 60, "timeout", None, (59, 249, 96, 12)),
-        ("y:6", 6, "swaps", True, 38, "incumbent", 2, (38, 129, 79, 6)),
-        ("y:6", 6, "combined", False, 278, "timeout", None, (275, 953, 711, 10)),
-        ("y:6", 6, "combined", True, 120, "incumbent", 84, (120, 470, 219, 17)),
-    ])
-    def test_time_limited_incumbent_with_holes(self, monkeypatch, topology, qubits, objective,
-                                               layered, limit, status, value, counts):
-        # As test_time_limited_incumbent, on the search itself, hole term and
-        # all; `limit` is this search's full-run expansions.
+                                    status, value, counts):
+        # A clock that ticks once per reading stops the search after as many
+        # turns of its loop as the exact run expands: the run ends on the
+        # incumbent it holds, or on no schedule at all.
+        _, (limit, *_), _ = EXACT_ROWS[topology, qubits, objective, layered]
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=itertools.count().__next__))
         config = CONFIGS[objective](layered=layered, time_limit=limit)
         assert pinned_solve(topology, qubits, config) == (status, value, counts)
