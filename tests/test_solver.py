@@ -1167,10 +1167,17 @@ def pinned_solve(topology, qubits, config):
             (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned, s.fronts_replaced))
 
 
+def rows(table, objectives=("depth", "swaps", "combined")):
+    """The rows of `objectives` in a pinned table as pytest params: each its
+    key's inputs and then its value and counts, which pytest's ids show."""
+    return [(*key, value, counts) for key, (value, counts, *_) in table.items()
+            if key[2] in objectives]
+
+
 def pinned(table):
     """A pinned table as pytest params, each its key's inputs and then its
     expected values, with an id built from the key alone (as in
-    `grid:2x3-6-swaps-layered-8`), so that re-recording a row keeps its id."""
+    `grid:2x3-6-swaps-layered`), so that re-recording a row keeps its id."""
     params = []
     for key, expected in table.items():
         topology, qubits, objective, layered, *width = key
@@ -1191,10 +1198,6 @@ EXACT_ROWS = {
         1, (16, 39, 6, 1), "2336f4e9d6cbe004d7b86488c692e96691dd458f19c2b55f0c879d6d876385a6"),
     ("linear:5", 5, "swaps", True): (
         1, (14, 37, 6, 1), "d711bfabe2c9b386ac4302471b168c93b9054a7fef05829d298e6f9e33ce6051"),
-    ("linear:5", 5, "combined", False): (
-        63, (44, 169, 50, 4), "d2c77ec3089cf0201bd258c5c4971273391c92aac9a0b843815e26cb00a8a830"),
-    ("linear:5", 5, "combined", True): (
-        63, (30, 113, 29, 3), "69593dd1c0e583582798a42b688e642e9d4a9bebe6d126e2b6f904fce14cd287"),
     ("grid:2x3", 6, "depth", False): (
         45, (158, 889, 402, 9), "a9e71d3f073e2da6704c71646fae3aa7a161c6bd20cde9dacb403fb23be4373f"),
     ("grid:2x3", 6, "depth", True): (
@@ -1203,10 +1206,6 @@ EXACT_ROWS = {
         1, (27, 149, 61, 1), "3649d525dd26fbc1db406f4afb686551997283c247944916175f031ecc00f186"),
     ("grid:2x3", 6, "swaps", True): (
         1, (18, 66, 72, 0), "696869bb5786ec2d9d1479e305047ada0e636ccab35cf1365c3b7523879586da"),
-    ("grid:2x3", 6, "combined", False): (
-        59, (116, 681, 355, 1), "f980e3da7269aecef74ffa4cf43ec9e4533317d275da51eb24078d7a4e7138eb"),
-    ("grid:2x3", 6, "combined", True): (
-        59, (64, 380, 151, 8), "f3723f9cd7b83503b22cccc0b0f1495c9fb1d692404226d818f85a96bc61bab8"),
     ("y:6", 6, "depth", False): (
         64, (626, 2009, 1527, 49), "7a3291c2fbeb3d5afc7becfddc1b04c07bcb5733cf81e742a3a2b0557ea5f6b9"),
     ("y:6", 6, "depth", True): (
@@ -1215,6 +1214,14 @@ EXACT_ROWS = {
         2, (60, 250, 96, 12), "a56bda8bb024185e1cb65b6fae7e3d6559691dfbb1f3d2093b2f17094e696d3b"),
     ("y:6", 6, "swaps", True): (
         2, (38, 129, 79, 6), "04eb2deedd8a78144fa12fed99b855a1730ae40755c1fdde6a9b1806c57ff5d2"),
+    ("linear:5", 5, "combined", False): (
+        63, (44, 169, 50, 4), "d2c77ec3089cf0201bd258c5c4971273391c92aac9a0b843815e26cb00a8a830"),
+    ("linear:5", 5, "combined", True): (
+        63, (30, 113, 29, 3), "69593dd1c0e583582798a42b688e642e9d4a9bebe6d126e2b6f904fce14cd287"),
+    ("grid:2x3", 6, "combined", False): (
+        59, (116, 681, 355, 1), "f980e3da7269aecef74ffa4cf43ec9e4533317d275da51eb24078d7a4e7138eb"),
+    ("grid:2x3", 6, "combined", True): (
+        59, (64, 380, 151, 8), "f3723f9cd7b83503b22cccc0b0f1495c9fb1d692404226d818f85a96bc61bab8"),
     ("y:6", 6, "combined", False): (
         84, (278, 972, 711, 10), "85f3f31745a9f35c3e6ff303e836ca276255b11a648e3b37cc150cceb17038ad"),
     ("y:6", 6, "combined", True): (
@@ -1294,19 +1301,18 @@ class TestSearchPinned:
     time-limited).  The exact rows also pin the sequence of heap entries
     pushed, so that a reordering with equal counts fails too."""
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts, digest",
-                             pinned(EXACT_ROWS))
-    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts,
-                    digest):
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts",
+                             rows(EXACT_ROWS))
+    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts):
         pushed = heap_digest(monkeypatch)
         config = CONFIGS[objective](layered=layered)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert pushed() == digest
+        assert pushed() == EXACT_ROWS[topology, qubits, objective, layered][2]
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts, digest",
-                             pinned(EXACT_ROWS))
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts",
+                             rows(EXACT_ROWS))
     def test_tuple_states_search_alike(self, monkeypatch, topology, qubits, objective, layered,
-                                       value, counts, digest):
+                                       value, counts):
         # These instances pack their states into bytes; with the byte limit
         # at 0 none fits, and the search keeps tuples.  Both must run the
         # same search: the same counts and the same heap entries.
@@ -1317,7 +1323,7 @@ class TestSearchPinned:
         assert _Search(circuit, graph, config).pack is tuple
         pushed = heap_digest(monkeypatch)
         assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert pushed() == digest
+        assert pushed() == EXACT_ROWS[topology, qubits, objective, layered][2]
 
     def test_symmetric_star_counts(self, monkeypatch):
         # A 6-node star, where a child is often fixed by a nontrivial
@@ -1333,8 +1339,17 @@ class TestSearchPinned:
         assert digest() == STAR_HEAP_DIGEST
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
-                             pinned(BEAM_ROWS))
+                             rows(BEAM_ROWS, ["depth"]))
     def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
+        # The depth rows, whose bound never calls bound_swaps.
+        config = CONFIGS[objective](layered=layered, beam_width=width)
+        assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
+                             rows(BEAM_ROWS, ["swaps", "combined"]))
+    def test_beam_counts_with_holes(self, topology, qubits, objective, layered, width, value,
+                                    counts):
+        # The swaps and combined rows, whose bound_swaps reads the holes.
         config = CONFIGS[objective](layered=layered, beam_width=width)
         assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
 
