@@ -120,6 +120,23 @@ class TestRmd:
         assert _pairs(depth_runs + swaps_runs, "depth") == expected
         assert _pairs(swaps_runs[::-1] + depth_runs[::-1], "depth") == expected
         assert _pairs(depth_runs, "depth") == [("i1", 20, 24)]
+        # A run with only one mode has no pair.
+        assert _pairs(depth_runs[:1] + swaps_runs, "depth") == [("i1", 40, 44)]
+
+    def test_zero_layered_value_counted_apart(self):
+        # A layered optimum of 0 under a non-layered 3 cannot come from
+        # consistent optima; the pair is counted apart, not divided by.
+        rows = make_rows([("a", "layered", 0, "optimal"),
+                          ("a", "non-layered", 3, "optimal"),
+                          ("b", "layered", 10, "optimal"),
+                          ("b", "non-layered", 8, "optimal")])
+        stats = rmd(rows, "depth")
+        assert (stats["N"], stats["N_S"], stats["excluded_zero"]) == (2, 1, 1)
+        assert stats["RMD"] == pytest.approx(20.0)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(BenchError, match="unknown metric 'bogus'"):
+            rmd(make_rows([]), "bogus")
 
 
 class TestParityExport:
@@ -271,11 +288,11 @@ class TestMatrix:
         {"objectives": ["depht"]}, {"objectives": "depth"},
         {"time_limit": "x"}, {"time_limit": 0}, {"time_limit": -1.5}, {"time_limit": True},
         {"swap_duration": "x"}, {"swap_duration": -1}, {"swap_duration": 1.5},
-        {"swap_duration": True},
+        {"swap_duration": True}, {"instances": {}},
     ], ids=["mode-misspelt", "modes-str", "objective-misspelt", "objectives-str",
             "time-limit-str", "time-limit-zero", "time-limit-negative", "time-limit-bool",
             "swap-duration-str", "swap-duration-negative", "swap-duration-float",
-            "swap-duration-bool"])
+            "swap-duration-bool", "instances-object"])
     def test_parse_matrix_rejects_bad_field(self, change):
         (key,) = change
         with pytest.raises(BenchError, match=f"'{key}' must be"):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmproute.bench import InstanceSpec, gen_random_circuit
-from qmproute.circuit import CircuitError, analyze, minimal_unscheduled, parse_circuit
+from qmproute.circuit import (Circuit, CircuitError, GateSpec, analyze, minimal_unscheduled,
+                              parse_circuit)
 
 from conftest import UNDECODABLE, gate_positions, qubit_gates, reference_delta
 
@@ -49,6 +50,15 @@ class TestParse:
     def test_unknown_field_rejected(self):
         with pytest.raises(CircuitError, match="unknown"):
             parse_circuit(json.dumps({"num_qubits": 2, "gates": [], "extra": 1}))
+
+    def test_gates_not_an_array(self):
+        with pytest.raises(CircuitError, match="gates must be an array"):
+            parse_circuit(json.dumps({"num_qubits": 2, "gates": {}}))
+
+    def test_gate_ids_in_order(self):
+        # A Circuit built directly, as the generator and tests build one.
+        with pytest.raises(CircuitError, match="gate ids must be 1..N in order, got 2 at 1"):
+            Circuit(2, (GateSpec(2, (1, 2), 4),))
 
     def test_malformed_json(self):
         with pytest.raises(CircuitError, match="malformed"):

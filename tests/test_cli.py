@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qmproute import bench, cli, oracle
-from qmproute.bench import CSV_COLUMNS, rows_from_csv, rows_to_csv, run_matrix
+from qmproute.bench import CSV_COLUMNS, ResultRow, rows_from_csv, rows_to_csv, run_matrix
+from qmproute.circuit import parse_circuit
 from qmproute.cli import dispatch
 from qmproute.solver import SolveResult, SolveStats, solve
 
@@ -390,19 +391,28 @@ class TestUsageErrors:
 
 class TestPipeline:
     def test_gen_solve_oracle_agree(self, tmp_path, capsys):
-        circuit_file = tmp_path / "c.json"
-        assert dispatch(["gen", "--topology", "linear:4", "--qubits", "3",
-                         "--depth-param", "3", "--seed", "9",
-                         "--out", str(circuit_file)]) == 0
+        circuit_file, witness = tmp_path / "c.json", tmp_path / "witness.json"
+        gen = ["gen", "--topology", "linear:4", "--qubits", "3", "--depth-param", "3",
+               "--seed", "9"]
+        assert dispatch(gen + ["--out", str(circuit_file)]) == 0
+        # Without --out the same circuit is printed.
+        assert dispatch(gen) == 0
+        assert parse_circuit(capsys.readouterr().out) == parse_circuit(circuit_file.read_text())
         assert dispatch(["--format", "structured", "solve",
                          "--circuit", str(circuit_file),
                          "--topology", "linear:4"]) == 0
         solve_out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert dispatch(["--format", "structured", "oracle",
                          "--circuit", str(circuit_file),
-                         "--topology", "linear:4", "--max-swaps", "3"]) == 0
+                         "--topology", "linear:4", "--max-swaps", "3",
+                         "--out", str(witness)]) == 0
         oracle_out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert int(solve_out["objective_value"]) == oracle_out["value"]
+        # The oracle's witness schedule is valid and attains its value.
+        assert dispatch(["--format", "structured", "validate", "--circuit", str(circuit_file),
+                         "--topology", "linear:4", "--schedule", str(witness)]) == 0
+        validate_out = json.loads(capsys.readouterr().out)
+        assert (validate_out["status"], validate_out["depth"]) == ("ok", oracle_out["value"])
 
     def test_oracle_cap_exhausted_exit_2(self, tmp_path, capsys):
         # A triangle of gates on a line needs one SWAP, which a cap of 0 forbids.
@@ -440,6 +450,22 @@ class TestPipeline:
                          "--rmd", "--parity", str(parity)]) == 0
         assert "RMD" in capsys.readouterr().out
         assert parity.read_text().startswith("non_layered,layered")
+
+    def test_report_objective_restricts_the_rows(self, tmp_path, capsys):
+        # One instance solved under both objectives: a depth pair that
+        # differs and a swaps pair that is equal.
+        rows = [ResultRow("i1", "linear:4", 4, 3, 1, mode, objective, value, 0, value,
+                          "optimal", 1)
+                for objective, values in (("depth", (8, 10)), ("swaps", (5, 5)))
+                for mode, value in zip(("non-layered", "layered"), values)]
+        results = tmp_path / "results.csv"
+        results.write_text(rows_to_csv(rows))
+        for flags, pairs, equal in (([], 2, 1), (["--objective", "swaps"], 1, 1),
+                                    (["--objective", "depth"], 1, 0)):
+            assert dispatch(["--format", "structured", "report", "--in", str(results),
+                             "--rmd", *flags]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["N"], out["N_eq"]) == (pairs, equal)
 
     def test_report_needs_an_output(self, tmp_path, capsys):
         # With neither --rmd nor --parity a report would print and write

@@ -64,6 +64,10 @@ class TestTopologies:
             parse_topology("linear:1")
         with pytest.raises(HardwareError):
             parse_topology("y:3")
+        with pytest.raises(HardwareError, match="grid dimensions must be positive"):
+            parse_topology("grid:0x3")
+        with pytest.raises(HardwareError, match="linear spec takes a single size"):
+            parse_topology("linear:4x5")
 
     def test_edges_match_their_definitions(self):
         # Row-major grid neighbours; a line; y's three arms, each a chain
@@ -123,6 +127,17 @@ class TestDistances:
     def test_disconnected_rejected(self):
         with pytest.raises(HardwareError, match="connected"):
             HardwareGraph(4, [(1, 2), (3, 4)])
+
+    @pytest.mark.parametrize("num_nodes, edges, match", [
+        (0, [], "graph needs at least one node"),
+        (2, [(1, 1), (1, 2)], "self-loop at node 1"),
+        (2, [(1, 3)], r"edge \(1,3\) out of range"),
+        # Enough edges for the count check; the BFS from node 1 misses node 4.
+        (4, [(1, 2), (2, 3), (1, 3)], "hardware graph must be connected"),
+    ], ids=["no-nodes", "self-loop", "out-of-range", "unreached-node"])
+    def test_bad_graph_rejected(self, num_nodes, edges, match):
+        with pytest.raises(HardwareError, match=match):
+            HardwareGraph(num_nodes, edges)
 
     def test_no_table_until_a_bound_reads_it(self):
         # Edges, validation and automorphisms read adjacency only: on a

@@ -178,6 +178,20 @@ class TestValidate:
         assert not r.ok
         assert r.violation.category == "routing"
 
+    @pytest.mark.parametrize("ops, message", [
+        ([(1, (1, 2), 0, 2), (1, (1, 2), 2, 2)], "gate 1 scheduled twice"),
+        # Qubit 1 sits on node 1, so gate 3 on qubits 4 and 1 cannot take
+        # nodes 3 and 4, though both are free.
+        ([(1, (1, 2), 0, 2), (3, (3, 4), 2, 1)],
+         "physical qubits 3 and 4 do not contain the virtual qubits 4 and 1 of gate 3"),
+        # `parse_schedule` refuses an unknown id; a Schedule built directly
+        # reaches `validate` with one.
+        ([(7, (1, 2), 0, 4)], "unknown gate id 7"),
+    ], ids=["gate-twice", "placed-qubit-elsewhere", "unknown-gate"])
+    def test_routing_violation(self, example_circuit, linear4, ops, message):
+        r = validate(sched(ScheduledOp(*op) for op in ops), example_circuit, linear4)
+        assert r.violation == Violation("routing", len(ops) - 1, message)
+
     def test_zero_duration_gate_is_a_duration_violation(self):
         # Two 4-unit gates given no time at all must not yield makespan 0.
         c = parse_circuit_json(2, [([1, 2], 4), ([1, 2], 4)])

@@ -220,6 +220,14 @@ def child(search, node, gate_index, edge):
     return kept
 
 
+def outcome(r):
+    """(status, objective value, (expanded, inserted, pruned, replaced)) of a
+    solve's result."""
+    s = r.stats
+    return r.status, r.objective_value, (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
+                                         s.fronts_replaced)
+
+
 @st.composite
 def connected_graphs(draw, max_nodes=6):
     """A random spanning tree on 4 to `max_nodes` nodes plus random extra
@@ -331,6 +339,12 @@ class TestSolveBasics:
         # Not a raw TypeError from a comparison, a bool is not read as 1,
         # and a float weight is not taken at its binary value.
         with pytest.raises(SolverError, match=match):
+            SolverConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [{"w_depth": 0, "w_swaps": 0}, {"w_depth": -1}],
+                             ids=["zero-sum", "negative-w-depth"])
+    def test_bad_weights_rejected(self, kw):
+        with pytest.raises(SolverError, match="weights must be nonnegative with positive sum"):
             SolverConfig(**kw)
 
     def test_exact_weights_accepted(self):
@@ -963,10 +977,7 @@ class TestProgressMemos:
                 (True, 6, 44, (36, 135, 18, 22)), (False, 6, 44, (74, 275, 55, 60))]
         for layered, d_s, value, counts in reversed(runs) if reverse else runs:
             r = solve(circuit, graph, depth_config(layered=layered, swap_duration=d_s))
-            s = r.stats
-            assert (r.status, r.objective_value, (s.nodes_expanded, s.nodes_inserted,
-                                                  s.nodes_pruned, s.fronts_replaced)) == (
-                "optimal", value, counts)
+            assert outcome(r) == ("optimal", value, counts)
 
 
 class TestFractionalWeights:
@@ -986,9 +997,7 @@ class TestFractionalWeights:
     def test_scaled_weights_search_the_same_nodes(self, linear4):
         for a, b in zip(self.solve_all(linear4), self.solve_all(linear4, scale=7)):
             assert b.objective_value == 7 * a.objective_value
-            assert b.stats.nodes_expanded == a.stats.nodes_expanded
-            assert b.stats.nodes_inserted == a.stats.nodes_inserted
-            assert b.stats.nodes_pruned == a.stats.nodes_pruned
+            assert outcome(b)[2] == outcome(a)[2]
 
     def test_pareto_off_same_optimum(self, linear4):
         for a, b in zip(self.solve_all(linear4),
@@ -1134,15 +1143,17 @@ class TestSymmetry:
         circuit = gen_random_circuit(InstanceSpec("linear:7", 6, 10, 0))
         for config, counts in ((depth_config(), (864, 5208, 2522, 114)),
                                (swaps_config(), (101, 778, 114, 15))):
-            s = solve(circuit, graph, config).stats
-            assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
-                    s.fronts_replaced) == counts
+            assert outcome(solve(circuit, graph, config))[2] == counts
 
 
-def heap_digest(monkeypatch):
-    """Record every entry the search pushes on its open list; the returned
-    function gives the sha256 of the pushed (key, -num_scheduled,
-    swap_count, insert count) tuples so far."""
+def exact_search(monkeypatch, byte_max, circuit, graph, config):
+    """The `outcome` of a solve with the byte limit at `byte_max`, and the
+    sha256 of the (key, -num_scheduled, swap_count, insert count) tuples it
+    pushes on its open list.  The pinned instances keep their states in
+    bytes at the default limit, and in tuples at 0, where none fits; both
+    must run the same search."""
+    monkeypatch.setattr(solver, "BYTE_MAX", byte_max)
+    assert _Search(circuit, graph, config).pack is (bytes if byte_max else tuple)
     pushed = []
 
     def heappush(heap, entry):
@@ -1151,26 +1162,24 @@ def heap_digest(monkeypatch):
 
     monkeypatch.setattr(solver, "heapq", SimpleNamespace(heappush=heappush,
                                                          heappop=heapq.heappop))
-    return lambda: hashlib.sha256(repr(pushed).encode()).hexdigest()
+    result = outcome(solve(circuit, graph, config))
+    return (*result, hashlib.sha256(repr(pushed).encode()).hexdigest())
 
 
 STAR_HEAP_DIGEST = "cfe17efe248253ccedde8633ebc933baf179493c9c944089f5a649643ed298e0"
 
 
 def pinned_solve(topology, qubits, config):
-    """(status, objective value, (expanded, inserted, pruned, replaced)) of
-    a solve of the seed-0 random circuit with depth parameter 10."""
+    """The `outcome` of a solve of the seed-0 random circuit with depth
+    parameter 10."""
     circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
-    r = solve(circuit, parse_topology(topology), config)
-    s = r.stats
-    return (r.status, r.objective_value,
-            (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned, s.fronts_replaced))
+    return outcome(solve(circuit, parse_topology(topology), config))
 
 
-def rows(table, objectives=("depth", "swaps", "combined")):
+def rows(table, objectives):
     """The rows of `objectives` in a pinned table as pytest params: each its
     key's inputs and then its value and counts, which pytest's ids show."""
-    return [(*key, value, counts) for key, (value, counts, *_) in table.items()
+    return [(*key, value, counts) for key, (value, counts) in table.items()
             if key[2] in objectives]
 
 
@@ -1188,7 +1197,7 @@ def pinned(table):
 
 # The exact search: (topology, qubits, objective, layered) -> (optimum,
 # (expanded, inserted, pruned, replaced), sha256 of the pushed heap entries
-# as `heap_digest` gives it).
+# as `exact_search` gives it).
 EXACT_ROWS = {
     ("linear:5", 5, "depth", False): (
         53, (62, 222, 61, 23), "865883d2324818c4b9256a6f09a9d1296655a65caf3ca220bd8405b8f16a5c02"),
@@ -1299,44 +1308,26 @@ class TestSearchPinned:
     the search faster must expand, insert, prune and replace exactly the
     nodes of these tables, one per kind of search (exact, beam and
     time-limited).  The exact rows also pin the sequence of heap entries
-    pushed, so that a reordering with equal counts fails too."""
+    pushed, so that a reordering with equal counts fails too, and run under
+    both state representations."""
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts",
-                             rows(EXACT_ROWS))
-    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts):
-        pushed = heap_digest(monkeypatch)
-        config = CONFIGS[objective](layered=layered)
-        assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert pushed() == EXACT_ROWS[topology, qubits, objective, layered][2]
+    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts, digest",
+                             pinned(EXACT_ROWS))
+    @pytest.mark.parametrize("byte_max", [solver.BYTE_MAX, 0], ids=["bytes", "tuples"])
+    def test_counts(self, monkeypatch, topology, qubits, objective, layered, value, counts,
+                    digest, byte_max):
+        circuit = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0))
+        assert exact_search(monkeypatch, byte_max, circuit, parse_topology(topology),
+                            CONFIGS[objective](layered=layered)) == ("optimal", value, counts, digest)
 
-    @pytest.mark.parametrize("topology, qubits, objective, layered, value, counts",
-                             rows(EXACT_ROWS))
-    def test_tuple_states_search_alike(self, monkeypatch, topology, qubits, objective, layered,
-                                       value, counts):
-        # These instances pack their states into bytes; with the byte limit
-        # at 0 none fits, and the search keeps tuples.  Both must run the
-        # same search: the same counts and the same heap entries.
-        config = CONFIGS[objective](layered=layered)
-        circuit, graph = gen_random_circuit(InstanceSpec(topology, qubits, 10, 0)), parse_topology(topology)
-        assert _Search(circuit, graph, config).pack is bytes
-        monkeypatch.setattr(solver, "BYTE_MAX", 0)
-        assert _Search(circuit, graph, config).pack is tuple
-        pushed = heap_digest(monkeypatch)
-        assert pinned_solve(topology, qubits, config) == ("optimal", value, counts)
-        assert pushed() == EXACT_ROWS[topology, qubits, objective, layered][2]
-
-    def test_symmetric_star_counts(self, monkeypatch):
+    @pytest.mark.parametrize("byte_max", [solver.BYTE_MAX, 0], ids=["bytes", "tuples"])
+    def test_symmetric_star_counts(self, monkeypatch, byte_max):
         # A 6-node star, where a child is often fixed by a nontrivial
         # automorphism: the store compares it in the first frame attaining
         # its class key only.
-        digest = heap_digest(monkeypatch)
         circuit = gen_random_circuit(InstanceSpec("linear:6", 5, 10, 0))
-        r = solve(circuit, HardwareGraph(6, STAR6_EDGES), depth_config())
-        s = r.stats
-        assert (r.status, r.objective_value) == ("optimal", 76)
-        assert (s.nodes_expanded, s.nodes_inserted, s.nodes_pruned,
-                s.fronts_replaced) == (486, 1244, 1185, 33)
-        assert digest() == STAR_HEAP_DIGEST
+        assert exact_search(monkeypatch, byte_max, circuit, HardwareGraph(6, STAR6_EDGES),
+                            depth_config()) == ("optimal", 76, (486, 1244, 1185, 33), STAR_HEAP_DIGEST)
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
                              rows(BEAM_ROWS, ["depth"]))
@@ -1648,13 +1639,10 @@ class TestModesAndProperties:
         # ... so `solve` searches again at width 2, and returns that search.
         r = solve(circuit, linear4, depth_config(beam_width=1))
         wide = solve(circuit, linear4, depth_config(beam_width=2))
-        assert r.status == "incumbent"
         assert validate(r.schedule, circuit, linear4).ok
-        assert r.objective_value == wide.objective_value == 48
+        assert outcome(r) == outcome(wide)
+        assert outcome(r)[:2] == ("incumbent", 48)
         assert r.schedule == wide.schedule
-        counts = ("nodes_expanded", "nodes_inserted", "nodes_pruned", "fronts_replaced")
-        assert ([getattr(r.stats, k) for k in counts]
-                == [getattr(wide.stats, k) for k in counts])
 
     def test_beam_unbounded_matches_exact(self, example_circuit, linear4):
         exact = solve(example_circuit, linear4, depth_config())
@@ -1666,8 +1654,7 @@ class TestModesAndProperties:
             a = solve(circuit, linear4, depth_config())
             b = solve(circuit, linear4, depth_config())
             assert a.schedule == b.schedule
-            assert a.stats.nodes_expanded == b.stats.nodes_expanded
-            assert a.stats.nodes_inserted == b.stats.nodes_inserted
+            assert outcome(a) == outcome(b)
 
     def test_solver_times_are_greedy(self, linear4):
         # Re-deriving start times as-early-as-possible from the op order
