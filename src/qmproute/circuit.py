@@ -119,7 +119,7 @@ def analyze(circuit: Circuit) -> PrecedenceInfo:
 
 
 def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
-    """The row (moves, heads, pairs, holes) the search reads at `progress`,
+    """The row (moves, heads, pairs, holes, hole_pairs) the search reads at `progress`,
     each qubit's number of scheduled gates (a downward-closed set of gates
     is exactly such a per-qubit prefix), from one pass over the gates in
     order counting each qubit's gates passed so far: a gate is unscheduled
@@ -137,8 +137,11 @@ def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
     with a gate still to run, by `first`, the pair's first unscheduled gate,
     on qubits (p, q), and a qubit's work is its gates' duration from its
     progress up to `first`.  holes lists once each, by the first such gate,
-    the placed qubits with a gate still to run whose partner is unplaced."""
-    delta, seen, met, moves, pairs, holes = info.delta, [0] * len(progress), set(), [], [], {}
+    the placed qubits with a gate still to run whose partner is unplaced,
+    and hole_pairs has a row (p, delta[first], work_p, work_q) per such
+    pair, by `first`, with p the placed qubit and q the unplaced one."""
+    delta, seen, met, moves, pairs = info.delta, [0] * len(progress), set(), [], []
+    holes, hole_pairs = {}, []
     heads, work = [0] * len(progress), [0] * len(progress)
     for g in info.gates:
         p, q = g.qubits
@@ -158,7 +161,10 @@ def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
                 if progress[p] and progress[q]:
                     pairs.append((p, q, delta[g.id], work[p], work[q]))
                 elif progress[p] or progress[q]:
-                    holes[p if progress[p] else q] = None
+                    if not progress[p]:
+                        p, q = q, p
+                    holes[p] = None
+                    hole_pairs.append((p, delta[g.id], work[p], work[q]))
             work[p] += g.duration
             work[q] += g.duration
         seen[p] += 1
@@ -166,4 +172,4 @@ def minimal_unscheduled(info: PrecedenceInfo, progress, layered: bool) -> tuple:
     if layered and moves:
         low = min(info.layer[move[0]] for move in moves)
         moves = [move for move in moves if info.layer[move[0]] == low]
-    return tuple(moves), tuple(heads), tuple(pairs), tuple(holes)
+    return tuple(moves), tuple(heads), tuple(pairs), tuple(holes), tuple(hole_pairs)

@@ -28,7 +28,10 @@ parent's SWAP, and with no weight on depth a gate that can run where its
 qubits stand is the only child.  An admissible lower bound drives the
 expansion order, so the first complete node popped is optimal; at a
 complete node the bound is the objective, so the heap key also ranks
-incumbents.  A beam width converts the search into a heuristic.
+incumbents.  A child's key is never below its parent's, which lets a SWAP
+child skip the depth bound's hole term, the costly part: its progress, and
+so its hole pairs, are its parent's.  A beam width converts the search into
+a heuristic.
 """
 
 from __future__ import annotations
@@ -141,22 +144,47 @@ class SolveResult:
 
 
 def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
-                swap_duration: int) -> int:
+                swap_duration: int, holes: bool = True) -> int:
     """Admissible lower bound on the achievable makespan from this node.
 
-    The largest of two kinds of term.  A qubit's: its node's depth plus
+    The largest of three kinds of term.  A qubit's: its node's depth plus
     delta of its next gate.  A placed pair's: delta of its next shared gate
     `first` plus the earliest time that gate can start, once each qubit has
     done its work before `first` and the two have met on an edge of some
-    minimal path between their nodes.  Every circuit fact in the terms is
-    in `row`, the node's progress vector's entry in `_Rows`, whose pairs
-    are the placed ones only.
+    minimal path between their nodes.  A hole pair's, a placed qubit p on
+    node a with a gate still to run with an unplaced qubit q (left out
+    when `holes` is false): delta of `first` plus the least such meet
+    (`_least_meet`) over the free nodes f, of p from a, starting at
+    start_p = dm[a] + work_p, and of a walker from f, starting at start_f =
+    dm[f] + work_q.  Every circuit fact in the terms is in `row`, the node's
+    progress vector's entry in `_Rows`, whose pairs are the placed ones
+    only.
+
+    The hole term is admissible.  q will be placed on a node free at that
+    moment, and a free node moves only by SWAPs, one hop each, waiting for
+    the nodes it enters, as a qubit does.  Follow the free node q is placed
+    on back to now: it is some free node f, and the ops from f to `first`'s
+    edge, the SWAPs that carry the free node and then q, and q's gates
+    before `first`, run one after another, as the pair term's walker does.
+    Counting q's work at the start of the walk only lowers the meet.  A
+    free node exists while q is unplaced, since `_Search` refuses more
+    qubits than nodes.
+
+    Two walkers k hops apart meet no earlier than either start, nor than
+    half the sum of their starts and k - 1 hops, since between them they
+    make at least k - 1 SWAPs.  At k = 1 that is the meet itself, with no
+    path enumerated, and it stands in for the meet at a free node whose
+    paths the enumeration caps.
 
     A pair on adjacent nodes is skipped: its term is delta[first] +
     max(start_p, start_q), which is at most the larger of the two qubits'
     terms, since delta along p's chain is at least p's work before `first`
-    plus delta[first].  A pair's paths are scanned only until its term can
-    no longer exceed the running maximum.
+    plus delta[first].  A term is worked out only until it can no longer
+    exceed the running maximum: a pair's paths, and a hole pair's free
+    nodes, nearest first, until one meets early enough.  The scan passes a
+    free node whose least meet by hops reaches the least meet found so far,
+    and stops at the first whose bound at depth 0 does, since that bound
+    holds for every node as far or farther.
     """
     dm, asg = node.depth_map, node.assignment
     heads, pairs = row[1], row[2]
@@ -211,7 +239,72 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
                 best = h_path
         else:
             h = delta_first + best
+
+    for p, delta_first, work_p, work_q in row[4] if holes else ():
+        a = asg[p]
+        start_p, bar, best = dm[a] + work_p, h - delta_first, None
+        reach, dist_a = start_p + work_q - d_s, dist[a]
+        for f in graph.nearest_first(a):
+            if f in asg:        # occupied: `in` scans a `bytes` or tuple state in C
+                continue
+            k, start_f = dist_a[f], dm[f] + work_q
+            if k == 1:
+                meet = start_p if start_p > start_f else start_f
+            else:
+                if best is not None and (reach + k * d_s + 1) // 2 >= best:
+                    break       # nor can any free node farther away
+                least = (reach + dm[f] + k * d_s + 1) // 2
+                if start_f > least:
+                    least = start_f
+                if start_p > least:
+                    least = start_p
+                if best is not None and least >= best:
+                    continue
+                paths = graph.minimal_paths(a, f)
+                if paths is None:
+                    meet = least
+                elif a < f:
+                    meet = _least_meet(paths, dm, start_p, start_f, d_s, bar)
+                else:
+                    meet = _least_meet(paths, dm, start_f, start_p, d_s, bar)
+            if meet <= bar:
+                best = None     # the term cannot raise h
+                break
+            if best is None or meet < best:
+                best = meet
+        if best is not None:
+            h = delta_first + best
     return h
+
+
+def _least_meet(paths, dm, start_lo: int, start_hi: int, swap_duration: int, bar: int) -> int:
+    """The least over `paths` (node tuples, each from the same end) of the
+    earliest time two walkers meet on one of the path's edges, the one
+    starting at its first node at time `start_lo`, the other at its last
+    node at `start_hi`, each waiting for every node it enters and taking
+    `swap_duration` per hop; or the first such meet no later than `bar`.
+    It is the pair term's two-pointer loop in `bound_depth`, whose comment
+    gives the argument; that loop stays inline, as it runs for most bounds
+    and a call per pair costs it about 3%."""
+    d_s, best = swap_duration, None
+    for path in paths:
+        i, j = 0, len(path) - 2
+        left, right = start_lo, start_hi
+        while i < j:
+            if left < right:
+                i += 1
+                x = dm[path[i]]
+                left = (left if left > x else x) + d_s
+            else:
+                x = dm[path[j]]
+                j -= 1
+                right = (right if right > x else x) + d_s
+        meet = left if left > right else right
+        if meet <= bar:
+            return meet
+        if best is None or meet < best:
+            best = meet
+    return best
 
 
 def bound_swaps(node: SearchNode, row: tuple, graph: HardwareGraph) -> int:
@@ -472,11 +565,15 @@ def _permute(state: tuple, table: tuple) -> tuple:
 def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):
     """The search's lower bound on the objective, times its scale, as a
     function of a node: the weighted bounds for the objective's positive
-    weights, both read from the node's one row in `rows`.  It refers to no
-    `_Search`, so a search holding it makes no reference cycle."""
+    weights, both read from the node's one row in `rows`.  A SWAP child's
+    depth bound leaves out the hole term: its progress, and so its hole
+    pairs, are its parent's, and `_run` floors its key at its parent's
+    instead.  It refers to no `_Search`, so a search holding it makes no
+    reference cycle."""
     def bound(node):
         row = rows[node.progress]
-        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration))
+        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration,
+                                                   node.gate_index != SWAP))
                 + (w_swaps and w_swaps * bound_swaps(node, row, graph)))
     return bound
 
@@ -513,16 +610,20 @@ def _run(search: _Search, beam: int | None, t0: float,
          store: dict | None) -> SolveResult | None:
     """One search at beam width `beam` (None: exact) with the empty Pareto
     store `store` (None: no store, every child kept); None when a beam's
-    open list empties with no complete node.  Heap entries are (bound,
+    open list empties with no complete node.  Heap entries are (key,
     -num_scheduled, swap_count, insert count, node): the count of nodes
     inserted so far is unique per entry and decides every tie before the
-    node.  A beam trim keeps the `beam` least live entries, sorted (a
-    sorted list is a heap).  A complete node's bound is its objective:
-    with every qubit done, `bound_depth` is the deepest node holding a
-    qubit, the makespan (an op leaves a qubit on a node as deep as any it
-    makes, and no depth falls), and `bound_swaps` is the SWAP count.  So
-    the incumbent is the first kept complete child with the least key; a
-    pruned one is no better than the kept complete record that pruned it."""
+    node.  A child's key is its bound floored at its parent's key
+    (pathmax): every completion of the child is one of the parent, so the
+    parent's key bounds the child's too.  A beam trim keeps the `beam`
+    least live entries, sorted (a sorted list is a heap).  A complete
+    node's bound is its objective: with every qubit done, `bound_depth` is
+    the deepest node holding a qubit, the makespan (an op leaves a qubit on
+    a node as deep as any it makes, and no depth falls), and `bound_swaps`
+    is the SWAP count; the floor, a lower bound on that objective, leaves
+    it.  So the incumbent is the first kept complete child with the least
+    key; a pruned one is no better than the kept complete record that
+    pruned it."""
     config = search.config
     stats = SolveStats()
     children, keep, bound = search.children, search.keep, search.bound
@@ -538,7 +639,7 @@ def _run(search: _Search, beam: int | None, t0: float,
     while open_heap:
         if time.monotonic() > deadline:
             break
-        node = heapq.heappop(open_heap)[4]
+        node_key, _, _, _, node = heapq.heappop(open_heap)
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
@@ -548,6 +649,8 @@ def _run(search: _Search, beam: int | None, t0: float,
         for child in keep(node, children(node), store, stats):
             stats.nodes_inserted += 1
             key = bound(child)
+            if key < node_key:
+                key = node_key
             if child.num_scheduled == num_gates and (incumbent is None
                                                      or key < incumbent_key):
                 incumbent, incumbent_key = child, key

@@ -154,57 +154,64 @@ class TestMinimalUnscheduled:
     """One pass gives the row the search reads: the minimal gates, each as
     (gate id, p, q, duration, progress after it), each qubit's head (delta
     of its next gate), one row (p, q, delta[first], work_p, work_q) per pair
-    of placed qubits (progress > 0) with a gate still to run, and the holes,
-    the placed qubits with a gate still to run with an unplaced one.  A
-    progress vector is a tuple or `bytes`, as the search packs it, and each
+    of placed qubits (progress > 0) with a gate still to run, the holes,
+    the placed qubits with a gate still to run with an unplaced one, and one
+    row (p, delta[first], work_p, work_q) per such pair, p the placed qubit.
+    A progress vector is a tuple or `bytes`, as the search packs it, and each
     move's progress after it has the same type."""
 
     def test_root_frontier(self, example_circuit):
         # Every pair has a gate still to run, (1, 2, 3, 0, 0), (3, 4, 4, 0,
-        # 0) and (4, 1, 1, 3, 2), but no qubit is placed: no pair row and
-        # no hole.
+        # 0) and (4, 1, 1, 3, 2), but no qubit is placed: no pair row, no
+        # hole and no hole pair.
         info = analyze(example_circuit)
         for pack in (tuple, bytes):
             assert minimal_unscheduled(info, pack((0, 0, 0, 0, 0)), False) == (
                 ((1, 1, 2, 2, pack((0, 1, 1, 0, 0))), (2, 3, 4, 3, pack((0, 0, 0, 1, 1)))),
-                (0, 3, 3, 4, 4), (), ())
+                (0, 3, 3, 4, 4), (), (), ())
 
     def test_after_g1(self, example_circuit):
         # Qubits 1 and 2 are placed.  (3, 4) has no placed qubit, and
-        # (4, 1) makes 1 a hole.
+        # (4, 1) makes 1 a hole: its hole pair is (1, delta[g3] = 1, no work
+        # left on 1 before g3, g2's 3 on 4).
         info = analyze(example_circuit)
         for pack in (tuple, bytes):
             assert minimal_unscheduled(info, pack((0, 1, 1, 0, 0)), False) == (
-                ((2, 3, 4, 3, pack((0, 1, 1, 1, 1))),), (0, 1, 0, 4, 4), (), (1,))
+                ((2, 3, 4, 3, pack((0, 1, 1, 1, 1))),), (0, 1, 0, 4, 4), (), (1,), ((1, 1, 0, 3),))
 
     def test_after_g1_g2(self, example_circuit):
         info = analyze(example_circuit)
         for pack in (tuple, bytes):
             assert minimal_unscheduled(info, pack((0, 1, 1, 1, 1)), False) == (
-                ((3, 4, 1, 1, pack((0, 2, 1, 1, 2))),), (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),), ())
+                ((3, 4, 1, 1, pack((0, 2, 1, 1, 2))),), (0, 1, 0, 0, 1), ((4, 1, 1, 0, 0),), (),
+                ())
 
     def test_all_scheduled(self, example_circuit):
         info = analyze(example_circuit)
-        assert minimal_unscheduled(info, (0, 2, 1, 1, 2), False) == ((), (0, 0, 0, 0, 0), (), ())
+        assert minimal_unscheduled(info, (0, 2, 1, 1, 2), False) == ((), (0, 0, 0, 0, 0), (), (), ())
 
     def test_layered_keeps_the_lowest_layer(self):
         # After g1, g2 (layer 1, after g1) and g3 (layer 0) are both
-        # minimal; the layered row keeps g3 alone, and its heads, pairs and
-        # holes are the plain row's.  The pairs with a gate still to run are
-        # (2, 3, 3, 0, 0) and (4, 5, 1, 0, 0); only 1 and 2 are placed, so
-        # neither is a pair row and 2 is a hole.
+        # minimal; the layered row keeps g3 alone, and its heads, pairs,
+        # holes and hole pairs are the plain row's.  The pairs with a gate
+        # still to run are (2, 3, 3, 0, 0) and (4, 5, 1, 0, 0); only 1 and 2
+        # are placed, so neither is a pair row, 2 is a hole, and (2, 3)
+        # gives the hole pair row (2, delta[g2] = 3, 0, 0).
         info = analyze(make_circuit(5, [(1, 2, 2), (2, 3, 3), (4, 5, 1)]))
         assert info.layer[1:] == [0, 1, 0]
         heads, pairs, holes = (0, 0, 3, 3, 1, 1), (), (2,)
+        hole_pairs = ((2, 3, 0, 0),)
         for pack in (tuple, bytes):
             g2 = (2, 2, 3, 3, pack((0, 1, 2, 1, 0, 0)))
             g3 = (3, 4, 5, 1, pack((0, 1, 1, 0, 1, 1)))
             progress = pack((0, 1, 1, 0, 0, 0))
-            assert minimal_unscheduled(info, progress, False) == ((g2, g3), heads, pairs, holes)
-            assert minimal_unscheduled(info, progress, True) == ((g3,), heads, pairs, holes)
+            assert minimal_unscheduled(info, progress, False) == ((g2, g3), heads, pairs, holes,
+                                                                  hole_pairs)
+            assert minimal_unscheduled(info, progress, True) == ((g3,), heads, pairs, holes,
+                                                                 hole_pairs)
         # Once g3 has run, 4 and 5 are placed and (4, 5) has no gate left.
         progress = (0, 1, 1, 0, 1, 1)
-        assert minimal_unscheduled(info, progress, False)[2:] == ((), (2,))
+        assert minimal_unscheduled(info, progress, False)[2:] == ((), (2,), hole_pairs)
 
 
 def random_small_circuit(rng, n_qubits, n_gates):

@@ -12,6 +12,7 @@ from qmproute.schedule import (SWAP, Schedule, ScheduledOp, ScheduleError, Viola
 
 from conftest import UNDECODABLE
 
+
 def parse_circuit_json(n, gate_list):
     return parse_circuit(json.dumps({
         "num_qubits": n,
@@ -26,8 +27,6 @@ def sched(ops, swap_duration=6):
 def gate_op(circuit, gate_id, edge, start):
     return ScheduledOp(kind=gate_id, edge=edge, start=start,
                        duration=circuit.gates[gate_id - 1].duration)
-from conftest import UNDECODABLE
-
 
 
 def swap_op(edge, start, d=6):
