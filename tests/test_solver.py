@@ -1263,6 +1263,13 @@ def pinned_solve(topology, qubits, config):
     return outcome(solve(circuit, parse_topology(topology), config))
 
 
+def rows(table, objectives):
+    """The rows of `objectives` in a pinned table as pytest params: each its
+    key's inputs and then its value and counts, which pytest's ids show."""
+    return [(*key, value, counts) for key, (value, counts) in table.items()
+            if key[2] in objectives]
+
+
 def pinned(table):
     """A pinned table as pytest params, each its key's inputs and then its
     expected values, with an id built from the key alone (as in
@@ -1410,8 +1417,17 @@ class TestSearchPinned:
                             depth_config()) == ("optimal", 76, (278, 771, 644, 10), STAR_HEAP_DIGEST)
 
     @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
-                             pinned(BEAM_ROWS))
+                             rows(BEAM_ROWS, ["depth"]))
     def test_beam_counts(self, topology, qubits, objective, layered, width, value, counts):
+        # The depth rows, whose bound never calls bound_swaps.
+        config = CONFIGS[objective](layered=layered, beam_width=width)
+        assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
+
+    @pytest.mark.parametrize("topology, qubits, objective, layered, width, value, counts",
+                             rows(BEAM_ROWS, ["swaps", "combined"]))
+    def test_beam_counts_with_holes(self, topology, qubits, objective, layered, width, value,
+                                    counts):
+        # The swaps and combined rows, whose bound_swaps reads the holes.
         config = CONFIGS[objective](layered=layered, beam_width=width)
         assert pinned_solve(topology, qubits, config) == ("incumbent", value, counts)
 
