@@ -108,9 +108,11 @@ class HardwareGraph:
         """All chordless simple paths between v and w as node tuples from
         min(v, w) to max(v, w), in lexicographic order.
 
-        Returns None if the enumeration exceeded MAX_PATHS_PER_PAIR; callers
-        using the result inside a lower bound must then skip the pair
-        (truncating the set would raise the bound and break admissibility).
+        Returns None if the enumeration exceeded MAX_PATHS_PER_PAIR.  A
+        lower bound must never use a truncated set, which could raise it
+        and break admissibility: `solver._least_meet` returns None for such
+        a pair, and each depth-bound term falls back to a value that needs
+        no paths.
         Each unordered pair is enumerated once and cached, so a repeated call
         in either order returns the same object and allocates nothing.
         """

@@ -143,22 +143,22 @@ class SolveResult:
     swap_count: int | None = None
 
 
-def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
-                swap_duration: int, holes: bool = True) -> int:
+def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph, swap_duration: int) -> int:
     """Admissible lower bound on the achievable makespan from this node.
 
     The largest of three kinds of term.  A qubit's: its node's depth plus
     delta of its next gate.  A placed pair's: delta of its next shared gate
     `first` plus the earliest time that gate can start, once each qubit has
     done its work before `first` and the two have met on an edge of some
-    minimal path between their nodes.  A hole pair's, a placed qubit p on
-    node a with a gate still to run with an unplaced qubit q (left out
-    when `holes` is false): delta of `first` plus the least such meet
-    (`_least_meet`) over the free nodes f, of p from a, starting at
-    start_p = dm[a] + work_p, and of a walker from f, starting at start_f =
-    dm[f] + work_q.  Every circuit fact in the terms is in `row`, the node's
-    progress vector's entry in `_Rows`, whose pairs are the placed ones
-    only.
+    minimal path between their nodes (`_least_meet`).  A hole pair's, a
+    placed qubit p on node a with a gate still to run with an unplaced
+    qubit q: delta of `first` plus the least such meet over the free nodes
+    f, of p from a, starting at start_p = dm[a] + work_p, and of a walker
+    from f, starting at start_f = dm[f] + work_q.  Every circuit fact in
+    the terms is in `row`, the node's progress vector's entry in `_Rows`,
+    whose pairs are the placed ones only.  A SWAP node's bound leaves the
+    hole term out: its progress, and so its hole pairs, are its parent's,
+    and `_run` floors its key at its parent's instead.
 
     The hole term is admissible.  q will be placed on a node free at that
     moment, and a free node moves only by SWAPs, one hop each, waiting for
@@ -173,8 +173,10 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
     Two walkers k hops apart meet no earlier than either start, nor than
     half the sum of their starts and k - 1 hops, since between them they
     make at least k - 1 SWAPs.  At k = 1 that is the meet itself, with no
-    path enumerated, and it stands in for the meet at a free node whose
-    paths the enumeration caps.
+    path enumerated.  Where the enumeration of a pair's paths is capped,
+    `_least_meet` gives None, and each term falls back to a value that
+    needs no paths: the pair term skips the pair, and the hole term counts
+    that least meet by hops for the free node.
 
     A pair on adjacent nodes is skipped: its term is delta[first] +
     max(start_p, start_q), which is at most the larger of the two qubits'
@@ -199,48 +201,15 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
         ap, aq = asg[p], asg[q]
         if dist[ap][aq] == 1:
             continue
-        paths = graph.minimal_paths(ap, aq)
-        if paths is None:
-            continue  # enumeration capped; skipping keeps the bound admissible
-        # Each wire's depth plus its circuit work before `first`.
-        start_p, start_q = dm[ap] + work_p, dm[aq] + work_q
-        if ap > aq:         # paths run from the lower node; the meet is symmetric
-            start_p, start_q = start_q, start_p
         bar = h - delta_first       # the term raises h only above this
-        best = None
-        for path in paths:
-            # The gate runs on edge e = (path[e], path[e+1]) once p has
-            # swapped forward to path[e] and q back to path[e+1].  p's
-            # earliest arrival L(e) is a prefix maximum of node depth +
-            # d_s per hop, q's R(e) the matching suffix maximum, so L
-            # only grows with e (d_s >= 0) and R only shrinks.  Two
-            # pointers close in on one edge m, each step moving the side
-            # that arrives earlier.  The left one leaves edge e only when
-            # L(e) < R(j) <= R(e+1), so L(e+1) <= R(e); the right one
-            # leaves e only when R(e) <= L(i) <= L(e-1), so R(e-1) <= L(e).
-            # Every edge left of m thus starts no earlier than R(m-1) >=
-            # max(L(m), R(m)), every edge right of m no earlier than
-            # L(m+1) >= max(L(m), R(m)): the least start is at m.
-            i, j = 0, len(path) - 2
-            left, right = start_p, start_q
-            while i < j:
-                if left < right:
-                    i += 1
-                    x = dm[path[i]]
-                    left = (left if left > x else x) + d_s
-                else:
-                    x = dm[path[j]]
-                    j -= 1
-                    right = (right if right > x else x) + d_s
-            h_path = left if left > right else right
-            if h_path <= bar:
-                break
-            if best is None or h_path < best:
-                best = h_path
-        else:
-            h = delta_first + best
+        # Each wire starts at its node's depth plus its circuit work before `first`.
+        meet = _least_meet(graph, dm, ap, aq, dm[ap] + work_p, dm[aq] + work_q, d_s, bar)
+        if meet is not None and meet > bar:
+            h = delta_first + meet
 
-    for p, delta_first, work_p, work_q in row[4] if holes else ():
+    if node.gate_index == SWAP:
+        return h
+    for p, delta_first, work_p, work_q in row[4]:
         a = asg[p]
         start_p, bar, best = dm[a] + work_p, h - delta_first, None
         reach, dist_a = start_p + work_q - d_s, dist[a]
@@ -260,13 +229,9 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
                     least = start_p
                 if best is not None and least >= best:
                     continue
-                paths = graph.minimal_paths(a, f)
-                if paths is None:
+                meet = _least_meet(graph, dm, a, f, start_p, start_f, d_s, bar)
+                if meet is None:
                     meet = least
-                elif a < f:
-                    meet = _least_meet(paths, dm, start_p, start_f, d_s, bar)
-                else:
-                    meet = _least_meet(paths, dm, start_f, start_p, d_s, bar)
             if meet <= bar:
                 best = None     # the term cannot raise h
                 break
@@ -277,19 +242,36 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph,
     return h
 
 
-def _least_meet(paths, dm, start_lo: int, start_hi: int, swap_duration: int, bar: int) -> int:
-    """The least over `paths` (node tuples, each from the same end) of the
+def _least_meet(graph: HardwareGraph, dm, a: int, b: int, start_a: int, start_b: int,
+                swap_duration: int, bar: int) -> int | None:
+    """The least, over the minimal paths between nodes a and b, of the
     earliest time two walkers meet on one of the path's edges, the one
-    starting at its first node at time `start_lo`, the other at its last
-    node at `start_hi`, each waiting for every node it enters and taking
+    starting at a at time `start_a`, the other at b at `start_b`, each
+    waiting for every node it enters (its depth in `dm`) and taking
     `swap_duration` per hop; or the first such meet no later than `bar`.
-    It is the pair term's two-pointer loop in `bound_depth`, whose comment
-    gives the argument; that loop stays inline, as it runs for most bounds
-    and a call per pair costs it about 3%."""
+    None when the enumeration of the pair's paths is capped: a truncated
+    set could raise the least meet and break admissibility."""
+    paths = graph.minimal_paths(a, b)
+    if paths is None:
+        return None
+    if a > b:           # paths run from the lower node; the meet is symmetric
+        start_a, start_b = start_b, start_a
     d_s, best = swap_duration, None
     for path in paths:
+        # The gate runs on edge e = (path[e], path[e+1]) once the first
+        # walker has swapped forward to path[e] and the second back to
+        # path[e+1].  The first's earliest arrival L(e) is a prefix maximum
+        # of node depth + d_s per hop, the second's R(e) the matching
+        # suffix maximum, so L only grows with e (d_s >= 0) and R only
+        # shrinks.  Two pointers close in on one edge m, each step moving
+        # the side that arrives earlier.  The left one leaves edge e only
+        # when L(e) < R(j) <= R(e+1), so L(e+1) <= R(e); the right one
+        # leaves e only when R(e) <= L(i) <= L(e-1), so R(e-1) <= L(e).
+        # Every edge left of m thus starts no earlier than R(m-1) >=
+        # max(L(m), R(m)), every edge right of m no earlier than L(m+1) >=
+        # max(L(m), R(m)): the least start is at m.
         i, j = 0, len(path) - 2
-        left, right = start_lo, start_hi
+        left, right = start_a, start_b
         while i < j:
             if left < right:
                 i += 1
@@ -565,15 +547,11 @@ def _permute(state: tuple, table: tuple) -> tuple:
 def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):
     """The search's lower bound on the objective, times its scale, as a
     function of a node: the weighted bounds for the objective's positive
-    weights, both read from the node's one row in `rows`.  A SWAP child's
-    depth bound leaves out the hole term: its progress, and so its hole
-    pairs, are its parent's, and `_run` floors its key at its parent's
-    instead.  It refers to no `_Search`, so a search holding it makes no
-    reference cycle."""
+    weights, both read from the node's one row in `rows`.  It refers to no
+    `_Search`, so a search holding it makes no reference cycle."""
     def bound(node):
         row = rows[node.progress]
-        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration,
-                                                   node.gate_index != SWAP))
+        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration))
                 + (w_swaps and w_swaps * bound_swaps(node, row, graph)))
     return bound
 

@@ -46,41 +46,43 @@ def combined_config(**kw):
 CONFIGS = {"depth": depth_config, "swaps": swaps_config, "combined": combined_config}
 
 
+def reference_repositioning(graph, dm, d_s, a, start_a, b, start_b):
+    """The least over the minimal paths from node a to node b of the latest
+    of each walker's start plus its hops and each node's depth plus the
+    hops left after it, on the best edge; None if capped."""
+    paths = graph.minimal_paths(a, b)
+    if paths is None:
+        return None
+    best = None
+    for path in paths:
+        path = path if path[0] == a else path[::-1]    # read from a
+        n_pi = len(path)
+        for j in range(1, n_pi):
+            terms = [start_a + (j - 1) * d_s, start_b + (n_pi - j - 1) * d_s]
+            for k in range(2, j + 1):
+                terms.append(dm[path[k - 1]] + (j + 1 - k) * d_s)
+            for k in range(j + 1, n_pi):
+                terms.append(dm[path[k - 1]] + (k - j) * d_s)
+            h = max(terms)
+            if best is None or h < best:
+                best = h
+    return best
+
+
 def reference_bound_depth(node, circuit, graph, swap_duration, holes=True):
     """bound_depth as first written, the reference for the fast version: it
     rescans each pair's gates for the first unscheduled one and builds every
-    term of the repositioning maximum, O(|path|^2) per path.  A pair with
-    one qubit placed (with `holes`) takes the least of that maximum over
-    every free node, with the unplaced qubit starting there.  Every circuit
-    fact it needs comes from the gate list, not from `analyze`."""
+    term of the repositioning maximum (`reference_repositioning`),
+    O(|path|^2) per path.  A pair with one qubit placed (with `holes`)
+    takes the least of that maximum over every free node, with the unplaced
+    qubit starting there.  Every circuit fact it needs comes from the gate
+    list, not from `analyze`."""
     gates, delta, pos = circuit.gates, reference_delta(circuit), gate_positions(circuit)
     per_qubit = qubit_gates(circuit)
     dm, d_s = node.depth_map, swap_duration
 
     def work(q, k_from, k_to):          # q's gate durations from position k_from to k_to
         return sum(gates[i - 1].duration for i in per_qubit[q][k_from:k_to])
-
-    def repositioning(a, start_a, b, start_b):
-        """The least over the minimal paths from node a to node b of the
-        latest of each walker's start plus its hops and each node's depth
-        plus the hops left after it, on the best edge; None if capped."""
-        paths = graph.minimal_paths(a, b)
-        if paths is None:
-            return None
-        best = None
-        for path in paths:
-            path = path if path[0] == a else path[::-1]    # read from a
-            n_pi = len(path)
-            for j in range(1, n_pi):
-                terms = [start_a + (j - 1) * d_s, start_b + (n_pi - j - 1) * d_s]
-                for k in range(2, j + 1):
-                    terms.append(dm[path[k - 1]] + (j + 1 - k) * d_s)
-                for k in range(j + 1, n_pi):
-                    terms.append(dm[path[k - 1]] + (k - j) * d_s)
-                h = max(terms)
-                if best is None or h < best:
-                    best = h
-        return best
 
     pair_gates = {}
     for g in gates:
@@ -115,12 +117,12 @@ def reference_bound_depth(node, circuit, graph, swap_duration, holes=True):
         start_p = dm[ap] + work(p, node.progress[p], pos[first][p])
         lam_q = work(q, node.progress[q], pos[first][q])
         if aq:
-            best = repositioning(ap, start_p, aq, dm[aq] + lam_q)
+            best = reference_repositioning(graph, dm, d_s, ap, start_p, aq, dm[aq] + lam_q)
         elif holes:
             meets = []
             for f in free:
                 start_f = dm[f] + lam_q
-                meet = repositioning(ap, start_p, f, start_f)
+                meet = reference_repositioning(graph, dm, d_s, ap, start_p, f, start_f)
                 if meet is None:
                     # Capped: no earlier than either start, nor than half
                     # their sum plus the hops between the two walkers.
@@ -768,12 +770,12 @@ class TestBounds:
                           search.pack((0, 1, 1, 1, 0, 1)), 0, 2)
         row = search.rows[node.progress]
         assert row[4] == ((5, 4, 0, 0),)
-        assert bound_depth(node, row, graph, 7, False) == 29
         assert (bound_depth(node, row, graph, 7)
-                == reference_bound_depth(node, circuit, graph, 7) == 35)
-        assert search.bound(node) == 35
+                == reference_bound_depth(node, circuit, graph, 7) == search.bound(node) == 35)
         node.gate_index = SWAP
-        assert search.bound(node) == 29
+        assert (bound_depth(node, row, graph, 7)
+                == reference_bound_depth(node, circuit, graph, 7, holes=False)
+                == search.bound(node) == 29)
 
     @pytest.mark.parametrize("topology, cap, placed, depth_map, bound", [
         # Node 1, next to qubit 1's node 2, is busy until 3.  Node 5 is 3
@@ -799,9 +801,10 @@ class TestBounds:
                           search.pack((0, 1, 0, 2, 1)), 0, 2)
         row = search.rows[node.progress]
         with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
-            assert bound_depth(node, row, graph, 2, False) == 4
             assert bound_depth(node, row, graph, 2) == reference_bound_depth(
                 node, circuit, graph, 2) == bound
+            node.gate_index = SWAP
+            assert bound_depth(node, row, graph, 2) == 4
 
     def test_swap_bound_root(self, example_circuit, linear4):
         search = _Search(example_circuit, linear4, swaps_config())
@@ -846,6 +849,27 @@ class TestBounds:
         assert set(graph._path_cache) == {(min(k), max(k)) for k in asked}
         assert all(lo < hi for lo, hi in graph._path_cache)
 
+    @given(st.one_of(topologies("grid:3x3", "y:8"), connected_graphs(max_nodes=8)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_least_meet_is_the_least_repositioning(self, graph, data):
+        # Either orientation of the pair gives the same meet, and that meet
+        # is the reference's least repositioning maximum over the same
+        # paths; at `bar` -1 no path meets early enough to stop the scan.
+        n = graph.num_nodes
+        a, b = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        dm = (0, *data.draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)))
+        start_a, start_b, d_s = (data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60)),
+                                 data.draw(st.integers(0, 20)))
+        meet = solver._least_meet(graph, dm, a, b, start_a, start_b, d_s, -1)
+        assert meet == solver._least_meet(graph, dm, b, a, start_b, start_a, d_s, -1)
+        assert meet == reference_repositioning(graph, dm, d_s, a, start_a, b, start_b)
+        # A capped pair has no meet: the enumeration of a fresh copy of the
+        # graph stops at its second path.
+        if len(graph.minimal_paths(a, b)) >= 2:
+            capped = HardwareGraph(n, graph.edges)
+            with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", 1):
+                assert solver._least_meet(capped, dm, a, b, start_a, start_b, d_s, -1) is None
+
     # Graphs of up to 9 nodes, so that a placed qubit often has free nodes
     # several hops away, over several minimal paths.
     @given(walks(graphs=st.one_of(topologies("linear:5", "grid:2x3", "y:6", "grid:3x3", "y:8"),
@@ -859,9 +883,8 @@ class TestBounds:
         with mock.patch.object(hardware, "MAX_PATHS_PER_PAIR", cap):
             for node in nodes:
                 row = rows[node.progress]
-                for holes in (True, False):
-                    assert (bound_depth(node, row, graph, d_s, holes)
-                            == reference_bound_depth(node, circuit, graph, d_s, holes))
+                assert bound_depth(node, row, graph, d_s) == reference_bound_depth(
+                    node, circuit, graph, d_s, holes=node.gate_index != SWAP)
                 # bound_swaps: the worst term over every unscheduled gate.
                 assert bound_swaps(node, row, graph) == node.swap_count + max(
                     (reference_gate_swaps(node, graph, p, q)
