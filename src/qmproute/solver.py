@@ -359,14 +359,14 @@ class _Search:
             self.pack, self.permute, self.width = bytes, bytes.translate, 256
         else:
             self.pack, self.permute, self.width = tuple, _permute, graph.num_nodes + 1
-        # The graph's automorphisms as node tables, and for each sigma the
-        # getter of its inverse (the nodes sorted by image), which reads a
-        # depth map into sigma's frame: frame[u] = depth_map[sigma^-1[u]].
+        # The graph's automorphisms as node tables, and `frames` pairs each
+        # with the getter of its inverse (the nodes sorted by image), which
+        # reads a depth map into sigma's frame: frame[u] = depth_map[sigma^-1[u]].
         automorphisms = graph.automorphisms()
         self.automorphisms = [self.pack(sigma + tuple(range(len(sigma), self.width)))
                               for sigma in automorphisms]
-        self.frame_of = [operator.itemgetter(*sorted(range(len(sigma)), key=sigma.__getitem__))
-                         for sigma in automorphisms]
+        self.frames = [(table, operator.itemgetter(*sorted(range(len(s)), key=s.__getitem__)))
+                       for table, s in zip(self.automorphisms, automorphisms)]
         # Per edge, its transposition as a node table, built the first time
         # the edge's SWAP is listed (only edges next to an occupied node
         # ever are): a node's assignment permuted by it is the SWAP child's.
@@ -476,17 +476,16 @@ class _Search:
         in one of them only prunes less, as `AUTOMORPHISM_CAP` does.
 
         A class's vectors are an antichain (a child is stored only if no
-        record is no worse, and evicts those no better), so one pass decides
-        a child.  The first record no worse than it prunes it, and no record
-        before was marked `removed`: r1 no better than the child ahead of r2
-        no worse would give r2 <= r1.  If none prunes it, the child is kept
-        and the records no better than it are marked and dropped.  With SWAP
-        counts alone a class holds one record, the node with the lowest
-        count, as itself.
+        record is no worse, and evicts those no better), so a pruned child
+        evicts nothing: a first scan looks for a record no worse, which
+        prunes the child, and only a kept child scans again, to mark the
+        records no better than it `removed` and drop them.  An absent class
+        is stored as the child's one record in one write, with no scan.  With
+        SWAP counts alone a class's one record is the lowest-count node itself.
         """
         if store is None:
             return [SearchNode(node, *child) for child in children]
-        automorphisms, frame_of, permute = self.automorphisms, self.frame_of, self.permute
+        automorphisms, frames, permute = self.automorphisms, self.frames, self.permute
         w_swaps, le = self.w_swaps, operator.le
         kept = []
         for child in children:
@@ -511,7 +510,7 @@ class _Search:
             # The key's least image, and the getter of the first sigma
             # attaining it (None: the identity).
             best, to_frame = asg, None
-            for table, getter in zip(automorphisms, frame_of):
+            for table, getter in frames:
                 image = permute(asg, table)
                 if image < best:
                     best, to_frame = image, getter
@@ -519,17 +518,23 @@ class _Search:
             if w_swaps:
                 vector += (swaps,)
             key = best + prog
-            records = store.get(key, ())
-            survivors = []
+            records = store.get(key)
+            if records is None:
+                child = SearchNode(node, *child)
+                store[key] = [(vector, child)]
+                kept.append(child)
+                continue
             for record in records:
                 if all(map(le, record[0], vector)):     # no worse: prunes the child
                     stats.nodes_pruned += 1
                     break
-                if all(map(le, vector, record[0])):     # no better: evicted
-                    record[1].removed = True
-                else:
-                    survivors.append(record)
             else:
+                survivors = []
+                for record in records:
+                    if all(map(le, vector, record[0])):     # no better: evicted
+                        record[1].removed = True
+                    else:
+                        survivors.append(record)
                 if len(survivors) < len(records):
                     stats.fronts_replaced += 1
                 child = SearchNode(node, *child)

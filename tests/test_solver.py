@@ -230,7 +230,7 @@ def asymmetric(search):
     """A copy of `search` that keys its store under no automorphism, so
     only equal states share a class."""
     search = copy.copy(search)
-    search.automorphisms, search.frame_of = [], []
+    search.automorphisms, search.frames = [], []
     return search
 
 
@@ -695,10 +695,12 @@ class TestTryInsert:
     @pytest.mark.parametrize("config", [depth_config(), SolverConfig(w_depth=1, w_swaps=1)],
                              ids=["depth", "combined"])
     def test_one_pass_matches_two_passes(self, example_circuit, linear4, config):
-        # `keep` decides a child in one pass over its class; here the
-        # definition decides it in two.  First: is some record no worse
-        # than the child?  Then, if not, which records is the child no
-        # worse than?  (0,1,2,0,0) and its mirror (0,4,3,0,0) are one
+        # `keep` writes an absent class at once, and otherwise scans its
+        # class twice: for a record no worse than the child, and only if
+        # none, for the records it evicts.  Here the definition asks both
+        # of a copy of the class taken before the offer: is some record no
+        # worse than the child?  Then, if not, which records is the child
+        # no worse than?  (0,1,2,0,0) and its mirror (0,4,3,0,0) are one
         # class, keyed by the first and the progress; the mirror's depths
         # are read reversed.
         search = _Search(example_circuit, linear4, config)
@@ -1211,13 +1213,12 @@ class TestSymmetry:
 
     @given(instances(max_gates=5, graphs=st.one_of(topologies("grid:2x2", "y:4", "grid:2x3"),
                                                    SYMMETRIC_GRAPHS)),
-           st.sampled_from(["depth", "swaps"]), st.booleans())
+           st.sampled_from(["depth", "swaps", "combined"]), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_symmetric_store_matches_no_store(self, instance, objective, layered):
         circuit, graph = instance
-        config = depth_config if objective == "depth" else swaps_config
         a = solve_both_ways(circuit, graph, objective, layered)
-        b = solve_without_store(circuit, graph, config(layered=layered))
+        b = solve_without_store(circuit, graph, CONFIGS[objective](layered=layered))
         assert b.status == "optimal" and validate(b.schedule, circuit, graph).ok
         assert a.objective_value == b.objective_value
 
