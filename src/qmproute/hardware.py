@@ -2,8 +2,8 @@
 
 Provides the standard topologies used in the benchmarks (linear, grid, Y),
 hop distances, each node's nodes nearest first, enumeration of
-minimal (chordless) paths between node pairs, cached per unordered pair,
-and the graph's automorphisms.
+minimal (chordless) paths between node pairs, kept in a per-node table
+with one list per unordered pair, and the graph's automorphisms.
 A path is minimal when no subset of its nodes can be removed and still
 leave a valid path, i.e. no hardware edge joins two non-consecutive path
 nodes.
@@ -33,9 +33,9 @@ class HardwareError(ValueError):
 class HardwareGraph:
     """Undirected connected graph over nodes 1..num_nodes.
 
-    Immutable after construction except the distance table and the
-    nearest-first, minimal-path and automorphism caches, which are filled
-    lazily and idempotently.
+    Immutable after construction except the distance table, the per-node
+    tables `nearest` and `paths` and the automorphism list, filled lazily
+    and idempotently; none refers back to the graph, so it makes no cycle.
     """
 
     def __init__(self, num_nodes: int, edges):
@@ -57,10 +57,10 @@ class HardwareGraph:
             self._adj[v].append(w)
             self._adj[w].append(v)
         self._hops = list(range(num_nodes + 1))
-        if len(self._bfs(1)[0]) != num_nodes:
+        if len(_bfs(self._adj, self._hops, 1)[0]) != num_nodes:
             raise HardwareError("hardware graph must be connected")
-        self._nearest: dict[int, tuple[int, ...]] = {}
-        self._path_cache: dict[tuple[int, int], list[tuple[int, ...]] | None] = {}
+        self.nearest = _Nearest(self._adj, self._hops)
+        self.paths: dict[int, dict[int, list | None]] = {}     # paths[v][w]: minimal_paths(v, w)
         self._automorphisms: list[tuple[int, ...]] | None = None
 
     def neighbors(self, v: int) -> list[int]:
@@ -69,40 +69,13 @@ class HardwareGraph:
     def has_edge(self, v: int, w: int) -> bool:
         return w in self._adj.get(v, ())
 
-    def _bfs(self, s: int) -> tuple[list[int], list[int]]:
-        """The nodes in BFS order from s over the sorted adjacency lists, and
-        the row of hop distances from s (-1 at index 0).  Each entry is one of
-        the shared ints in `_hops`, so a long line's table costs a pointer an
-        entry."""
-        adj, hops = self._adj, self._hops
-        d = [-1] * (self.num_nodes + 1)
-        d[s] = 0
-        order = [s]
-        for v in order:                 # the queue grows while it is read
-            dw = hops[d[v] + 1]
-            for w in adj[v]:
-                if d[w] < 0:
-                    d[w] = dw
-                    order.append(w)
-        return order, d
-
     @functools.cached_property
     def dist(self) -> list[list[int]]:
         """Hop distances: `dist[v][w]` for nodes v, w (row 0 empty, column 0
         -1).  Built on the first read, one BFS per node; only the search's
         bounds read it, so building, validating against or generating for a
         graph costs no O(n^2) table."""
-        return [[]] + [self._bfs(s)[1] for s in range(1, self.num_nodes + 1)]
-
-    def nearest_first(self, v: int) -> tuple[int, ...]:
-        """The nodes other than v in BFS order from v, so nearest first.
-        Found on the first call for v and cached, so a node no search reaches
-        costs nothing."""
-        try:
-            return self._nearest[v]
-        except KeyError:
-            order = self._nearest[v] = tuple(self._bfs(v)[0][1:])
-        return order
+        return [[]] + [_bfs(self._adj, self._hops, s)[1] for s in range(1, self.num_nodes + 1)]
 
     def minimal_paths(self, v: int, w: int):
         """All chordless simple paths between v and w as node tuples from
@@ -113,17 +86,17 @@ class HardwareGraph:
         and break admissibility: `solver._least_meet` returns None for such
         a pair, and each depth-bound term falls back to a value that needs
         no paths.
-        Each unordered pair is enumerated once and cached, so a repeated call
-        in either order returns the same object and allocates nothing.
+        Each unordered pair is enumerated once, into `paths` under both
+        orders, so a repeated call in either order returns the same object.
         """
-        key = (v, w) if v < w else (w, v)
         try:
-            return self._path_cache[key]
+            return self.paths[v][w]
         except KeyError:
             if v == w:
                 raise HardwareError("minimal_paths requires distinct endpoints") from None
-        paths = self._path_cache[key] = self._enumerate_chordless(*key)
-        return paths
+        found = self._enumerate_chordless(*((v, w) if v < w else (w, v)))
+        self.paths.setdefault(v, {})[w] = self.paths.setdefault(w, {})[v] = found
+        return found
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Non-identity node permutations that preserve adjacency, at most
@@ -145,7 +118,7 @@ class HardwareGraph:
 
     def _find_automorphisms(self) -> list[tuple[int, ...]]:
         n, adj = self.num_nodes, self._adj
-        order = self._bfs(1)[0]
+        order = _bfs(adj, self._hops, 1)[0]
         image, used = [0] * (n + 1), [False] * (n + 1)
         identity = tuple(range(n + 1))
         found: list[tuple[int, ...]] = []
@@ -216,6 +189,33 @@ class HardwareGraph:
                 for y in adj[x]:
                     touch[y] -= 1
         return results
+
+
+def _bfs(adj: dict[int, list[int]], hops: list[int], s: int) -> tuple[list[int], list[int]]:
+    """The nodes in BFS order from s over the sorted adjacency lists, and
+    the row of hop distances from s (-1 at index 0), each one of the shared
+    ints in `hops` (0..|V|), so a long line's table costs a pointer an entry."""
+    d = [-1] * len(hops)
+    d[s] = 0
+    order = [s]
+    for v in order:                 # the queue grows while it is read
+        dw = hops[d[v] + 1]
+        for w in adj[v]:
+            if d[w] < 0:
+                d[w] = dw
+                order.append(w)
+    return order, d
+
+
+class _Nearest(dict):
+    """`HardwareGraph.nearest[v]`: v's other nodes in BFS order, found on first read."""
+
+    def __init__(self, adj: dict[int, list[int]], hops: list[int]):
+        self.adj, self.hops = adj, hops
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        order = self[v] = tuple(_bfs(self.adj, self.hops, v)[0][1:])
+        return order
 
 
 _TOPOLOGY_RE = re.compile(r"(linear|grid|y):([0-9]+)(?:x([0-9]+))?")

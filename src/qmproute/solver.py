@@ -213,7 +213,7 @@ def bound_depth(node: SearchNode, row: tuple, graph: HardwareGraph, swap_duratio
         a = asg[p]
         start_p, bar, best = dm[a] + work_p, h - delta_first, None
         reach, dist_a = start_p + work_q - d_s, dist[a]
-        for f in graph.nearest_first(a):
+        for f in graph.nearest[a]:
             if f in asg:        # occupied: `in` scans a `bytes` or tuple state in C
                 continue
             k, start_f = dist_a[f], dm[f] + work_q
@@ -251,7 +251,10 @@ def _least_meet(graph: HardwareGraph, dm, a: int, b: int, start_a: int, start_b:
     `swap_duration` per hop; or the first such meet no later than `bar`.
     None when the enumeration of the pair's paths is capped: a truncated
     set could raise the least meet and break admissibility."""
-    paths = graph.minimal_paths(a, b)
+    try:
+        paths = graph.paths[a][b]
+    except KeyError:
+        paths = graph.minimal_paths(a, b)
     if paths is None:
         return None
     if a > b:           # paths run from the lower node; the meet is symmetric
@@ -314,7 +317,7 @@ def bound_swaps(node: SearchNode, row: tuple, graph: HardwareGraph) -> int:
             worst = d
     for p in row[3]:
         a = asg[p]
-        for h in graph.nearest_first(a):
+        for h in graph.nearest[a]:
             if h not in asg:    # a free node: `in` scans a `bytes` or tuple state in C
                 break
         d = dist[a][h] - 1
@@ -408,6 +411,7 @@ class _Search:
         graph, pack = self.graph, self.pack
         swaps, scheduled = node.swap_count, node.num_scheduled
         busy = set(asg)     # occupied nodes (plus 0, never a node)
+        work = None if dm is None else list(dm)     # raised per child, copied, restored
         children = []
         for i, p, q, duration, done in moves:
             ap, aq = asg[p], asg[q]
@@ -424,9 +428,10 @@ class _Search:
                 v, w = edge
                 deeper = dm
                 if dm is not None:
-                    deeper = list(dm)
-                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + duration
-                    deeper = tuple(deeper)
+                    dv, dw = dm[v], dm[w]
+                    work[v] = work[w] = (dv if dv > dw else dw) + duration
+                    deeper = tuple(work)
+                    work[v], work[w] = dv, dw
                 if ap and aq:
                     if not self.w_depth:
                         return [(i, edge, deeper, asg, done, swaps, scheduled + 1)]
@@ -448,9 +453,10 @@ class _Search:
                     tau = taus[index] = pack(tau)
                 deeper = dm
                 if dm is not None:
-                    deeper = list(dm)
-                    deeper[v] = deeper[w] = (dm[v] if dm[v] > dm[w] else dm[w]) + d_s
-                    deeper = tuple(deeper)
+                    dv, dw = dm[v], dm[w]
+                    work[v] = work[w] = (dv if dv > dw else dw) + d_s
+                    deeper = tuple(work)
+                    work[v], work[w] = dv, dw
                 children.append((SWAP, edge, deeper, permute(asg, tau), prog, swaps + 1, scheduled))
         return children
 
@@ -489,7 +495,7 @@ class _Search:
         w_swaps, le = self.w_swaps, operator.le
         kept = []
         for child in children:
-            _, _, dm, asg, prog, swaps, _ = child
+            i, edge, dm, asg, prog, swaps, scheduled = child
             if dm is None:
                 best = asg
                 for table in automorphisms:
@@ -504,7 +510,7 @@ class _Search:
                         continue
                     record.removed = True
                     stats.fronts_replaced += 1
-                child = store[key] = SearchNode(node, *child)
+                child = store[key] = SearchNode(node, i, edge, dm, asg, prog, swaps, scheduled)
                 kept.append(child)
                 continue
             # The key's least image, and the getter of the first sigma
@@ -520,7 +526,7 @@ class _Search:
             key = best + prog
             records = store.get(key)
             if records is None:
-                child = SearchNode(node, *child)
+                child = SearchNode(node, i, edge, dm, asg, prog, swaps, scheduled)
                 store[key] = [(vector, child)]
                 kept.append(child)
                 continue
@@ -537,7 +543,7 @@ class _Search:
                         survivors.append(record)
                 if len(survivors) < len(records):
                     stats.fronts_replaced += 1
-                child = SearchNode(node, *child)
+                child = SearchNode(node, i, edge, dm, asg, prog, swaps, scheduled)
                 survivors.append((vector, child))
                 store[key] = survivors
                 kept.append(child)
@@ -551,14 +557,16 @@ def _permute(state: tuple, table: tuple) -> tuple:
 
 def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):
     """The search's lower bound on the objective, times its scale, as a
-    function of a node: the weighted bounds for the objective's positive
-    weights, both read from the node's one row in `rows`.  It refers to no
-    `_Search`, so a search holding it makes no reference cycle."""
-    def bound(node):
-        row = rows[node.progress]
-        return ((w_depth and w_depth * bound_depth(node, row, graph, swap_duration))
-                + (w_swaps and w_swaps * bound_swaps(node, row, graph)))
-    return bound
+    function of a node: one closure per set of positive weights, over the
+    module's bounds as of this call, read from the node's row in `rows`.
+    It refers to no `_Search`, so a search holding it makes no cycle."""
+    depth, swaps = bound_depth, bound_swaps
+    if not w_swaps:
+        return lambda node: w_depth * depth(node, rows[node.progress], graph, swap_duration)
+    if not w_depth:
+        return lambda node: w_swaps * swaps(node, rows[node.progress], graph)
+    return lambda node: (w_depth * depth(node, rows[node.progress], graph, swap_duration)
+                         + w_swaps * swaps(node, rows[node.progress], graph))
 
 
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:
@@ -606,42 +614,44 @@ def _run(search: _Search, beam: int | None, t0: float,
     is the SWAP count; the floor, a lower bound on that objective, leaves
     it.  So the incumbent is the first kept complete child with the least
     key; a pruned one is no better than the kept complete record that
-    pruned it."""
+    pruned it.  The heap functions and the clock are bound at entry."""
     config = search.config
     stats = SolveStats()
     children, keep, bound = search.children, search.keep, search.bound
+    heappush, heappop, monotonic = heapq.heappush, heapq.heappop, time.monotonic
     deadline = math.inf if config.time_limit is None else t0 + config.time_limit
     # The root is not stored: no other node has its empty state.
     root = search.root()
-    stats.nodes_inserted += 1
-    open_heap = [(bound(root), 0, 0, stats.nodes_inserted, root)]
+    inserted = 1
+    open_heap = [(bound(root), 0, 0, inserted, root)]
     num_gates = search.circuit.num_gates
     incumbent: SearchNode | None = None
     incumbent_key: int | None = None
 
     while open_heap:
-        if time.monotonic() > deadline:
+        if monotonic() > deadline:
             break
-        node_key, _, _, _, node = heapq.heappop(open_heap)
+        node_key, _, _, _, node = heappop(open_heap)
         if node.removed:
             continue
         if node.num_scheduled == num_gates:
+            stats.nodes_inserted = inserted
             return _result(search, node, stats, "incumbent" if beam else "optimal")
         stats.nodes_expanded += 1
         # Only Pareto survivors are built and bounded: a pruned child needs no key.
         for child in keep(node, children(node), store, stats):
-            stats.nodes_inserted += 1
+            inserted += 1
             key = bound(child)
             if key < node_key:
                 key = node_key
-            if child.num_scheduled == num_gates and (incumbent is None
-                                                     or key < incumbent_key):
+            scheduled = child.num_scheduled
+            if scheduled == num_gates and (incumbent is None or key < incumbent_key):
                 incumbent, incumbent_key = child, key
-            heapq.heappush(open_heap, (key, -child.num_scheduled,
-                                       child.swap_count, stats.nodes_inserted, child))
+            heappush(open_heap, (key, -scheduled, child.swap_count, inserted, child))
         if beam is not None and len(open_heap) > beam:
             open_heap = sorted(e for e in open_heap if not e[4].removed)[:beam]
 
+    stats.nodes_inserted = inserted
     if incumbent is not None:
         return _result(search, incumbent, stats, "incumbent")
     if beam is not None and not open_heap:

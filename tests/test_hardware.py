@@ -188,13 +188,13 @@ def small_connected_graphs(draw):
 
 
 def assert_nearest_first(g):
-    """nearest_first(v) lists every node but v once, in nondecreasing hop
-    distance from v (by networkx), and is cached."""
+    """nearest[v] lists every node but v once, in nondecreasing hop
+    distance from v (by networkx), and is kept."""
     for v in range(1, g.num_nodes + 1):
-        order, d = g.nearest_first(v), nx.single_source_shortest_path_length(as_nx(g), v)
+        order, d = g.nearest[v], nx.single_source_shortest_path_length(as_nx(g), v)
         assert sorted(order) == [w for w in range(1, g.num_nodes + 1) if w != v]
         assert all(d[a] <= d[b] for a, b in zip(order, order[1:]))
-        assert g.nearest_first(v) is order
+        assert g.nearest[v] is order
 
 
 class TestNearestFirst:
@@ -226,8 +226,9 @@ class TestMinimalPaths:
                     if v == w:
                         continue
                     paths = g.minimal_paths(v, w)
-                    # Either order is a hit on the one entry, from the lower node.
+                    # Either order is a hit on the one list, from the lower node.
                     assert g.minimal_paths(w, v) is paths
+                    assert g.paths[v][w] is g.paths[w][v] is paths
                     assert all(p[0] == min(v, w) and p[-1] == max(v, w) for p in paths)
 
     @pytest.mark.parametrize("builder", [

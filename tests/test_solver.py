@@ -8,6 +8,7 @@ import operator
 import random
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -67,6 +68,11 @@ def reference_repositioning(graph, dm, d_s, a, start_a, b, start_b):
             if best is None or h < best:
                 best = h
     return best
+
+
+def path_pairs(graph):
+    """The unordered node pairs whose paths `graph.paths` holds."""
+    return {frozenset((v, w)) for v, row in graph.paths.items() for w in row}
 
 
 def reference_bound_depth(node, circuit, graph, swap_duration, holes=True):
@@ -832,24 +838,42 @@ class TestBounds:
         h_d = bound_depth(root, row, linear4, config.swap_duration)
         h_s = bound_swaps(root, row, linear4)
         assert search.bound(root) == h_d + 10 * h_s
+        # `_bound` makes one closure per set of positive weights: the
+        # combined one, the depth-only and the swaps-only one each give the
+        # weighted sum of the bounds, at the root and two levels below it.
+        depth_only, swaps_only = (solver._bound(search.rows, linear4, config.swap_duration, *w)
+                                  for w in ((3, 0), (0, 7)))
+        nodes = [root, *(g for c in built(search, root) for g in built(search, c))]
+        swap_terms = []
+        for node in nodes:
+            row = search.rows[node.progress]
+            h_d = bound_depth(node, row, linear4, config.swap_duration)
+            h_s = bound_swaps(node, row, linear4)
+            assert (search.bound(node), depth_only(node), swaps_only(node)) == (
+                h_d + 10 * h_s, 3 * h_d, 7 * h_s)
+            swap_terms.append(h_s)
+        assert len(nodes) > 10 and any(swap_terms)
 
     def test_path_cache_keys_each_pair_once(self, monkeypatch):
-        # The depth bound asks for pairs in both orders; the cache keeps one
-        # entry per unordered pair, keyed from its lower node.
+        # The depth bound asks for pairs in both orders; `paths` holds one
+        # list per unordered pair under both orders, so each unordered pair
+        # is enumerated once.
         graph = parse_topology("grid:3x3")
-        asked = set()
+        asked = []
         minimal_paths = HardwareGraph.minimal_paths
 
         def recording(g, v, w):
-            asked.add((v, w))
+            asked.append((v, w))
             return minimal_paths(g, v, w)
 
         monkeypatch.setattr(HardwareGraph, "minimal_paths", recording)
         circuit = gen_random_circuit(InstanceSpec("grid:3x3", 6, 8, 0))
         assert solve(circuit, graph, depth_config()).status == "optimal"
         assert any(v > w for v, w in asked) and any(v < w for v, w in asked)
-        assert set(graph._path_cache) == {(min(k), max(k)) for k in asked}
-        assert all(lo < hi for lo, hi in graph._path_cache)
+        pairs = [frozenset(k) for k in asked]
+        assert len(set(pairs)) == len(pairs) and path_pairs(graph) == set(pairs)
+        assert all(graph.paths[v][w] is graph.paths[w][v]
+                   for v, row in graph.paths.items() for w in row)
 
     @given(st.one_of(topologies("grid:3x3", "y:8"), connected_graphs(max_nodes=8)), st.data())
     @settings(max_examples=150, deadline=None)
@@ -1673,6 +1697,23 @@ class TestCollector:
             if collecting:
                 gc.enable()
 
+    def test_graph_freed_without_the_collector(self):
+        # A graph's tables refer to its adjacency lists, not to the graph,
+        # so reference counting frees a graph a depth solve has read.
+        circuit = gen_random_circuit(InstanceSpec("grid:2x3", 6, 10, 0))
+        graph = parse_topology("grid:2x3")
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            assert solve(circuit, graph, depth_config()).status == "optimal"
+            assert graph.nearest and graph.paths and graph.dist
+            freed = weakref.ref(graph)
+            del graph
+            assert freed() is None
+        finally:
+            if collecting:
+                gc.enable()
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_solve_restores_the_collector(self, example_circuit, linear4, enabled):
         collecting = gc.isenabled()
@@ -1723,15 +1764,15 @@ class TestDenseGraph:
     def test_depth_bound_enumerates_few_paths_on_large_hardware(self, topology, most_pairs):
         # The same circuit under the depth objective, where the hole term
         # could enumerate the chordless paths to every free node.  Path
-        # enumeration does not read the clock, so the guard counts the node
-        # pairs it cached, not time: no more than the search without the
-        # hole term cached (34 and 123).
+        # enumeration does not read the clock, so the guard counts the
+        # unordered node pairs in `paths`, not time: no more than the search
+        # without the hole term enumerated (34 and 123).
         graph = parse_topology(topology)
         circuit = Circuit(4, tuple(GateSpec(i, pq, 4)
                                    for i, pq in enumerate([(1, 2), (3, 4), (1, 3)], 1)))
         result = solve(circuit, graph, depth_config())
         assert (result.status, result.objective_value) == ("optimal", 8)
-        assert len(graph._path_cache) <= most_pairs
+        assert len(path_pairs(graph)) <= most_pairs
 
 
 class TestModesAndProperties:
