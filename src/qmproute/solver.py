@@ -557,16 +557,16 @@ def _permute(state: tuple, table: tuple) -> tuple:
 
 def _bound(rows: _Rows, graph: HardwareGraph, swap_duration: int, w_depth: int, w_swaps: int):
     """The search's lower bound on the objective, times its scale, as a
-    function of a node: one closure per set of positive weights, over the
-    module's bounds as of this call, read from the node's row in `rows`.
-    It refers to no `_Search`, so a search holding it makes no cycle."""
+    function of a node: the module's bounds as of this call, weighted by
+    the objective's positive weights, both read from the node's one row in
+    `rows`.  It refers to no `_Search`, so holding it makes no cycle."""
     depth, swaps = bound_depth, bound_swaps
-    if not w_swaps:
-        return lambda node: w_depth * depth(node, rows[node.progress], graph, swap_duration)
-    if not w_depth:
-        return lambda node: w_swaps * swaps(node, rows[node.progress], graph)
-    return lambda node: (w_depth * depth(node, rows[node.progress], graph, swap_duration)
-                         + w_swaps * swaps(node, rows[node.progress], graph))
+
+    def bound(node):
+        row = rows[node.progress]
+        return ((w_depth and w_depth * depth(node, row, graph, swap_duration))
+                + (w_swaps and w_swaps * swaps(node, row, graph)))
+    return bound
 
 
 def solve(circuit: Circuit, graph: HardwareGraph, config: SolverConfig | None = None) -> SolveResult:
